@@ -16,22 +16,23 @@ from .core import (EXP, LOG, GrowthDiagnostic, SequenceGrid, Violation,
                    as_log_grid, boundary_infinities, growth_check, to_exp,
                    to_log, validate_grid)
 from .envelope import (DualValue, KGridSpec, MinorantResult, StabilityReport,
-                       SupportPlane, axis_slope_range, boundary_restriction,
-                       dual_value, h_of_k, minorant_lp, quotient_range,
-                       stability_probe)
+                       SupportPlane, audit_minorant, axis_slope_range,
+                       boundary_restriction, dual_value, h_of_k, minorant_lp,
+                       quotient_range, stability_probe)
 from .envelope1d import NewtonPolygon, PolygonSegment, evaluate, sweep
 from .errors import (AllInfinite, BoxTooSmall, DimensionMismatch, EmptyKGrid,
                      EmptySGrid, EmptyShell, GridMismatch,
                      GridValidationError, LevelNotFound, LogcvxError,
                      NonPositiveEntry, NotNormalized, NumericBreakdown,
-                     OutOfRange, ScaleMismatch, SchemaError, TargetOutsideHull)
+                     OutOfRange, ScaleMismatch, SchemaError, TargetOutsideHull,
+                     WitnessError)
 from .generators import (SplitMix64, convex_random_grid, factorial_grid,
                          log_convex_random_1d, notconvex_grid, random_grid)
 from .io import (canonical_json, fmt_float, read_condition_witness, read_grid,
                  read_matrix, read_relation_witness, read_report, to_jsonable,
                  write_condition_witness, write_grid, write_matrix,
                  write_relation_witness, write_report)
-from .lpsolve import DenseLP, LPSolution, brute_force_envelope
+from .lpsolve import LPSolution, brute_force_envelope
 from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
                        TRIANGLE, ConditionEntry, ConditionReport,
                        ConditionWitness, RelationEntry, RelationReport,
@@ -45,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllInfinite", "AssociatedFunction", "BEURLING", "BoxTooSmall",
     "CONDITIONS", "ConditionEntry", "ConditionReport", "ConditionWitness",
-    "DenseLP", "DimensionMismatch", "DualValue", "EXP", "EmptyKGrid",
+    "DimensionMismatch", "DualValue", "EXP", "EmptyKGrid",
     "EmptySGrid", "EmptyShell", "GridMismatch", "GridValidationError",
     "GrowthDiagnostic", "KGridSpec", "LOG", "LPSolution", "LevelNotFound",
     "LogConvexMinorant", "LogConvexityReport", "LogcvxError", "MinorantResult",
@@ -55,7 +56,8 @@ __all__ = [
     "ScaleMismatch", "SchemaError", "SearchOutcome", "SearchSpace",
     "SequenceGrid", "SlackRecord", "SplitMix64", "StabilityReport",
     "SupportPlane", "TRIANGLE", "TargetOutsideHull", "Violation",
-    "WeightMatrix", "as_log_grid", "axis_slope_range", "boundary_infinities",
+    "WeightMatrix", "WitnessError", "as_log_grid", "audit_minorant",
+    "axis_slope_range", "boundary_infinities",
     "boundary_restriction", "brute_force_envelope", "canonical_json",
     "check_log_convexity", "convex_random_grid", "dual_value", "evaluate",
     "factorial_grid", "fmt_float", "growth_check", "h_of_k",

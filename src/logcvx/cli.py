@@ -141,13 +141,13 @@ def cmd_minorant(args) -> int:
             for s in poly.segments]
         boundary = [[int(p)] for p in poly.boundary_affected]
     elif args.method == "lp":
-        res = envelope.minorant_lp(work, parallel=args.parallel)
+        res = envelope.minorant_lp(work)
         results["minorant"] = _grid_dict(res.minorant)
         results["contacts"] = _alpha_list(res.contact_set)
         results["certificates"] = [
             {"alpha": list(map(int, a)), "k": list(map(float, pl.k)),
              "h": float(pl.h), "touching": _alpha_list(pl.touching)}
-            for a, pl in sorted(res.certificates.items())]
+            for a, pl in sorted(res.certificates.items()) if pl is not None]
         boundary = _alpha_list(res.boundary_affected)
     elif args.method == "oracle":
         if work.n_points > _ORACLE_POINT_CAP:
@@ -245,7 +245,8 @@ def cmd_check(args) -> int:
     results = {
         "coordinatewise_ok": report.coordinatewise_ok,
         "coordinatewise_violation":
-            list(map(int, report.coordinatewise_violation))
+            {"alpha": list(map(int, report.coordinatewise_violation[0])),
+             "axis": int(report.coordinatewise_violation[1])}
             if report.coordinatewise_violation is not None else None,
         "globally_convex": report.globally_convex,
         "max_gap": report.max_gap,
@@ -360,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--stability", metavar="LARGER_GRID", default=None,
                    help="recompute on an enclosing grid and compare")
     m.add_argument("--k-step", type=float, default=0.25)
-    m.add_argument("--parallel", action="store_true")
     m.add_argument("--json", action="store_true")
     m.set_defaults(func=cmd_minorant)
 

@@ -12,13 +12,13 @@ Three routes are offered:
 * the 1-D sweep in :mod:`logcvx.envelope1d`.
 
 A +inf data entry imposes no constraint.  Values are exact for the truncated
-point set; they upper-bound the untruncated minorant, and certificates whose
-touching set meets the truncation faces are flagged ``boundary_affected``.
+point set; they upper-bound the untruncated minorant, and indices where every
+optimal certificate touches the truncation faces are flagged
+``boundary_affected``.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,12 +174,13 @@ def dual_value(g: SequenceGrid, x, k_grid: KGridSpec | None = None) -> DualValue
 class MinorantResult:
     """LP minorant with per-index certificates.
 
-    ``certificates[alpha]`` is the optimal supporting plane (None where the
-    per-point LP is unbounded, which happens only when +inf entries leave the
-    target outside the hull of the finite abscissae; the minorant is +inf
-    there).  ``contact_set`` lists indices where the minorant meets the data;
-    ``boundary_affected`` lists indices whose certificate touches the
-    truncation faces, i.e. whose value could move if the box grew.
+    ``certificates[alpha]`` is an optimal supporting plane (None where +inf
+    entries leave alpha outside the hull of the finite abscissae; the minorant
+    is +inf there).  ``contact_set`` lists indices where the minorant meets
+    the data.  ``boundary_affected`` lists indices where every optimal plane
+    touches the truncation faces (equivalently, some optimal convex
+    combination weighs a face point), i.e. whose value could move if the box
+    grew; exactly their certificates touch the faces.
     """
 
     minorant: SequenceGrid
@@ -188,59 +189,119 @@ class MinorantResult:
     boundary_affected: tuple[MultiIndex, ...]
 
 
-def _solve_point(lhs, b, alpha, dim):
-    obj = np.array([*alpha, 1.0], dtype=float)
-    lp = lpsolve.DenseLP.maximize(obj, lhs, b, np.zeros(dim + 1, dtype=bool))
-    return lpsolve.solve(lp)
+def _start_basis(finite: np.ndarray, box: MultiIndex, strides: list[int],
+                 alpha: MultiIndex, i: int) -> list[int] | None:
+    """Flat indices of a feasible start basis at alpha (flat index i), or None
+    for phase 1.
+
+    A finite alpha (weight 1) with one finite neighbour alpha -/+ e_j per
+    axis; at a hole, alpha -/+ e_j on one axis (weights 1/2, 1/2) with one
+    neighbour per other axis.  ``strides`` are the flat offsets of e_j.
+    """
+    def neighbour(j):
+        if alpha[j] > 0 and finite[i - strides[j]]:
+            return i - strides[j]
+        if alpha[j] < box[j] and finite[i + strides[j]]:
+            return i + strides[j]
+        return None
+
+    if finite[i]:
+        nbrs = [neighbour(j) for j in range(len(box))]
+        return None if None in nbrs else [i, *nbrs]
+    for j, st in enumerate(strides):
+        if 0 < alpha[j] < box[j] and finite[i - st] and finite[i + st]:
+            nbrs = [neighbour(l) for l in range(len(box)) if l != j]
+            if None not in nbrs:
+                return [i - st, i + st, *nbrs]
+    return None
 
 
-def minorant_lp(g: SequenceGrid, parallel: bool = False) -> MinorantResult:
-    """Exact convex minorant of a validated LOG-scale grid, one LP per index."""
+def minorant_lp(g: SequenceGrid) -> MinorantResult:
+    """Exact convex minorant of a validated LOG-scale grid, one
+    convex-combination LP per index (:func:`lpsolve.solve`)."""
     _require_log(g, "minorant_lp")
     violations = validate_grid(g)
     if violations:
         raise GridValidationError(violations)
     a = g.flat
     idx = index_array(g.box)
+    P = idx.astype(float)
     finite = np.isfinite(a)
-    P_f = idx[finite].astype(float)
-    finite_indices = [tuple(r.tolist()) for r in idx[finite]]
-    on_shell = outer_shell_mask(g.box)[finite]
-    # shift so the all-slack basis is feasible and phase 1 is skipped
-    shift = float(a[finite].min())
-    b = a[finite] - shift
-    lhs = np.hstack([P_f, np.ones((P_f.shape[0], 1))])
-
-    targets = [tuple(r.tolist()) for r in idx]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            sols = list(pool.map(lambda t: _solve_point(lhs, b, t, g.dim), targets))
-    else:
-        sols = [_solve_point(lhs, b, t, g.dim) for t in targets]
+    shell = outer_shell_mask(g.box)
+    targets = [tuple(r) for r in idx.tolist()]
+    strides = [math.prod(g.values.shape[j + 1:]) for j in range(g.dim)]
 
     values = np.empty(a.size)
     certificates: dict[MultiIndex, SupportPlane | None] = {}
     boundary: list[MultiIndex] = []
-    for i, (alpha, sol) in enumerate(zip(targets, sols)):
+    for i, alpha in enumerate(targets):
+        sol = lpsolve.solve(P, a, P[i], shell, _start_basis(finite, g.box, strides, alpha, i))
         if sol.status == lpsolve.UNBOUNDED:
             values[i] = math.inf
             certificates[alpha] = None
             boundary.append(alpha)
             continue
-        if sol.status != lpsolve.OPTIMAL:
-            raise GridMismatch(f"per-point LP at {alpha} came back {sol.status}")
-        values[i] = sol.optimum + shift
-        k = tuple(float(c) for c in sol.point[:g.dim])
-        h = float(sol.point[g.dim]) + shift
-        touching = tuple(finite_indices[r] for r in sol.active_rows)
-        certificates[alpha] = SupportPlane(k, h, touching)
-        if any(on_shell[r] for r in sol.active_rows):
+        values[i] = sol.optimum
+        k, h = tuple(sol.point[:g.dim].tolist()), float(sol.point[g.dim])
+        certificates[alpha] = SupportPlane(k, h, tuple(targets[r] for r in sol.active_rows))
+        if any(shell[r] for r in sol.active_rows):
             boundary.append(alpha)
 
     contact = [alpha for i, alpha in enumerate(targets)
                if finite[i] and abs(a[i] - values[i]) <= CONTACT_TOL * max(1.0, abs(a[i]))]
     minorant = SequenceGrid(g.box, values, LOG)
     return MinorantResult(minorant, certificates, tuple(contact), tuple(boundary))
+
+
+def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
+    """Re-check a minorant result against the data alone; returns the failures,
+    an empty tuple when it passes.
+
+    Nothing from the solver is trusted.  With the tolerance FEAS_TOL of
+    :mod:`lpsolve` relative to max(1, |a_beta|), for all planes at once:
+    the value is +inf exactly where the certificate is None; each plane lies
+    under every finite data point and meets the value at its own alpha;
+    ``touching`` is exactly the set of finite points tight at the plane;
+    ``contact_set`` is the finite indices whose value meets the data within
+    CONTACT_TOL; ``boundary_affected`` is the indices without a certificate
+    or whose certificate touches the outer shell.
+    """
+    _require_log(g, "audit_minorant")
+    idx = index_array(g.box)
+    targets = [tuple(r) for r in idx.tolist()]
+    if result.minorant.box != g.box or set(result.certificates) != set(targets):
+        return ("the result does not cover the box of the data",)
+    a, values, P, n = g.flat, result.minorant.flat, idx.astype(float), len(targets)
+    finite = np.isfinite(a)
+    has = np.array([result.certificates[t] is not None for t in targets])
+    planes = [result.certificates[t] or SupportPlane((0.0,) * g.dim, 0.0, ()) for t in targets]
+    V = np.repeat(np.array([pl.h for pl in planes])[:, None], n, axis=1)
+    for j in range(g.dim):
+        V += np.array([pl.k[j] for pl in planes])[:, None] * P[None, :, j]
+    gap = a[None, :] - V
+    tol = lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
+
+    def listed(alphas):
+        return np.isin(np.arange(n), [np.ravel_multi_index(b, g.values.shape) for b in alphas])
+
+    touching = np.array([listed(pl.touching) for pl in planes]).reshape(n, n)
+    with np.errstate(invalid="ignore"):
+        meets = finite & (np.abs(a - values) <= CONTACT_TOL * np.maximum(1.0, np.abs(a)))
+        at_alpha = (np.abs(np.diagonal(V) - values)
+                    <= lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(values)))
+    checks = [
+        (has != np.isposinf(values), "the value is +inf with a certificate, or finite without"),
+        (~has | ~(gap < -tol).any(axis=1), "the plane rises above the data"),
+        (~has | at_alpha, "the plane misses the value"),
+        ((touching == ((np.abs(gap) <= tol) & finite & has[:, None])).all(axis=1),
+         "the touching set is not the tight set"),
+        (listed(result.contact_set) == meets, "contact_set is not where the value meets the data"),
+        (listed(result.boundary_affected)
+         == (~has | (touching & outer_shell_mask(g.box)).any(axis=1)),
+         "boundary_affected is not where a certificate is missing or touches the outer shell"),
+    ]
+    return tuple(f"{what}, at {targets[np.flatnonzero(~ok)[0]]}"
+                 for ok, what in checks if not ok.all())
 
 
 def boundary_restriction(g: SequenceGrid, axis: int) -> SequenceGrid:

@@ -54,6 +54,10 @@ class NumericBreakdown(LogcvxError):
     """The solver could not make progress within its numeric tolerances."""
 
 
+class WitnessError(LogcvxError, ValueError):
+    """A weight matrix, relation or condition witness breaks its rules."""
+
+
 class LevelNotFound(LogcvxError):
     pass
 

@@ -324,17 +324,7 @@ def _grid_to_csv(g: SequenceGrid) -> str:
 
 
 def read_matrix(source) -> WeightMatrix:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError("/", "JSON document", f"parse error: {e}") from None
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        raise SchemaError("/", "object", type(obj).__name__)
+    obj = _load_obj(source)
     levels_raw = _require(obj, "levels", "")
     if not isinstance(levels_raw, list) or not levels_raw:
         raise SchemaError("/levels", "nonempty list", repr(levels_raw))
@@ -360,20 +350,25 @@ def read_relation_witness(source) -> RelationWitness:
     kind = _require(obj, "kind", "")
     if kind not in RELATION_KINDS:
         raise SchemaError("/kind", f"one of {RELATION_KINDS}", repr(kind))
-    entries_raw = _require(obj, "entries", "")
-    if not isinstance(entries_raw, list):
-        raise SchemaError("/entries", "list", type(entries_raw).__name__)
     entries = []
-    for i, e in enumerate(entries_raw):
-        p = f"/entries/{i}"
-        if not isinstance(e, dict):
-            raise SchemaError(p, "object", type(e).__name__)
-        lam = _num(_require(e, "lambda", p), f"{p}/lambda")
-        kappa = _num(_require(e, "kappa", p), f"{p}/kappa")
+    for p, e, lam, kappa in _witness_entries(obj):
         C = _num(_require(e, "C", p), f"{p}/C")
         h = _num(e["h"], f"{p}/h") if "h" in e else None
         entries.append(RelationEntry(lam, kappa, C, h))
     return RelationWitness(kind, tuple(entries))
+
+
+def _witness_entries(obj: dict):
+    """(path, object, lambda, kappa) of each entry of a witness document."""
+    entries_raw = _require(obj, "entries", "")
+    if not isinstance(entries_raw, list):
+        raise SchemaError("/entries", "list", type(entries_raw).__name__)
+    for i, e in enumerate(entries_raw):
+        p = f"/entries/{i}"
+        if not isinstance(e, dict):
+            raise SchemaError(p, "object", type(e).__name__)
+        yield (p, e, _num(_require(e, "lambda", p), f"{p}/lambda"),
+               _num(_require(e, "kappa", p), f"{p}/kappa"))
 
 
 def write_relation_witness(w: RelationWitness) -> str:
@@ -391,16 +386,8 @@ def read_condition_witness(source) -> ConditionWitness:
     cond = _require(obj, "condition", "")
     if cond not in CONDITIONS:
         raise SchemaError("/condition", f"one of {CONDITIONS}", repr(cond))
-    entries_raw = _require(obj, "entries", "")
-    if not isinstance(entries_raw, list):
-        raise SchemaError("/entries", "list", type(entries_raw).__name__)
     entries = []
-    for i, e in enumerate(entries_raw):
-        p = f"/entries/{i}"
-        if not isinstance(e, dict):
-            raise SchemaError(p, "object", type(e).__name__)
-        lam = _num(_require(e, "lambda", p), f"{p}/lambda")
-        kappa = _num(_require(e, "kappa", p), f"{p}/kappa")
+    for p, e, lam, kappa in _witness_entries(obj):
         kw = {}
         for name in ("A", "B", "C", "H"):
             if name in e:

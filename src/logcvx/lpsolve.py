@@ -1,15 +1,17 @@
-"""Dense two-phase simplex and a brute-force envelope oracle.
+"""Convex-combination simplex for envelope values, and a brute-force oracle.
 
-The solver handles small problems of the form
+``solve`` computes the lower convex envelope of data (beta, a_beta) at a
+target alpha as the best convex combination of data points,
 
-    maximize  objective . x
-    s.t.      lhs @ x <= rhs        (rows with rhs = +inf are dropped)
-              x_j >= 0 or x_j free  (free variables are split internally)
+    minimize  sum lam_beta a_beta   s.t.  sum lam_beta [1; beta] = [1; alpha],  lam >= 0,
 
-Pivoting uses Bland's smallest-index rule throughout, so runs are
-deterministic and cycle-free; identical inputs produce bit-identical output.
-If a pivot below 1e-13 is forced, the system is row-equilibrated once and
-re-solved before giving up with NumericBreakdown.
+by a revised simplex with d+1 rows and an explicit basis inverse, so a pivot
+costs O(d n).  Columns are stored as [1; beta - alpha]: the right-hand side
+is e_0 and the basic weights are the first column of the inverse.  The dual
+is the supporting-plane LP  max <k, alpha> + h  s.t.  <k, beta> + h <= a_beta,
+and the final basis gives its solution (h, k) = c_B B^-1, the certificate.
+The pivot rules are deterministic, so identical inputs give bit-identical
+output.
 
 ``brute_force_envelope`` is an independent cross-check for lower convex
 envelope values: it enumerates small point subsets and minimizes over convex
@@ -27,51 +29,25 @@ import numpy as np
 from .errors import NumericBreakdown, TargetOutsideHull
 
 OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"  # target outside the hull: the plane LP is unbounded
 
-FEAS_TOL = 1e-9
-RED_TOL = 1e-9
-PIVOT_TOL = 1e-11
-MAX_VARS = 64
-
-
-@dataclass(frozen=True, eq=False)
-class DenseLP:
-    """maximize objective . x subject to lhs @ x <= rhs."""
-
-    objective: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    nonneg: np.ndarray  # bool per variable; False means the variable is free
-
-    @classmethod
-    def maximize(cls, objective, lhs, rhs, nonneg=None) -> "DenseLP":
-        objective = np.atleast_1d(np.asarray(objective, dtype=float))
-        lhs = np.asarray(lhs, dtype=float).reshape(-1, objective.size)
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if nonneg is None:
-            nonneg = np.zeros(objective.size, dtype=bool)
-        else:
-            nonneg = np.atleast_1d(np.asarray(nonneg, dtype=bool))
-        if rhs.size != lhs.shape[0] or nonneg.size != objective.size:
-            raise ValueError("inconsistent LP shapes")
-        if objective.size > MAX_VARS:
-            raise ValueError(f"at most {MAX_VARS} variables supported")
-        if not np.all(np.isfinite(objective)) or not np.all(np.isfinite(lhs)):
-            raise ValueError("objective and lhs must be finite")
-        if np.any(np.isnan(rhs)):
-            raise ValueError("rhs must not contain NaN")
-        return cls(objective, lhs, rhs, nonneg)
+# Tolerances of the solver.  The scale of a point is max(1, |a_beta|).
+FEAS_TOL = 1e-9    # a point is tight when |a_beta - plane(beta)| <= FEAS_TOL * scale
+RED_TOL = 1e-9     # a column enters only when its reduced cost is below -RED_TOL * scale
+PIVOT_TOL = 1e-11  # smallest direction entry the ratio test accepts as a pivot
+TIE_TOL = 1e-12    # step lengths within TIE_TOL * max(1, step) of the shortest tie
+WEIGHT_TOL = 1e-9  # a weight above this is positive (phase-1 residue, shell weight)
+BLAND_AFTER = 50     # degenerate pivots in a row before Bland's rule takes over
 
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:
     """Solver result.
 
-    ``optimum`` is +inf when UNBOUNDED and NaN when INFEASIBLE.  ``active_rows``
-    lists, in ascending order, every original constraint row tight within
-    1e-9 at the returned point.
+    ``optimum`` is the envelope value sum lam_B a_B, +inf when UNBOUNDED.
+    ``point`` is the certificate plane (k_1, ..., k_d, h), None when
+    UNBOUNDED.  ``active_rows`` lists, in ascending order, every point tight
+    within FEAS_TOL at that plane.
     """
 
     status: str
@@ -80,154 +56,136 @@ class LPSolution:
     active_rows: tuple[int, ...]
 
 
-def _pivot(T: np.ndarray, basis: list[int], r: int, c: int) -> None:
-    piv = T[r, c]
-    if abs(piv) < 1e-13:
-        raise NumericBreakdown(f"pivot {piv!r} below 1e-13")
-    T[r] = T[r] / piv
-    col = T[:, c].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    # kill accumulated drift in the pivot column
-    T[:, c] = 0.0
-    T[r, c] = 1.0
-    basis[r] = c
+def _ratio_test(x, u, basis, n) -> tuple[int, float]:
+    """Leaving row and step: the shortest step x_i / u_i over u_i > PIVOT_TOL,
+    ties broken by the smallest basic column (Bland).  An artificial column
+    (index >= n) at weight zero leaves at step 0 whenever u_i != 0, so it never
+    turns positive.  (-1, inf) if no row blocks."""
+    steps = [0.0 if b >= n and xi <= WEIGHT_TOL and ui < -PIVOT_TOL
+             else xi / ui if ui > PIVOT_TOL else math.inf
+             for xi, ui, b in zip(x, u, basis)]
+    step = min(steps)
+    if step == math.inf:
+        return -1, step
+    cutoff = step + TIE_TOL * max(1.0, step)
+    return min((b, i) for i, (s, b) in enumerate(zip(steps, basis)) if s <= cutoff)[1], step
 
 
-def _bland(T: np.ndarray, basis: list[int], m: int, obj_row: int,
-           enter_cols: int, maxiter: int) -> str:
-    """Run Bland-rule simplex iterations in place; returns optimal/unbounded."""
-    for _ in range(maxiter):
-        red = T[obj_row, :enter_cols]
-        in_basis = np.zeros(enter_cols, dtype=bool)
-        for b in basis:
-            if b < enter_cols:
-                in_basis[b] = True
-        candidates = np.flatnonzero((red < -RED_TOL) & ~in_basis)
-        if candidates.size == 0:
-            return OPTIMAL
-        enter = int(candidates[0])
-        col = T[:m, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
-        tie = rows[ratios <= rmin + 1e-12 * max(1.0, abs(rmin))]
-        # Bland tie-break: leave the row whose basic variable has smallest index
-        leave = int(min(tie, key=lambda i: basis[i]))
-        _pivot(T, basis, leave, enter)
-    raise NumericBreakdown(f"no convergence within {maxiter} pivots")
+def _simplex(D, cost, tol, basis, Binv, limit) -> None:
+    """Pivots in place until no column prices out.
+
+    Column j is row j of ``D`` with cost ``cost[j]``; it enters only when its
+    reduced cost is below -``tol[j]`` (+inf costs and tolerances never do).
+    The entering column has the most negative reduced cost relative to tol;
+    after BLAND_AFTER degenerate pivots in a row, Bland's smallest-index rule
+    takes over for good, so the loop cannot cycle.
+    """
+    n = D.shape[0] - D.shape[1]
+    degenerate = 0
+    for _ in range(limit):
+        score = (cost - D @ (cost[basis] @ Binv)) / tol
+        j = int(np.argmax(score < -1.0) if degenerate >= BLAND_AFTER else np.argmin(score))
+        if not score[j] < -1.0:
+            return
+        u = Binv @ D[j]
+        r, step = _ratio_test(Binv[:, 0].tolist(), u.tolist(), basis.tolist(), n)
+        if r < 0:
+            raise NumericBreakdown(f"no pivot row for column {j}")
+        degenerate = degenerate + 1 if step <= 0.0 else 0
+        Binv[r] /= u[r]
+        u[r] = 0.0
+        Binv -= u[:, None] * Binv[r]
+        basis[r] = j
+    raise NumericBreakdown(f"no convergence within {limit} pivots")
 
 
-def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """maximize c.x s.t. Ax <= b, x >= 0; returns (status, x)."""
-    m, n = A.shape
-    maxiter = 10000 + 50 * (m + n)
-    neg = np.flatnonzero(b < 0.0)
-    k = neg.size
-    T = np.zeros((m + (2 if k else 1), n + m + k + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = [n + i for i in range(m)]
-    T[m, :n] = -c  # phase-2 objective row
+def solve(points, values, target, shell=None, start=None) -> LPSolution:
+    """Envelope value and certificate plane at ``target``.
 
-    if k:
-        T[neg, :] *= -1.0
-        art = []
-        for t, i in enumerate(neg):
-            col = n + m + t
-            T[i, col] = 1.0
-            basis[i] = col
-            art.append(col)
-        # phase-1 objective: maximize -(sum of artificials), expressed through
-        # the current all-artificial-and-slack basis
-        T[m + 1, art] = 1.0
-        for i in neg:
-            T[m + 1] -= T[i]
-        status = _bland(T, basis, m, m + 1, n + m, maxiter)
-        if status != OPTIMAL or T[m + 1, -1] < -FEAS_TOL:
-            return INFEASIBLE, None
-        # drive leftover artificials out of the (degenerate) basis
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art:
-                nz = np.flatnonzero(np.abs(T[i, :n + m]) > PIVOT_TOL)
-                if nz.size:
-                    _pivot(T, basis, i, int(nz[0]))
-                else:
-                    drop_rows.append(i)  # redundant constraint row
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            T = np.vstack([T[keep], T[m:]])
-            basis = [basis[i] for i in keep]
-            m = len(basis)
-        T = np.delete(T, art, axis=1)
-        T = np.delete(T, m + 1, axis=0)
+    ``points`` is an (n, d) array of abscissae, ``values`` their data (+inf
+    means no constraint), ``target`` a length-d point.  ``start`` optionally
+    names d+1 columns forming a feasible basis; without one, or if it is not
+    feasible, phase 1 runs from d+1 artificial columns.  With a boolean
+    ``shell`` mask, the returned plane touches a shell point only if every
+    optimal plane does, that is, if some optimal convex combination puts
+    weight on the shell.
+    """
+    P = np.asarray(points, dtype=float)
+    a = np.asarray(values, dtype=float)
+    alpha = np.asarray(target, dtype=float)
+    if P.ndim != 2 or a.shape != (P.shape[0],) or alpha.shape != (P.shape[1],):
+        raise ValueError("inconsistent LP shapes")
+    if not (a > -math.inf).all():
+        raise ValueError("values must not be NaN or -inf")
+    n, m = P.shape[0], P.shape[1] + 1
+    finite = np.isfinite(a)
+    scale = np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
+    tol_a = FEAS_TOL * scale
+    limit = 1000 + 50 * (n + m)
+    # columns [1; beta - alpha], then the artificial columns e_i
+    D = np.zeros((n + m, m))
+    D[:n, 0] = 1.0
+    D[:n, 1:] = P - alpha
+    D[n:] = np.eye(m)
+    art = np.zeros(m)
+    never = np.full(m, math.inf)
 
-    status = _bland(T, basis, m, m, T.shape[1] - 1, maxiter)
-    if status != OPTIMAL:
-        return UNBOUNDED, None
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i, -1]
-    return OPTIMAL, x
+    warm = False
+    if start is not None:
+        basis = np.array(start, dtype=np.int64)
+        try:
+            Binv = np.linalg.inv(D[basis].T)
+            warm = bool(finite[basis].all() and (Binv[:, 0] >= 0.0).all())
+        except np.linalg.LinAlgError:
+            pass
+    if not warm:
+        basis, Binv = n + np.arange(m), np.eye(m)
+        _simplex(D, np.concatenate([np.where(finite, 0.0, math.inf), art + 1.0]),
+                 np.full(n + m, FEAS_TOL), basis, Binv, limit)
+        if Binv[basis >= n, 0].sum() > WEIGHT_TOL:
+            return LPSolution(UNBOUNDED, math.inf, None, ())
+    cost = np.concatenate([a, art])
+    _simplex(D, cost, np.concatenate([RED_TOL * scale, never]), basis, Binv, limit)
+    y = cost[basis] @ Binv
+    plane, active = _certificate(P, a, tol_a, alpha, y)
+    real = basis < n
+    if (shell is not None and shell[active].any()
+            and not (Binv[real, 0][shell[basis[real]]] > WEIGHT_TOL).any()):
+        # the plane touches the shell but the weights do not: over the tight
+        # points, min -(shell weight) from the optimal basis.  Below zero,
+        # every optimal plane touches the shell; else its dual plane delta has
+        # delta(alpha) = 0, delta <= 0 on the tight points and <= -1 on the
+        # tight shell points, and y + eps delta is an optimal plane for small eps.
+        tight = np.zeros(n, dtype=bool)
+        tight[active] = True
+        tight[basis[real]] = True
+        lift = np.concatenate([np.where(tight, np.where(shell, -1.0, 0.0), math.inf), art])
+        _simplex(D, lift, np.concatenate([np.full(n, FEAS_TOL), never]), basis, Binv, limit)
+        if lift[basis] @ Binv[:, 0] >= -WEIGHT_TOL:
+            tilt = lift[basis] @ Binv
+            delta = D[:n] @ tilt
+            gap = a - D[:n] @ y
+            # half the largest step keeping every point under the data and every
+            # other shell point off the tight band, at most 1; a step too short
+            # to clear the tight shell points (delta <= -1) is dropped below
+            rise = delta > 0.0
+            room = np.where(shell, gap - tol_a, gap + tol_a)[rise] / delta[rise]
+            eps = min(0.5 * room.min(initial=math.inf), 1.0)
+            tilted = _certificate(P, a, tol_a, alpha, y + eps * tilt)
+            if not shell[tilted[1]].any():
+                plane, active = tilted
+    return LPSolution(OPTIMAL, float(y[0]), plane, tuple(active.tolist()))
 
 
-def solve(lp: DenseLP) -> LPSolution:
-    """Solve a DenseLP; see module docstring for conventions."""
-    obj = np.asarray(lp.objective, dtype=float)
-    lhs = np.asarray(lp.lhs, dtype=float)
-    rhs = np.asarray(lp.rhs, dtype=float)
-    nonneg = np.asarray(lp.nonneg, dtype=bool)
-    n = obj.size
-    if np.any(np.isneginf(rhs)):
-        return LPSolution(INFEASIBLE, math.nan, None, ())
-    keep = np.isfinite(rhs)
-    A = lhs[keep]
-    b = rhs[keep]
-
-    # split free variables into positive and negative parts
-    pos_col = np.zeros(n, dtype=int)
-    neg_col = np.full(n, -1, dtype=int)
-    cols = 0
-    for j in range(n):
-        pos_col[j] = cols
-        cols += 1
-        if not nonneg[j]:
-            neg_col[j] = cols
-            cols += 1
-    A2 = np.zeros((A.shape[0], cols))
-    c2 = np.zeros(cols)
-    for j in range(n):
-        A2[:, pos_col[j]] = A[:, j]
-        c2[pos_col[j]] = obj[j]
-        if neg_col[j] >= 0:
-            A2[:, neg_col[j]] = -A[:, j]
-            c2[neg_col[j]] = -obj[j]
-
-    try:
-        status, x2 = _solve_standard(A2, b, c2)
-    except NumericBreakdown:
-        # one retry after row equilibration, then give up
-        scale = np.maximum(np.abs(A2).max(axis=1, initial=0.0), np.abs(b))
-        scale[scale == 0.0] = 1.0
-        status, x2 = _solve_standard(A2 / scale[:, None], b / scale, c2)
-
-    if status == INFEASIBLE:
-        return LPSolution(INFEASIBLE, math.nan, None, ())
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, math.inf, None, ())
-    x = np.zeros(n)
-    for j in range(n):
-        x[j] = x2[pos_col[j]] - (x2[neg_col[j]] if neg_col[j] >= 0 else 0.0)
-    resid = lhs @ x - rhs
-    scale = np.maximum(1.0, np.abs(rhs))
-    with np.errstate(invalid="ignore"):
-        active = np.flatnonzero(np.isfinite(rhs) & (np.abs(resid) <= FEAS_TOL * scale))
-    return LPSolution(OPTIMAL, float(obj @ x), x, tuple(int(i) for i in active))
+def _certificate(P, a, tol_a, alpha, y):
+    """(k, h) from the target-relative plane y, and the points tight at it.
+    The plane is evaluated as h + k_1 beta_1 + ... + k_d beta_d, in that order."""
+    k = y[1:]
+    h = float(y[0] - k @ alpha)
+    plane = np.full(P.shape[0], h)
+    for j, kj in enumerate(k.tolist()):
+        plane += kj * P[:, j]
+    return np.append(k, h), np.flatnonzero(np.abs(a - plane) <= tol_a)
 
 
 def brute_force_envelope(points, target) -> float:

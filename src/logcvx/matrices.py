@@ -42,7 +42,7 @@ import numpy as np
 from .core import (EXP, MultiIndex, SequenceGrid, index_array, order_array,
                    validate_grid)
 from .errors import (BoxTooSmall, DimensionMismatch, GridValidationError,
-                     LevelNotFound, NotNormalized)
+                     LevelNotFound, NotNormalized, WitnessError)
 
 ROUMIEU = "roumieu"
 BEURLING = "beurling"
@@ -64,18 +64,18 @@ class WeightMatrix:
         levels = tuple(float(x) for x in self.levels)
         grids = tuple(self.grids)
         if len(levels) == 0 or len(levels) != len(grids):
-            raise ValueError("need one grid per level")
+            raise WitnessError("need one grid per level")
         if any(not math.isfinite(x) or x <= 0 for x in levels):
-            raise ValueError("levels must be positive and finite")
+            raise WitnessError("levels must be positive and finite")
         if any(b >= a for a, b in zip(levels[1:], levels)):
-            raise ValueError("levels must be strictly ascending")
+            raise WitnessError("levels must be strictly ascending")
         box = grids[0].box
         logs = []
         for i, g in enumerate(grids):
             if g.box != box:
                 raise DimensionMismatch("all grids must share one box")
             if g.scale != EXP:
-                raise ValueError("matrix grids must be EXP scale")
+                raise WitnessError("matrix grids must be EXP scale")
             violations = validate_grid(g)
             if violations:
                 raise GridValidationError(violations)
@@ -85,7 +85,7 @@ class WeightMatrix:
         for i in range(len(logs) - 1):
             with np.errstate(invalid="ignore"):
                 if np.any(logs[i] > logs[i + 1] + SLACK_TOL):
-                    raise ValueError(
+                    raise WitnessError(
                         f"ladder not pointwise monotone between levels "
                         f"{levels[i]} and {levels[i + 1]}")
         object.__setattr__(self, "levels", levels)
@@ -170,11 +170,11 @@ def _relation_slacks(M: WeightMatrix, N: WeightMatrix, kind: str,
         rhs = orders * math.log(entry.C) + N.log_flat(entry.lam)
     elif kind == TRIANGLE:
         if entry.h is None or entry.h <= 0:
-            raise ValueError("triangle entries need h > 0")
+            raise WitnessError("triangle entries need h > 0")
         lhs = M.log_flat(entry.lam)
         rhs = math.log(entry.C) + orders * math.log(entry.h) + N.log_flat(entry.kappa)
     else:
-        raise ValueError(f"unknown relation kind {kind!r}")
+        raise WitnessError(f"unknown relation kind {kind!r}")
     return _slack(lhs, rhs)
 
 
@@ -184,30 +184,18 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
     if M.box != N.box:
         raise DimensionMismatch("matrices must share one box")
     if kind not in RELATION_KINDS:
-        raise ValueError(f"unknown relation kind {kind!r}")
+        raise WitnessError(f"unknown relation kind {kind!r}")
     idx = index_array(M.box)
-    max_slack = -math.inf
-    worst = None
-    first = None
-    checked = 0
+    acc = _PairChecker()
     for entry in witness.entries:
         if entry.C <= 0:
-            raise ValueError("witness constants must be positive")
-        s = _relation_slacks(M, N, kind, entry)
-        checked += s.size
-        i = int(np.argmax(s))
-        if s[i] > max_slack:
-            max_slack = float(s[i])
-            worst = SlackRecord(entry.lam, entry.kappa,
-                                tuple(int(c) for c in idx[i]),
-                                C=entry.C, h=entry.h, slack=float(s[i]))
-        if first is None:
-            bad = np.flatnonzero(s > SLACK_TOL)
-            if bad.size:
-                j = int(bad[0])
-                first = SlackRecord(entry.lam, entry.kappa,
-                                    tuple(int(c) for c in idx[j]),
-                                    C=entry.C, h=entry.h, slack=float(s[j]))
+            raise WitnessError("witness constants must be positive")
+
+        def rec(i, slack, _e=entry):
+            return SlackRecord(_e.lam, _e.kappa, tuple(int(c) for c in idx[i]),
+                               C=_e.C, h=_e.h, slack=slack)
+
+        acc.feed(_relation_slacks(M, N, kind, entry), rec)
     required_lams = M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels
     seen = {e.lam for e in witness.entries}
     covers = all(any(abs(l - s) <= 1e-12 * max(1.0, abs(l)) for s in seen)
@@ -215,8 +203,8 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
     if kind == TRIANGLE:
         pairs = {(e.lam, e.kappa) for e in witness.entries}
         covers = covers and all((l, k) in pairs for l in M.levels for k in N.levels)
-    return RelationReport(kind, bool(max_slack <= SLACK_TOL), max_slack,
-                          worst, first, covers, checked)
+    return RelationReport(kind, bool(acc.max_slack <= SLACK_TOL), acc.max_slack,
+                          acc.worst, acc.first, covers, acc.checked)
 
 
 @dataclass(frozen=True)
@@ -251,7 +239,7 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
     near-misses are visible.
     """
     if kind not in RELATION_KINDS:
-        raise ValueError(f"unknown relation kind {kind!r}")
+        raise WitnessError(f"unknown relation kind {kind!r}")
     space = search if search is not None else SearchSpace()
     table: list[CandidateSlack] = []
     entries: list[RelationEntry] = []
@@ -418,9 +406,9 @@ def verify_condition(M: WeightMatrix, condition: str,
                      witness: ConditionWitness) -> ConditionReport:
     """Check a structural condition against its explicit witness on the box."""
     if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition {condition!r}")
+        raise WitnessError(f"unknown condition {condition!r}")
     if witness.condition != condition:
-        raise ValueError("witness is for a different condition")
+        raise WitnessError("witness is for a different condition")
     roumieu_side = condition.endswith("R")
     acc = _PairChecker()
     half = _halfpower_log(M.box)
@@ -429,20 +417,20 @@ def verify_condition(M: WeightMatrix, condition: str,
     for e in witness.entries:
         M.level_index(e.lam), M.level_index(e.kappa)  # LevelNotFound early
         if roumieu_side and e.kappa < e.lam - 1e-12:
-            raise ValueError(f"{condition} needs kappa >= lam, got {e.kappa} < {e.lam}")
+            raise WitnessError(f"{condition} needs kappa >= lam, got {e.kappa} < {e.lam}")
         if not roumieu_side and e.kappa > e.lam + 1e-12:
-            raise ValueError(f"{condition} needs kappa <= lam, got {e.kappa} > {e.lam}")
+            raise WitnessError(f"{condition} needs kappa <= lam, got {e.kappa} > {e.lam}")
         if condition in ("L37R", "63B", "L21R", "L21B"):
             if e.A is None or e.A <= 0:
-                raise ValueError(f"{condition} entries need A > 0")
+                raise WitnessError(f"{condition} entries need A > 0")
         elif condition == "L12R":
             if any(x is None or x <= 0 for x in (e.B, e.C, e.H)):
-                raise ValueError("L12R entries need B, C, H > 0")
+                raise WitnessError("L12R entries need B, C, H > 0")
         else:
             if e.H is None or e.H <= 0:
-                raise ValueError("L12B entries need H > 0")
+                raise WitnessError("L12B entries need H > 0")
             if e.pairs and any(C <= 0 or Bc <= 0 for C, Bc in e.pairs):
-                raise ValueError("L12B pairs must be positive")
+                raise WitnessError("L12B pairs must be positive")
         a_lam = M.log_flat(e.lam)
         a_kap = M.log_flat(e.kappa)
         if condition == "L37R":
@@ -465,7 +453,7 @@ def verify_condition(M: WeightMatrix, condition: str,
                             {"lam": e.lam, "kappa": e.kappa, "C": e.C, "H": e.H})
         else:  # L12B
             if not e.pairs:
-                raise ValueError("L12B entries need explicit (C, B) pairs")
+                raise WitnessError("L12B entries need explicit (C, B) pairs")
             for C, Bc in e.pairs:
                 _check_pairwise(acc, M.box, half, a_kap, a_lam,
                                 math.log(e.H), math.log(Bc), math.log(C),
@@ -515,7 +503,7 @@ def l37r_counterexample_curve(n_max: int) -> tuple[tuple[int, float], ...]:
     n > 2 log A.
     """
     if not (1 <= n_max <= 30):
-        raise ValueError("n_max must be between 1 and 30")
+        raise WitnessError("n_max must be between 1 and 30")
     out = []
     for n in range(1, n_max + 1):
         margin = 2.0 * _log_counterexample(n, 0) - _log_counterexample(n, n)

@@ -11,7 +11,8 @@ import time
 import numpy as np
 
 from logcvx import (AssociatedFunction, SGridSpec, SequenceGrid, SplitMix64,
-                    WeightMatrix, as_log_grid, brute_force_envelope,
+                    TargetOutsideHull, WeightMatrix, as_log_grid,
+                    audit_minorant, brute_force_envelope,
                     check_log_convexity, convex_random_grid, envelope1d,
                     factorial_grid, l37r_counterexample_curve,
                     l37r_counterexample_matrix, minorant_lp, notconvex_grid,
@@ -26,6 +27,14 @@ from logcvx.matrices import ConditionEntry, ConditionWitness
 def verdict(n: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {detail}")
     assert ok, f"criterion {n}: {detail}"
+
+
+def audited(g):
+    """minorant_lp(g), after audit_minorant has re-checked it from the data."""
+    res = minorant_lp(g)
+    failures = audit_minorant(g, res)
+    assert not failures, f"audit of minorant_lp on box {g.box}: {failures}"
+    return res
 
 
 def lattice(box):
@@ -43,7 +52,7 @@ def test_criterion_01_three_way_agreement_1d():
     for seed in range(500):
         n = 1 + seed % 20
         g = random_grid((n,), seed=seed)
-        lp = minorant_lp(g).minorant.flat
+        lp = audited(g).minorant.flat
         sweep = np.array(envelope1d.sweep(g).minorant)
         brute = brute_all(g)
         worst = max(worst, float(np.abs(lp - sweep).max()),
@@ -65,7 +74,7 @@ def test_criterion_02_two_way_agreement_2d_3d():
         else:
             box = boxes_3d[(seed // 2) % len(boxes_3d)]
         g = random_grid(box, seed=seed + 1000)
-        lp = minorant_lp(g).minorant.flat
+        lp = audited(g).minorant.flat
         brute = brute_all(g)
         worst = max(worst, float(np.abs(lp - brute).max()))
     elapsed = time.monotonic() - started
@@ -77,6 +86,7 @@ def test_criterion_02_two_way_agreement_2d_3d():
 def test_criterion_03_notconvex_example():
     g = notconvex_grid()
     report = check_log_convexity(g)
+    assert audit_minorant(as_log_grid(g), report.minorant) == ()
     a11 = math.log(g.value((1, 1)))
     ac11 = report.minorant.minorant.value((1, 1))
     q3 = q3_supremum(g, (1, 1))
@@ -97,6 +107,7 @@ def test_criterion_04_convex_by_construction_passes():
     for seed in range(100):
         g = to_exp(convex_random_grid(boxes[seed % len(boxes)], seed=seed))
         report = check_log_convexity(g)
+        assert audit_minorant(as_log_grid(g), report.minorant) == ()
         if not (report.globally_convex and report.q3_holds):
             bad += 1
     verdict(4, bad == 0, f"100 exp-of-convex grids all report globally_convex "
@@ -165,12 +176,12 @@ def test_criterion_08_face_consistency():
     for seed in range(100):
         box = [(3, 3), (4, 2), (2, 4), (4, 4)][seed % 4]
         g = random_grid(box, seed=seed + 5000)
-        full = minorant_lp(g).minorant.values
+        full = audited(g).minorant.values
         for axis in range(2):
             face = SequenceGrid(
                 tuple(n for j, n in enumerate(box) if j != axis),
                 np.take(g.values, 0, axis=axis), g.scale)
-            face_min = minorant_lp(face).minorant.values
+            face_min = audited(face).minorant.values
             worst = max(worst, float(np.abs(face_min - np.take(full, 0, axis=axis)).max()))
     ok = worst <= 1e-8
     verdict(8, ok, f"face minorant equals restricted minorant on 100 random "
@@ -181,18 +192,18 @@ def test_criterion_09_idempotence_and_monotonicity():
     worst_idem = 0.0
     for seed in range(30):
         g = random_grid([(6,), (3, 3), (4, 2)][seed % 3], seed=seed + 6000)
-        first = minorant_lp(g).minorant
-        second = minorant_lp(first).minorant
+        first = audited(g).minorant
+        second = audited(first).minorant
         worst_idem = max(worst_idem, float(np.abs(second.flat - first.flat).max()))
     worst_drop = 0.0
     rng = SplitMix64(99)
     for trial in range(50):
         box = [(6,), (3, 3), (4, 2)][trial % 3]
         g = random_grid(box, seed=trial + 7000)
-        base = minorant_lp(g).minorant.flat
+        base = audited(g).minorant.flat
         flat = g.flat.copy()
         flat[rng.next_u64() % flat.size] += rng.uniform(0.1, 2.0)
-        raised = minorant_lp(SequenceGrid(g.box, flat, g.scale)).minorant.flat
+        raised = audited(SequenceGrid(g.box, flat, g.scale)).minorant.flat
         worst_drop = max(worst_drop, float((base - raised).max()))
     ok = worst_idem <= 1e-9 and worst_drop <= 1e-9
     verdict(9, ok, f"minorant is a fixed point of itself (max move "
@@ -254,3 +265,34 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     ok = not unstable
     verdict(10, ok, f"{len(commands)} CLI invocations are byte-identical "
                     f"across repeat runs" + (f" (unstable: {unstable})" if unstable else ""))
+
+
+def test_criterion_11_holed_grids_pass_the_audit():
+    checked = 0
+    worst = 0.0
+    boxes = [(3, 3), (4, 2), (2, 3), (2, 2, 1), (1, 2, 2), (2, 1, 2)]
+    for seed in range(36):
+        box = boxes[seed % len(boxes)]
+        g = random_grid(box, seed=seed + 8000)
+        flat = g.flat.copy()
+        rng = SplitMix64(seed)
+        # holes anywhere but the origin, the outer shell included
+        for _ in range(1 + flat.size // 8):
+            flat[1 + rng.next_u64() % (flat.size - 1)] = math.inf
+        holed = SequenceGrid(box, flat, g.scale)
+        res = audited(holed)
+        pairs = list(zip(lattice(box), flat.tolist()))
+        for alpha, value in zip(lattice(box), res.minorant.flat):
+            try:
+                ref = brute_force_envelope(pairs, alpha)
+            except TargetOutsideHull:
+                ref = math.inf
+            if math.isinf(ref) or math.isinf(value):
+                assert math.isinf(ref) and math.isinf(value), f"{box} {alpha}"
+            else:
+                worst = max(worst, abs(ref - value))
+            checked += 1
+    ok = worst <= 1e-8
+    verdict(11, ok, f"audit passes on 36 holed 2-D/3-D grids with holes on the "
+                    f"outer shell, and {checked} values match the oracle "
+                    f"(max dev {worst:.2e})")

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from logcvx import (notconvex_grid, read_grid, read_matrix, read_report,
-                    write_grid)
+from logcvx import (SequenceGrid, notconvex_grid, random_grid, read_grid,
+                    read_matrix, read_report, write_grid)
 from logcvx.cli import main
 
 
@@ -159,6 +159,21 @@ def test_minorant_stability_payload(tmp_path, line_file, capsys):
     assert payload["input_digest"] == "sha256:" + hashlib.sha256(both).hexdigest()
 
 
+def test_minorant_hole_outside_the_hull_is_left_out_of_certificates(tmp_path, capsys):
+    g = random_grid((4, 4), seed=1, scale="log")
+    a = g.values.copy()
+    a[0, 4] = math.inf
+    path = tmp_path / "holed.json"
+    path.write_text(write_grid(SequenceGrid(g.box, a, "log")))
+    code, out, _ = run(capsys, "minorant", str(path), "--json")
+    assert code == 0
+    res = read_report(out)["results"]
+    assert [0, 4] in res["boundary_affected"]
+    assert res["minorant"]["values"][4] == math.inf
+    assert [0, 4] not in [c["alpha"] for c in res["certificates"]]
+    assert len(res["certificates"]) == 24
+
+
 def test_minorant_missing_file_is_a_parse_error(capsys):
     code, _, err = run(capsys, "minorant", "/no/such/file.json")
     assert code == 3
@@ -260,6 +275,18 @@ def test_check_json_is_byte_identical(tmp_path, capsys):
     assert res["globally_convex"] is True and res["q3_holds"] is True
 
 
+def test_check_reports_a_line_violation(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "gen", "random", "--box", "4,4", "--seed", "7",
+                     "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert code == 0
+    res = read_report(out)["results"]
+    assert res["coordinatewise_ok"] is False
+    assert res["coordinatewise_violation"] == {"alpha": [0, 2], "axis": 1}
+
+
 # ----------------------------------------------------------------- matrix
 
 
@@ -307,6 +334,20 @@ def test_matrix_verify_condition(tmp_path, capsys):
                        "--cond", "L37R", "--witness", str(wit), "--json")
     assert code == 0
     assert read_report(out)["results"]["holds"] is True
+
+
+def test_matrix_bad_witness_constant_is_a_validation_error(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    code, _, _ = run(capsys, "gen", "l37r-counterexample", "--box", "4,4",
+                     "--out", str(mpath))
+    assert code == 0
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps(
+        {"condition": "L21R", "entries": [{"lambda": 1, "kappa": 1, "A": -1}]}))
+    code, _, err = run(capsys, "matrix", "verify-condition", str(mpath),
+                       "--cond", "L21R", "--witness", str(wit))
+    assert code == 2
+    assert "A > 0" in err
 
 
 def test_matrix_counterexample_curve_and_file(tmp_path, capsys):

@@ -1,16 +1,17 @@
 """Supporting-hyperplane minorant in d dimensions: LP route, dual sampling,
 slope ranges, face restriction and the truncation stability probe."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from logcvx import (EXP, LOG, AllInfinite, DimensionMismatch, EmptyKGrid,
                     GridMismatch, GridValidationError, KGridSpec, OutOfRange,
-                    ScaleMismatch, SequenceGrid, as_log_grid, axis_slope_range,
-                    boundary_restriction, convex_random_grid, dual_value,
-                    envelope1d, factorial_grid, h_of_k, minorant_lp,
-                    notconvex_grid, quotient_range, random_grid,
+                    ScaleMismatch, SequenceGrid, as_log_grid, audit_minorant,
+                    axis_slope_range, boundary_restriction, convex_random_grid,
+                    dual_value, envelope1d, factorial_grid, h_of_k,
+                    minorant_lp, notconvex_grid, quotient_range, random_grid,
                     stability_probe)
 from logcvx.core import index_array
 
@@ -220,12 +221,66 @@ def test_minorant_lp_agrees_with_sweep_on_random_lines():
         assert np.allclose(res.minorant.flat, poly.minorant, atol=1e-8)
 
 
-def test_minorant_lp_parallel_matches_serial():
-    g = random_grid((3, 3), seed=11)
-    serial = minorant_lp(g)
-    threaded = minorant_lp(g, parallel=True)
-    assert np.array_equal(serial.minorant.values, threaded.minorant.values)
-    assert serial.contact_set == threaded.contact_set
+def test_boundary_affected_only_where_every_optimal_plane_touches_the_shell():
+    # at (1, 1) the only optimal combination is (1, 1) itself, and the plane
+    # k = (1/2, 1/2), h = 0 stays off the shell, while k = (1, 1), h = -1,
+    # also optimal, touches (2, 1) and (1, 2); the flag must not depend on
+    # which of them a solver lands on
+    g = SequenceGrid((2, 2), [0, 1, 2, 1, 1, 2, 2, 2, 3], LOG)
+    res = minorant_lp(g)
+    assert (1, 1) not in res.boundary_affected
+    assert all(2 not in beta for beta in res.certificates[(1, 1)].touching)
+    # at (0, 1) the optimal combination (0, 0)/2 + (0, 2)/2 weighs the shell
+    assert res.boundary_affected == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+    assert audit_minorant(g, res) == ()
+
+
+def test_hole_on_the_shell_leaves_indices_outside_the_hull():
+    g = random_grid((4, 4), seed=1)
+    a = g.values.copy()
+    a[0, 4] = math.inf
+    g = SequenceGrid(g.box, a, LOG)
+    res = minorant_lp(g)
+    assert res.certificates[(0, 4)] is None
+    assert (0, 4) in res.boundary_affected
+    assert math.isinf(res.minorant.value((0, 4)))
+    assert audit_minorant(g, res) == ()
+
+
+def test_audit_passes_on_holed_grids():
+    for seed, box in enumerate([(6, 5), (3, 3, 2), (9,), (4, 0)]):
+        g = random_grid(box, seed=seed + 30)
+        a = g.flat.copy()
+        rng = np.random.default_rng(seed)
+        a[rng.choice(np.arange(1, a.size), a.size // 6, replace=False)] = math.inf
+        g = SequenceGrid(box, a, LOG)
+        res = minorant_lp(g)
+        assert audit_minorant(g, res) == ()
+        # the same grid stored column-major gives the same result
+        fortran = SequenceGrid(box, np.asfortranarray(g.values), LOG)
+        assert np.array_equal(minorant_lp(fortran).minorant.values, res.minorant.values)
+
+
+def test_audit_catches_corrupted_results():
+    g = random_grid((3, 3), seed=4)
+    res = minorant_lp(g)
+    assert audit_minorant(g, res) == ()
+
+    def with_cert(alpha, plane):
+        certs = dict(res.certificates)
+        certs[alpha] = plane
+        return replace(res, certificates=certs)
+
+    plane = res.certificates[(1, 1)]
+    raised = with_cert((1, 1), replace(plane, h=plane.h + 1e-6))
+    assert any("rises above" in f for f in audit_minorant(g, raised))
+    dropped = with_cert((1, 1), replace(plane, touching=plane.touching[1:]))
+    assert any("touching" in f for f in audit_minorant(g, dropped))
+    assert any("+inf" in f for f in audit_minorant(g, with_cert((1, 1), None)))
+    assert audit_minorant(g, replace(res, boundary_affected=())) != ()
+    assert audit_minorant(g, replace(res, contact_set=res.contact_set[1:])) != ()
+    lowered = SequenceGrid(g.box, res.minorant.values - 1e-6, LOG)
+    assert any("misses the value" in f for f in audit_minorant(g, replace(res, minorant=lowered)))
 
 
 def test_minorant_lp_rejects_invalid_grids():
