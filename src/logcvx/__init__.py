@@ -18,7 +18,7 @@ from .core import (EXP, LOG, GrowthDiagnostic, SequenceGrid, Violation,
 from .envelope import (DualValue, KGridSpec, MinorantResult, StabilityReport,
                        SupportPlane, audit_minorant, axis_slope_range,
                        boundary_restriction, dual_value, h_of_k, minorant_lp,
-                       quotient_range, stability_probe)
+                       stability_probe)
 from .envelope1d import NewtonPolygon, PolygonSegment, evaluate, sweep
 from .errors import (AllInfinite, BoxTooSmall, DimensionMismatch, EmptyKGrid,
                      EmptySGrid, EmptyShell, GridMismatch,
@@ -64,7 +64,7 @@ __all__ = [
     "l37r_counterexample_curve", "l37r_counterexample_matrix",
     "log_convex_minorant", "log_convex_random_1d", "minorant_lp",
     "notconvex_grid", "omega", "q3_supremum", "q3_supremum_log",
-    "quotient_range", "random_grid", "read_condition_witness", "read_grid",
+    "random_grid", "read_condition_witness", "read_grid",
     "read_matrix", "read_relation_witness", "read_report", "search_relation",
     "stability_probe", "sweep", "to_exp", "to_jsonable", "to_log",
     "trace_function", "validate_grid", "verify_condition", "verify_relation",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conjugate
 from .core import (EXP, LOG, MultiIndex, SequenceGrid, as_log_grid, index_array,
                    outer_shell_mask, to_exp, validate_grid)
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
@@ -31,7 +32,6 @@ from .errors import (DimensionMismatch, EmptySGrid, GridValidationError,
 TIE_REL_TOL = 1e-12
 GAP_TOL = 1e-9
 Q3_REL_TOL = 0.02
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,6 @@ class AssociatedFunction:
             raise DimensionMismatch(f"k must have length {self.dim}")
         return self._sup(k, None).value
 
-    def omega_batch(self, log_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """omega at rows of log_s (all s > 0): values plus boundary-only flags."""
-        n_s = log_s.shape[0]
-        vals = np.empty(n_s)
-        flags = np.empty(n_s, dtype=bool)
-        interior = ~self._shell
-        for start in range(0, n_s, _CHUNK):
-            blk = log_s[start:start + _CHUNK]
-            with np.errstate(invalid="ignore"):
-                W = blk @ self._idx.T - self._a[None, :]
-            v = W.max(axis=1)
-            vals[start:start + _CHUNK] = v
-            if interior.any():
-                vi = W[:, interior].max(axis=1)
-                flags[start:start + _CHUNK] = vi < v - TIE_REL_TOL * np.maximum(1.0, np.abs(v))
-            else:
-                flags[start:start + _CHUNK] = True
-        return vals, flags
-
 
 def omega(g: SequenceGrid, t) -> OmegaEval:
     return AssociatedFunction(g).evaluate(t)
@@ -142,44 +123,36 @@ class SGridSpec:
             points = 200 if g.dim <= 2 else 50
         return cls(lo, hi, points)
 
-    def samples_log(self, dim: int) -> np.ndarray:
+    def axis_samples(self) -> np.ndarray:
         if self.points < 1:
             raise EmptySGrid("need at least one sample per axis")
-        ax = np.linspace(self.lo, self.hi, self.points)
-        grids = np.meshgrid(*([ax] * dim), indexing="ij")
-        return np.stack([a.reshape(-1) for a in grids], axis=1)
+        conjugate.check_samples(self.points, 1)
+        return np.linspace(self.lo, self.hi, self.points)
+
+
+def _omega_grid(af: AssociatedFunction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """omega(e^s) at every s in x^d and its boundary flags (see OmegaEval): off
+    the outer shell (some alpha_j = N_j) lies the sub-box [0, N_j - 1]^d, and a
+    box with a zero extent has none, so it is flagged everywhere."""
+    a = af._a.reshape(tuple(n + 1 for n in af.box))
+    om = conjugate.forward(x, a)
+    if 0 in af.box:
+        return om, np.ones(om.shape, dtype=bool)
+    oi = conjugate.forward(x, a[tuple(slice(0, n) for n in af.box)])
+    return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
 
 
 def _q3_all(af: AssociatedFunction, spec: SGridSpec) -> tuple[np.ndarray, np.ndarray]:
     """log q3 supremum for every box index at once, plus boundary flags.
 
-    The flag of an index is the omega boundary flag at its best sample: if set,
-    omega there is possibly underestimated by the truncation, so the sampled
-    supremum is not certified from above by the box alone.
+    The flag of an index is the omega boundary flag at its first maximising
+    sample: if set, omega there is possibly underestimated by the truncation,
+    so the sampled supremum is not certified from above by the box alone.
     """
-    log_s = spec.samples_log(af.dim)
-    n = af._a.size
-    best = np.full(n, -math.inf)
-    best_flag = np.zeros(n, dtype=bool)
-    interior = ~af._shell
-    for start in range(0, log_s.shape[0], _CHUNK):
-        blk = log_s[start:start + _CHUNK]
-        L = blk @ af._idx.T
-        with np.errstate(invalid="ignore"):
-            W = L - af._a[None, :]
-        om = W.max(axis=1)
-        if interior.any():
-            oi = W[:, interior].max(axis=1)
-            flg = oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
-        else:
-            flg = np.ones(blk.shape[0], dtype=bool)
-        cand = L - om[:, None]
-        cmax = cand.max(axis=0)
-        carg = cand.argmax(axis=0)
-        better = cmax > best
-        best[better] = cmax[better]
-        best_flag[better] = flg[carg[better]]
-    return best, best_flag
+    x = spec.axis_samples()
+    om, flags = _omega_grid(af, x)
+    vals, arg = conjugate.backward(x, om, af.box)
+    return vals.reshape(-1), flags.reshape(-1)[arg.reshape(-1)]
 
 
 def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> tuple[float, bool]:

@@ -19,12 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import assoc as _assoc
-from . import envelope, envelope1d, generators, io, lpsolve, matrices
-from .core import (EXP, LOG, SequenceGrid, as_log_grid, growth_check,
-                   index_array)
-from .errors import (EmptyShell, GridValidationError, LogcvxError,
-                     NotNormalized, NumericBreakdown, OutOfRange, SchemaError,
-                     TargetOutsideHull)
+from . import conjugate, envelope, envelope1d, generators, io, lpsolve, matrices
+from .core import EXP, LOG, SequenceGrid, as_log_grid, growth_check, index_array
+from .errors import (GridValidationError, LogcvxError, NumericBreakdown, OutOfRange,
+                     SchemaError, TargetOutsideHull)
 
 _EXIT_VALIDATION = 2
 _EXIT_PARSE = 3
@@ -69,7 +67,7 @@ def _grid_dict(g: SequenceGrid) -> dict:
 def _growth_warnings(g: SequenceGrid) -> list[str]:
     try:
         diag = growth_check(as_log_grid(g))
-    except (EmptyShell, LogcvxError):
+    except LogcvxError:
         return []
     if not diag.passes:
         return [f"growth: outer-shell ratios do not dominate "
@@ -151,7 +149,8 @@ def cmd_minorant(args) -> int:
         boundary = _alpha_list(res.boundary_affected)
     elif args.method == "oracle":
         if work.n_points > _ORACLE_POINT_CAP:
-            raise _oracle_too_big(work)
+            raise OutOfRange(f"--method oracle enumerates subsets and is capped at "
+                             f"{_ORACLE_POINT_CAP} grid points; this grid has {work.n_points}")
         idx = index_array(work.box)
         pairs = list(zip((tuple(map(int, a)) for a in idx), work.flat.tolist()))
         vals = []
@@ -164,9 +163,8 @@ def cmd_minorant(args) -> int:
         boundary = []
     else:  # dual-grid
         spec = envelope.KGridSpec.from_grid(work, step=args.k_step)
-        idx = index_array(work.box)
-        vals = [envelope.dual_value(work, tuple(map(int, a)), spec).value
-                for a in idx]
+        ax = spec.axis_samples()
+        vals, _ = conjugate.backward(ax, conjugate.forward(ax, work.values), work.box)
         results["minorant"] = _grid_dict(SequenceGrid(work.box, vals, LOG))
         results["k_grid"] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
         boundary = []
@@ -188,12 +186,6 @@ def cmd_minorant(args) -> int:
     return _emit(args, results, warnings, [raw], started)
 
 
-def _oracle_too_big(work) -> Exception:
-    return OutOfRange(
-        f"--method oracle enumerates subsets and is capped at "
-        f"{_ORACLE_POINT_CAP} grid points; this grid has {work.n_points}")
-
-
 def cmd_assoc(args) -> int:
     started = time.monotonic()
     raw = _read_file(args.input)
@@ -201,22 +193,20 @@ def cmd_assoc(args) -> int:
     af = _assoc.AssociatedFunction(g)
     warnings = _growth_warnings(g)
     results: dict = {}
-    rows = []
-    for text in args.t or []:
-        t = _parse_floats(text, "--t")
-        ev = af.evaluate(t)
-        rows.append({"t": list(t), "omega": ev.value,
-                     "argmax": list(map(int, ev.argmax)),
-                     "on_boundary": ev.sup_on_boundary})
+    points = [_parse_floats(text, "--t") for text in args.t or []]
     if args.t_grid is not None:
-        lo, hi, n = _parse_floats(args.t_grid, "--t-grid")
-        if lo <= 0 or hi <= lo or int(n) < 2:
+        bounds = _parse_floats(args.t_grid, "--t-grid")
+        if len(bounds) != 3:
+            raise SchemaError("--t-grid", "LO,HI,N", repr(args.t_grid))
+        lo, hi, n = bounds
+        if not (0 < lo < hi < math.inf and 2 <= n < math.inf):
             raise OutOfRange("--t-grid needs 0 < LO < HI and N >= 2")
-        for t in np.geomspace(lo, hi, int(n)):
-            ev = af.evaluate((float(t),) * g.dim)
-            rows.append({"t": [float(t)] * g.dim, "omega": ev.value,
-                         "argmax": list(map(int, ev.argmax)),
-                         "on_boundary": ev.sup_on_boundary})
+        points += [(float(t),) * g.dim for t in np.geomspace(lo, hi, int(n))]
+    rows = []
+    for t in points:
+        ev = af.evaluate(t)
+        rows.append({"t": list(t), "omega": ev.value, "argmax": list(map(int, ev.argmax)),
+                     "on_boundary": ev.sup_on_boundary})
     if rows:
         results["omega"] = rows
     if args.trace_k is not None:
@@ -234,9 +224,7 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     raw = _read_file(args.input)
     g = io.read_grid(raw)
-    s_grid = None
-    if args.s_points is not None:
-        s_grid = _assoc.SGridSpec.from_grid(g, points=args.s_points)
+    s_grid = _assoc.SGridSpec.from_grid(g, points=args.s_points)
     report = _assoc.check_log_convexity(g, s_grid=s_grid)
     warnings = _growth_warnings(g)
     if report.boundary_caveat:
@@ -443,15 +431,12 @@ def main(argv=None) -> int:
         for v in e.violations:
             print(f"  at {v.index}: {v.rule}: {v.message}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except (NotNormalized, OutOfRange, LogcvxError) as e:
-        if isinstance(e, NumericBreakdown):
-            print(f"numeric breakdown: {e}", file=sys.stderr)
-            return _EXIT_NUMERIC
-        print(f"validation error: {e}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except OverflowError as e:
+    except (NumericBreakdown, OverflowError) as e:
         print(f"numeric breakdown: {e}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except LogcvxError as e:
+        print(f"validation error: {e}", file=sys.stderr)
+        return _EXIT_VALIDATION
 
 
 def entry() -> None:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lpsolve
-from .core import (LOG, MultiIndex, SequenceGrid, index_array, order_array,
-                   outer_shell_mask, validate_grid)
+from . import conjugate, lpsolve
+from .core import (LOG, MultiIndex, SequenceGrid, index_array, outer_shell_mask,
+                   validate_grid)
 from .errors import (AllInfinite, DimensionMismatch, EmptyKGrid,
                      GridMismatch, GridValidationError, OutOfRange, ScaleMismatch)
 
@@ -66,18 +66,6 @@ def h_of_k(g: SequenceGrid, k) -> SupportPlane:
     return SupportPlane(tuple(float(c) for c in k), h, touching)
 
 
-def quotient_range(g: SequenceGrid) -> tuple[float, float]:
-    """Extreme difference quotients (a_alpha - a_0)/|alpha| of the data."""
-    _require_log(g, "quotient_range")
-    a = g.flat
-    orders = order_array(g.box)
-    mask = np.isfinite(a) & (orders > 0)
-    if not mask.any():
-        return (0.0, 0.0)
-    q = (a[mask] - a[0]) / orders[mask]
-    return (float(q.min()), float(q.max()))
-
-
 def axis_slope_range(g: SequenceGrid) -> tuple[float, float]:
     """Extreme axis-aligned difference quotients (a_{alpha+m e_j} - a_alpha)/m
     over finite pairs and all axes j.
@@ -85,7 +73,8 @@ def axis_slope_range(g: SequenceGrid) -> tuple[float, float]:
     Every supporting slope of the convex minorant lies in this interval (a
     hull slope along an axis is a mean of data quotients along that axis), so
     it is the right default range for slope sampling; the origin-anchored
-    quotient_range is strictly narrower whenever the data accelerates.
+    quotients (a_alpha - a_0)/|alpha| are strictly narrower whenever the data
+    accelerates.
     """
     _require_log(g, "axis_slope_range")
     A = np.asarray(g.values, dtype=float)
@@ -118,17 +107,11 @@ class KGridSpec:
         return cls(lo, hi, step)
 
     def axis_samples(self) -> np.ndarray:
-        if self.step <= 0 or self.hi < self.lo:
+        if not (0 < self.step < math.inf and -math.inf < self.lo <= self.hi < math.inf):
             raise EmptyKGrid(f"bad k-grid [{self.lo}, {self.hi}] step {self.step}")
-        n = int(math.floor((self.hi - self.lo) / self.step + 1e-12)) + 1
-        return self.lo + self.step * np.arange(n)
-
-    def samples(self, dim: int) -> np.ndarray:
-        ax = self.axis_samples()
-        if ax.size == 0:
-            raise EmptyKGrid("k-grid has no samples")
-        grids = np.meshgrid(*([ax] * dim), indexing="ij")
-        return np.stack([a.reshape(-1) for a in grids], axis=1)
+        span = (self.hi - self.lo) / self.step + 1e-12
+        conjugate.check_samples(span + 1, 1)
+        return self.lo + self.step * np.arange(int(math.floor(span)) + 1)
 
 
 @dataclass(frozen=True)
@@ -150,24 +133,15 @@ def dual_value(g: SequenceGrid, x, k_grid: KGridSpec | None = None) -> DualValue
     if np.any(x < 0) or np.any(x > np.asarray(g.box)):
         raise OutOfRange(f"x={x.tolist()} outside the box {g.box}")
     spec = k_grid if k_grid is not None else KGridSpec.from_grid(g)
-    K = spec.samples(g.dim)
-    a = g.flat
-    finite = np.isfinite(a)
-    if not finite.any():
+    if not np.isfinite(g.flat).any():
         raise AllInfinite("grid has no finite entries")
-    P = index_array(g.box)[finite].astype(float)
-    af = a[finite]
-    best_val = -math.inf
-    best_k = K[0]
-    for start in range(0, K.shape[0], 4096):
-        blk = K[start:start + 4096]
-        h = (af[None, :] - blk @ P.T).min(axis=1)
-        vals = blk @ x + h
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_k = blk[i]
-    return DualValue(best_val, tuple(float(c) for c in best_k), spec)
+    ax = spec.axis_samples()
+    vals = -conjugate.forward(ax, g.values)  # h_k at every sampled slope k
+    for j, xj in enumerate(x):
+        vals += np.expand_dims(ax * xj, tuple(l for l in range(g.dim) if l != j))
+    i = int(np.argmax(vals))
+    k = ax[list(np.unravel_index(i, vals.shape))]
+    return DualValue(float(vals.flat[i]), tuple(float(c) for c in k), spec)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG, SequenceGrid
-from .errors import DimensionMismatch, OutOfRange, ScaleMismatch
+from .core import LOG, SequenceGrid, validate_grid
+from .errors import DimensionMismatch, GridValidationError, OutOfRange, ScaleMismatch
 
 TIE_REL_TOL = 1e-12
 
@@ -46,12 +46,16 @@ def sweep(g: SequenceGrid) -> NewtonPolygon:
     """Compute the polygon of a 1-D LOG-scale grid.
 
     Slopes are nondecreasing by construction; minorant values at contacts
-    equal the data exactly.
+    equal the data exactly.  An invalid grid (NaN, -inf, or a non-finite
+    origin) raises GridValidationError.
     """
     if g.dim != 1:
         raise DimensionMismatch("sweep expects a 1-D grid")
     if g.scale != LOG:
         raise ScaleMismatch("sweep expects a LOG-scale grid")
+    violations = validate_grid(g)
+    if violations:
+        raise GridValidationError(violations)
     a = g.flat
     n_last = g.box[0]
     contacts = [0]

@@ -11,6 +11,7 @@ from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     factorial_grid, log_convex_minorant, notconvex_grid,
                     omega, q3_supremum, q3_supremum_log, random_grid, to_exp,
                     trace_function)
+from logcvx.assoc import _omega_grid
 from logcvx.envelope import boundary_restriction
 
 FACT = factorial_grid(8)
@@ -71,17 +72,18 @@ def test_omega_input_guards():
         AssociatedFunction(bad)
 
 
-def test_omega_batch_matches_pointwise_evaluation():
+def test_omega_grid_matches_pointwise_evaluation():
     g = to_exp(random_grid((3, 2), seed=5))
     af = AssociatedFunction(g)
     rng = SplitMix64(42)
-    log_s = np.array([[rng.uniform(-2.0, 2.0) for _ in range(2)]
-                      for _ in range(50)])
-    vals, flags = af.omega_batch(log_s)
-    for row, v, f in zip(log_s, vals, flags):
-        ev = af.evaluate(np.exp(row))
-        assert v == pytest.approx(ev.value, abs=1e-10)
-        assert f == ev.sup_on_boundary
+    x = np.array([rng.uniform(-2.0, 6.0) for _ in range(8)])
+    vals, flags = _omega_grid(af, x)
+    assert vals.shape == flags.shape == (8, 8)
+    assert flags.any() and not flags.all()
+    for s in np.ndindex(8, 8):
+        ev = af.evaluate(np.exp(x[list(s)]))
+        assert vals[s] == pytest.approx(ev.value, abs=1e-10)
+        assert flags[s] == ev.sup_on_boundary
 
 
 # ------------------------------------------------------------------ trace
@@ -116,12 +118,12 @@ def test_trace_is_convex_along_lines():
 
 def test_sgrid_samples_shape_and_guards():
     spec = SGridSpec(-1.0, 1.0, 5)
-    pts = spec.samples_log(2)
-    assert pts.shape == (25, 2)
-    assert pts[0, 0] == pytest.approx(-1.0)
-    assert pts[-1, 1] == pytest.approx(1.0)
+    ax = spec.axis_samples()
+    assert ax.shape == (5,)
+    assert ax[0] == pytest.approx(-1.0)
+    assert ax[-1] == pytest.approx(1.0)
     with pytest.raises(EmptySGrid):
-        SGridSpec(0.0, 1.0, 0).samples_log(1)
+        SGridSpec(0.0, 1.0, 0).axis_samples()
 
 
 def test_sgrid_default_density_depends_on_dimension():

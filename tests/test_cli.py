@@ -145,6 +145,29 @@ def test_minorant_dual_grid_lower_bounds_lp(line_file, capsys):
         assert d <= e + 1e-9
 
 
+def test_minorant_dual_grid_equals_per_index_dual_value(tmp_path, capsys):
+    from logcvx import KGridSpec, dual_value
+    for seed, box in enumerate([(5,), (3, 4), (2, 2, 2)]):
+        g = random_grid(box, seed=seed + 60)
+        path = tmp_path / f"g{seed}.json"
+        path.write_text(write_grid(g))
+        code, out, _ = run(capsys, "minorant", str(path), "--method", "dual-grid",
+                           "--k-step", "0.5", "--json")
+        assert code == 0
+        got = read_report(out)["results"]["minorant"]["values"]
+        spec = KGridSpec.from_grid(g, step=0.5)
+        for alpha, v in zip(g.indices(), got):
+            assert v == pytest.approx(dual_value(g, alpha, spec).value, rel=1e-12, abs=1e-12)
+
+
+def test_minorant_dual_grid_bad_or_tiny_k_step_is_a_validation_error(line_file, capsys):
+    for step in ["nan", "inf", "-1", "1e-320", "1e-9"]:
+        code, _, err = run(capsys, "minorant", line_file, "--method", "dual-grid",
+                           "--k-step", step)
+        assert code == 2, step
+        assert "validation error" in err
+
+
 def test_minorant_stability_payload(tmp_path, line_file, capsys):
     larger = tmp_path / "larger.json"
     larger.write_text(write_grid(read_grid(
@@ -241,6 +264,17 @@ def test_assoc_requires_work_and_valid_points(tmp_path, capsys):
     assert code == 2
 
 
+def test_assoc_t_grid_needs_three_numbers(tmp_path, capsys):
+    path = fact_file(tmp_path)
+    for text in ["1,2", "1,2,3,4"]:
+        code, _, err = run(capsys, "assoc", path, "--t-grid", text)
+        assert code == 3, text
+        assert "LO,HI,N" in err
+    for text in ["1,2,nan", "1,2,inf", "nan,2,3", "1,inf,3"]:
+        code, _, _ = run(capsys, "assoc", path, "--t-grid", text)
+        assert code == 2, text
+
+
 def test_assoc_rejects_unnormalized_grids(tmp_path, capsys):
     path = tmp_path / "shifted.json"
     path.write_text(json.dumps(
@@ -273,6 +307,15 @@ def test_check_json_is_byte_identical(tmp_path, capsys):
     assert first == second
     res = read_report(first)["results"]
     assert res["globally_convex"] is True and res["q3_holds"] is True
+
+
+def test_check_caps_the_sample_count(tmp_path, capsys):
+    # 100000**2 samples would need 75 GiB; the cap refuses before allocating
+    path = tmp_path / "nc.json"
+    path.write_text(write_grid(notconvex_grid((3, 3))))
+    code, _, err = run(capsys, "check", str(path), "--s-points", "100000")
+    assert code == 2
+    assert "MAX_SAMPLES" in err
 
 
 def test_check_reports_a_line_violation(tmp_path, capsys):

@@ -11,8 +11,8 @@ from logcvx import (EXP, LOG, AllInfinite, DimensionMismatch, EmptyKGrid,
                     ScaleMismatch, SequenceGrid, as_log_grid, audit_minorant,
                     axis_slope_range, boundary_restriction, convex_random_grid,
                     dual_value, envelope1d, factorial_grid, h_of_k,
-                    minorant_lp, notconvex_grid, quotient_range, random_grid,
-                    stability_probe)
+                    minorant_lp, notconvex_grid, random_grid, stability_probe)
+from logcvx import conjugate
 from logcvx.core import index_array
 
 REF = SequenceGrid((3,), [0.0, 2.0, 1.0, 6.0], LOG)
@@ -54,10 +54,6 @@ def test_h_of_k_input_guards():
 # ------------------------------------------------------------ slope ranges
 
 
-def test_quotient_range_reference():
-    assert quotient_range(REF) == pytest.approx((0.5, 2.0))
-
-
 def test_axis_slope_range_reference():
     # pairwise quotients include (1-2)/1 = -1 and (6-1)/1 = 5
     assert axis_slope_range(REF) == pytest.approx((-1.0, 5.0))
@@ -68,8 +64,8 @@ def test_axis_slope_range_covers_factorial_top_slope():
     lo, hi = axis_slope_range(g)
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(math.log(8.0))
-    # the origin-anchored range misses it
-    assert quotient_range(g)[1] < hi
+    # the origin-anchored quotients (a_alpha - a_0)/alpha miss it
+    assert ((g.flat[1:] - g.flat[0]) / np.arange(1, 9)).max() < hi
 
 
 def test_axis_slope_range_all_infinite_is_degenerate():
@@ -107,10 +103,11 @@ def test_dual_on_default_range_is_step_accurate_in_1d():
 def test_kgrid_axis_samples_and_product():
     spec = KGridSpec(0.0, 1.0, 0.25)
     assert np.allclose(spec.axis_samples(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    pts = spec.samples(2)
-    assert pts.shape == (25, 2)
-    assert tuple(pts[0]) == (0.0, 0.0)
-    assert tuple(pts[-1]) == (1.0, 1.0)
+    # the product grid lives inside the kernel: A(k) = max(0, k_1, k_2, k_1 + k_2)
+    # over the unit square, at every k of the 5 x 5 product
+    A = conjugate.forward(spec.axis_samples(), np.zeros((2, 2)))
+    assert A.shape == (5, 5)
+    assert (A[0, 0], A[-1, 0], A[-1, -1]) == (0.0, 1.0, 2.0)
 
 
 def test_kgrid_rejects_bad_ranges():
@@ -118,6 +115,10 @@ def test_kgrid_rejects_bad_ranges():
         KGridSpec(1.0, 0.0, 0.25).axis_samples()
     with pytest.raises(EmptyKGrid):
         KGridSpec(0.0, 1.0, 0.0).axis_samples()
+    for bad in [KGridSpec(0.0, 1.0, math.nan), KGridSpec(math.nan, 1.0, 0.25),
+                KGridSpec(0.0, math.inf, 0.25), KGridSpec(0.0, 1.0, math.inf)]:
+        with pytest.raises(EmptyKGrid):
+            bad.axis_samples()
 
 
 def test_kgrid_from_grid_uses_axis_slopes():

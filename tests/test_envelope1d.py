@@ -5,7 +5,8 @@ import pytest
 
 from logcvx.core import EXP, LOG, SequenceGrid
 from logcvx.envelope1d import NewtonPolygon, evaluate, sweep
-from logcvx.errors import DimensionMismatch, OutOfRange, ScaleMismatch
+from logcvx.errors import (DimensionMismatch, GridValidationError, OutOfRange,
+                           ScaleMismatch)
 from logcvx.generators import SplitMix64
 from logcvx.lpsolve import brute_force_envelope, TargetOutsideHull
 
@@ -126,3 +127,10 @@ def test_rejects_wrong_shapes():
         sweep(SequenceGrid((1, 1), [0, 1, 2, 3], LOG))
     with pytest.raises(ScaleMismatch):
         sweep(SequenceGrid((2,), [1, 2, 4], EXP))
+
+
+def test_rejects_nan_instead_of_reading_it_as_data():
+    with pytest.raises(GridValidationError):
+        sweep(SequenceGrid((3,), [0, 1, math.nan, 3], LOG))
+    with pytest.raises(GridValidationError):
+        sweep(grid([INF, 0, 1]))
