@@ -36,8 +36,8 @@ from .lpsolve import LPSolution, brute_force_envelope
 from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
                        TRIANGLE, ConditionEntry, ConditionReport,
                        ConditionWitness, RelationEntry, RelationReport,
-                       RelationWitness, SearchOutcome, SearchSpace,
-                       SlackRecord, WeightMatrix, l37r_counterexample_curve,
+                       RelationWitness, SearchOutcome, SlackRecord,
+                       WeightMatrix, l37r_counterexample_curve,
                        l37r_counterexample_matrix, search_relation,
                        verify_condition, verify_relation)
 
@@ -53,7 +53,7 @@ __all__ = [
     "NewtonPolygon", "NonPositiveEntry", "NotNormalized", "NumericBreakdown",
     "OmegaEval", "OutOfRange", "PolygonSegment", "RELATION_KINDS", "ROUMIEU",
     "RelationEntry", "RelationReport", "RelationWitness", "SGridSpec",
-    "ScaleMismatch", "SchemaError", "SearchOutcome", "SearchSpace",
+    "ScaleMismatch", "SchemaError", "SearchOutcome",
     "SequenceGrid", "SlackRecord", "SplitMix64", "StabilityReport",
     "SupportPlane", "TRIANGLE", "TargetOutsideHull", "Violation",
     "WeightMatrix", "WitnessError", "as_log_grid", "audit_minorant",

@@ -266,12 +266,14 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
     a = lg.values
 
     cw = _coordinatewise(a, lg.box)
+    spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
+    conjugate.check_samples(spec.points, g.dim)  # fail fast, before the LP
 
     result = minorant_lp(lg)
     flat_a = lg.flat
     ac = result.minorant.flat
     finite = np.isfinite(flat_a)
-    gaps = np.where(finite, flat_a - ac, -math.inf)
+    gaps = np.subtract(flat_a, ac, out=np.full(flat_a.size, -math.inf), where=finite)
     max_gap = float(gaps[finite].max()) if finite.any() else 0.0
 
     shape = tuple(n + 1 for n in lg.box)
@@ -282,7 +284,6 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= GAP_TOL)
 
-    spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
     q3_log, q3_flags = _q3_all(af, spec)
     shortfall = flat_a - q3_log
     slack = q3_rel_tol * np.maximum(1.0, np.abs(flat_a))

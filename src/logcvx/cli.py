@@ -59,11 +59,6 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise SchemaError(flag, "comma-separated integers", repr(text)) from None
 
 
-def _grid_dict(g: SequenceGrid) -> dict:
-    vals = [x if math.isfinite(x) else io.fmt_float(x) for x in g.flat.tolist()]
-    return {"box": list(g.box), "dim": g.dim, "scale": g.scale, "values": vals}
-
-
 def _growth_warnings(g: SequenceGrid) -> list[str]:
     try:
         diag = growth_check(as_log_grid(g))
@@ -75,8 +70,9 @@ def _growth_warnings(g: SequenceGrid) -> list[str]:
     return []
 
 
-def _emit(args, results: dict, warnings: list[str], inputs: list[bytes],
+def _emit(args, results, warnings: list[str], inputs: list[bytes],
           started: float) -> int:
+    """Print the payload; results may hold dataclasses, converted here once."""
     payload = {
         "command": args._echo,
         "input_digest": _digest(inputs),
@@ -86,7 +82,7 @@ def _emit(args, results: dict, warnings: list[str], inputs: list[bytes],
     if args.json:
         print(io.write_report(payload))
     else:
-        _render(results, indent=0)
+        _render(io.to_jsonable(results), indent=0)
         for w in warnings:
             print(f"warning: {w}")
         print(f"duration: {1000.0 * (time.monotonic() - started):.1f} ms")
@@ -132,7 +128,7 @@ def cmd_minorant(args) -> int:
         if work.dim != 1:
             raise OutOfRange("--method sweep needs a one-dimensional grid")
         poly = envelope1d.sweep(work)
-        results["minorant"] = _grid_dict(SequenceGrid(work.box, poly.minorant, LOG))
+        results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, poly.minorant, LOG))
         results["contacts"] = [[int(p)] for p in poly.contacts]
         results["segments"] = [
             {"lo": s.lo, "hi": s.hi, "slope": s.slope, "intercept": s.intercept}
@@ -140,7 +136,7 @@ def cmd_minorant(args) -> int:
         boundary = [[int(p)] for p in poly.boundary_affected]
     elif args.method == "lp":
         res = envelope.minorant_lp(work)
-        results["minorant"] = _grid_dict(res.minorant)
+        results["minorant"] = io.grid_to_obj(res.minorant)
         results["contacts"] = _alpha_list(res.contact_set)
         results["certificates"] = [
             {"alpha": list(map(int, a)), "k": list(map(float, pl.k)),
@@ -159,13 +155,13 @@ def cmd_minorant(args) -> int:
                 vals.append(lpsolve.brute_force_envelope(pairs, tuple(map(int, alpha))))
             except TargetOutsideHull:
                 vals.append(float("inf"))
-        results["minorant"] = _grid_dict(SequenceGrid(work.box, vals, LOG))
+        results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         boundary = []
     else:  # dual-grid
         spec = envelope.KGridSpec.from_grid(work, step=args.k_step)
         ax = spec.axis_samples()
         vals, _ = conjugate.backward(ax, conjugate.forward(ax, work.values), work.box)
-        results["minorant"] = _grid_dict(SequenceGrid(work.box, vals, LOG))
+        results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         results["k_grid"] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
         boundary = []
     results["boundary_affected"] = boundary
@@ -244,7 +240,7 @@ def cmd_check(args) -> int:
         "q3_worst": list(map(int, report.q3_worst)) if report.q3_worst is not None else None,
         "q3_failures": _alpha_list(report.q3_failures),
         "boundary_caveat": report.boundary_caveat,
-        "minorant": _grid_dict(report.minorant.minorant),
+        "minorant": io.grid_to_obj(report.minorant.minorant),
     }
     return _emit(args, results, warnings, [raw], started)
 
@@ -275,8 +271,7 @@ def cmd_matrix(args) -> int:
         inputs += [raw_n, raw_w]
         N = io.read_matrix(raw_n)
         witness = io.read_relation_witness(raw_w)
-        rep = matrices.verify_relation(M, N, args.kind, witness)
-        results = io.to_jsonable(rep)
+        results = matrices.verify_relation(M, N, args.kind, witness)
     elif args.matrix_cmd == "search-relation":
         raw_n = _read_file(args.N)
         inputs.append(raw_n)
@@ -286,14 +281,13 @@ def cmd_matrix(args) -> int:
             "found": out.witness is not None,
             "witness": io.read_report(io.write_relation_witness(out.witness))
                        if out.witness is not None else None,
-            "table": io.to_jsonable(out.table),
+            "table": out.table,
         }
     else:  # verify-condition
         raw_w = _read_file(args.witness)
         inputs.append(raw_w)
         witness = io.read_condition_witness(raw_w)
-        rep = matrices.verify_condition(M, args.cond, witness)
-        results = io.to_jsonable(rep)
+        results = matrices.verify_condition(M, args.cond, witness)
     return _emit(args, results, [], inputs, started)
 
 

@@ -183,7 +183,7 @@ def _grid_from_obj(obj, path: str = "") -> SequenceGrid:
     return SequenceGrid(box, flat, scale)
 
 
-def _grid_to_obj(g: SequenceGrid) -> dict:
+def grid_to_obj(g: SequenceGrid) -> dict:
     vals = [x if math.isfinite(x) else fmt_float(x) for x in g.flat.tolist()]
     return {"box": list(g.box), "dim": g.dim, "scale": g.scale, "values": vals}
 
@@ -226,7 +226,7 @@ def _validated(g: SequenceGrid, validate: bool) -> SequenceGrid:
 
 def write_grid(g: SequenceGrid, fmt: str = "json") -> str:
     if fmt == "json":
-        return canonical_json(_grid_to_obj(g))
+        return canonical_json(grid_to_obj(g))
     if fmt == "csv":
         return _grid_to_csv(g)
     raise ValueError(f"unknown format {fmt!r}")
@@ -342,7 +342,7 @@ def read_matrix(source) -> WeightMatrix:
 
 def write_matrix(m: WeightMatrix) -> str:
     return canonical_json({"levels": list(m.levels),
-                           "grids": [_grid_to_obj(g) for g in m.grids]})
+                           "grids": [grid_to_obj(g) for g in m.grids]})
 
 
 def read_relation_witness(source) -> RelationWitness:

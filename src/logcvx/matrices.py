@@ -8,7 +8,7 @@ here they become finite-truncation checks:
 
 * a verifier takes an explicit witness (levels and constants) and confirms
   every stored inequality on the full box within a 1e-9 log-scale slack,
-* a search scans bounded constant grids for the smallest workable witness.
+* a search scans fixed constant grids for the smallest workable witness.
 
 A failed search at a truncation is evidence, not proof, that the relation
 fails; a verified witness, conversely, certifies the box it was checked on.
@@ -35,7 +35,7 @@ Beurling side with some kappa <= lam)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,43 +159,46 @@ class RelationReport:
     checked: int
 
 
-def _relation_slacks(M: WeightMatrix, N: WeightMatrix, kind: str,
-                     entry: RelationEntry) -> np.ndarray:
+def _check_pair(M: WeightMatrix, N: WeightMatrix, kind: str) -> None:
+    if M.box != N.box:
+        raise DimensionMismatch("matrices must share one box")
+    if kind not in RELATION_KINDS:
+        raise WitnessError(f"unknown relation kind {kind!r}")
+
+
+def _relation_slacks(M: WeightMatrix, N: WeightMatrix, kind: str, lam: float,
+                     kappa: float, log_c, log_h=None) -> np.ndarray:
+    """Slacks of one (lam, kappa) pair along a last axis over the box; log_c
+    and log_h are scalars or arrays that broadcast against it."""
     orders = order_array(M.box)
     if kind == ROUMIEU:
-        lhs = M.log_flat(entry.lam)
-        rhs = orders * math.log(entry.C) + N.log_flat(entry.kappa)
+        lhs, rhs = M.log_flat(lam), orders * log_c + N.log_flat(kappa)
     elif kind == BEURLING:
-        lhs = M.log_flat(entry.kappa)
-        rhs = orders * math.log(entry.C) + N.log_flat(entry.lam)
-    elif kind == TRIANGLE:
-        if entry.h is None or entry.h <= 0:
-            raise WitnessError("triangle entries need h > 0")
-        lhs = M.log_flat(entry.lam)
-        rhs = math.log(entry.C) + orders * math.log(entry.h) + N.log_flat(entry.kappa)
+        lhs, rhs = M.log_flat(kappa), orders * log_c + N.log_flat(lam)
     else:
-        raise WitnessError(f"unknown relation kind {kind!r}")
+        lhs, rhs = M.log_flat(lam), (log_c + orders * log_h) + N.log_flat(kappa)
     return _slack(lhs, rhs)
 
 
 def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
                     witness: RelationWitness) -> RelationReport:
     """Check every witness inequality over the full common box."""
-    if M.box != N.box:
-        raise DimensionMismatch("matrices must share one box")
-    if kind not in RELATION_KINDS:
-        raise WitnessError(f"unknown relation kind {kind!r}")
+    _check_pair(M, N, kind)
     idx = index_array(M.box)
     acc = _PairChecker()
     for entry in witness.entries:
         if entry.C <= 0:
             raise WitnessError("witness constants must be positive")
+        if kind == TRIANGLE and (entry.h is None or entry.h <= 0):
+            raise WitnessError("triangle entries need h > 0")
 
         def rec(i, slack, _e=entry):
             return SlackRecord(_e.lam, _e.kappa, tuple(int(c) for c in idx[i]),
                                C=_e.C, h=_e.h, slack=slack)
 
-        acc.feed(_relation_slacks(M, N, kind, entry), rec)
+        log_h = math.log(entry.h) if kind == TRIANGLE else None
+        acc.feed(_relation_slacks(M, N, kind, entry.lam, entry.kappa,
+                                  math.log(entry.C), log_h), rec)
     required_lams = M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels
     seen = {e.lam for e in witness.entries}
     covers = all(any(abs(l - s) <= 1e-12 * max(1.0, abs(l)) for s in seen)
@@ -207,12 +210,12 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
                           acc.worst, acc.first, covers, acc.checked)
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Bounded constant grids scanned by search_relation."""
-
-    C_grid: tuple[float, ...] = tuple(np.logspace(0.0, 6.0, 25))
-    h_grid: tuple[float, ...] = tuple(2.0 ** -np.arange(10, -1, -1))
+# The constant grids search_relation scans; logs taken per constant with math.log,
+# as verify_relation takes them, so a found witness re-verifies bit for bit.
+C_GRID = tuple(np.logspace(0.0, 6.0, 25).tolist())
+H_GRID = tuple((2.0 ** -np.arange(10, -1, -1)).tolist())
+_LOG_C = np.array([math.log(c) for c in C_GRID])[:, None]
+_LOG_H = np.array([math.log(h) for h in H_GRID])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -230,52 +233,43 @@ class SearchOutcome:
     table: tuple[CandidateSlack, ...]
 
 
-def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
-                    search: SearchSpace | None = None) -> SearchOutcome:
-    """Scan the constant grids for the smallest-C witness, level by level.
+def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcome:
+    """Scan C_GRID (and H_GRID for triangle) for the smallest-C witness, level by level.
 
-    Returns witness=None when some required level admits no candidate; the
-    table then records the best (smallest max_slack) candidate per level so
+    Each (lam, kappa) pair is one slack block over (h,) C and the box.  A
+    roumieu or beurling level takes the smallest C at which some kappa passes,
+    and the smallest such kappa; a triangle (lam, kappa, h) takes its smallest
+    passing C.  Returns witness=None when some required level admits no
+    candidate; the table records every candidate's max_slack either way, so
     near-misses are visible.
     """
-    if kind not in RELATION_KINDS:
-        raise WitnessError(f"unknown relation kind {kind!r}")
-    space = search if search is not None else SearchSpace()
+    _check_pair(M, N, kind)
+    lams, kappas = (N.levels, M.levels) if kind == BEURLING else (M.levels, N.levels)
+    triangle = kind == TRIANGLE
+    cands = ([(C, h) for h in H_GRID for C in C_GRID] if triangle
+             else [(C, None) for C in C_GRID])
     table: list[CandidateSlack] = []
     entries: list[RelationEntry] = []
     found_all = True
-
-    if kind in (ROUMIEU, BEURLING):
-        lams = M.levels if kind == ROUMIEU else N.levels
-        kappas = N.levels if kind == ROUMIEU else M.levels
-        for lam in lams:
-            best: RelationEntry | None = None
-            for kappa in kappas:
-                for C in space.C_grid:
-                    e = RelationEntry(lam, kappa, float(C))
-                    s = float(_relation_slacks(M, N, kind, e).max())
-                    table.append(CandidateSlack(lam, kappa, float(C), None, s))
-                    if s <= SLACK_TOL and (best is None or (C, kappa) < (best.C, best.kappa)):
-                        best = e
-            if best is None:
-                found_all = False
-            else:
-                entries.append(best)
-    else:
-        for lam in M.levels:
-            for kappa in N.levels:
-                for h in space.h_grid:
-                    best = None
-                    for C in space.C_grid:
-                        e = RelationEntry(lam, kappa, float(C), float(h))
-                        s = float(_relation_slacks(M, N, kind, e).max())
-                        table.append(CandidateSlack(lam, kappa, float(C), float(h), s))
-                        if s <= SLACK_TOL and best is None:
-                            best = e
-                    if best is None:
-                        found_all = False
-                    else:
-                        entries.append(best)
+    for lam in lams:
+        passing = []
+        for kappa in kappas:
+            worst = _relation_slacks(M, N, kind, lam, kappa, _LOG_C,
+                                     _LOG_H if triangle else None).max(axis=-1)
+            table += [CandidateSlack(lam, kappa, C, h, s)
+                      for (C, h), s in zip(cands, worst.ravel().tolist())]
+            passing.append(worst <= SLACK_TOL)
+        ok = np.array(passing)  # (kappa, C), or (kappa, h, C) for triangle
+        if triangle:
+            hit, first = ok.any(axis=-1), ok.argmax(axis=-1)
+            found_all = found_all and bool(hit.all())
+            entries += [RelationEntry(lam, kappas[k], C_GRID[first[k, i]], H_GRID[i])
+                        for k, i in zip(*np.nonzero(hit))]
+        elif ok.any():
+            c = int(ok.any(axis=0).argmax())
+            entries.append(RelationEntry(lam, kappas[int(ok[:, c].argmax())], C_GRID[c]))
+        else:
+            found_all = False
 
     witness = RelationWitness(kind, tuple(entries)) if found_all else None
     return SearchOutcome(witness, tuple(table))

@@ -1,16 +1,18 @@
 """Associated weight function omega, its trace identity, sampled q3 suprema,
 log-convex regularization and the three convexity verdicts."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
-                    EmptySGrid, GridValidationError, NotNormalized, SGridSpec,
-                    SequenceGrid, SplitMix64, check_log_convexity,
+                    EmptySGrid, GridValidationError, NotNormalized, OutOfRange,
+                    SGridSpec, SequenceGrid, SplitMix64, check_log_convexity,
                     factorial_grid, log_convex_minorant, notconvex_grid,
                     omega, q3_supremum, q3_supremum_log, random_grid, to_exp,
                     trace_function)
+from logcvx import assoc
 from logcvx.assoc import _omega_grid
 from logcvx.envelope import boundary_restriction
 
@@ -249,3 +251,23 @@ def test_check_accepts_explicit_s_grid():
     spec = SGridSpec(0.0, 3.0, 50)
     report = check_log_convexity(FACT, s_grid=spec)
     assert report.globally_convex
+
+
+def test_check_is_quiet_when_a_hole_lies_outside_the_hull():
+    g = random_grid((3, 3), 1)
+    a = g.values.copy()
+    a[3, 3] = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_log_convexity(SequenceGrid(g.box, a.reshape(-1), g.scale))
+    assert math.isfinite(report.max_gap)
+    assert report.boundary_caveat
+
+
+def test_check_rejects_an_oversized_s_grid_before_the_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran before the sample cap was checked")
+
+    monkeypatch.setattr(assoc, "minorant_lp", no_lp)
+    with pytest.raises(OutOfRange):
+        check_log_convexity(notconvex_grid((2, 2)), s_grid=SGridSpec(0.0, 1.0, 3000))

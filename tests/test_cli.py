@@ -367,6 +367,16 @@ def test_matrix_search_relation_finds_the_constant(tmp_path, capsys):
     assert res["witness"]["entries"][0]["C"] == pytest.approx(10.0)
 
 
+def test_matrix_search_relation_on_different_boxes_is_a_validation_error(tmp_path, capsys):
+    m4 = write_fact_matrix(tmp_path, "m4.json", math.factorial, n=4)
+    m3 = write_fact_matrix(tmp_path, "m3.json", math.factorial, n=3)
+    for kind in ("roumieu", "beurling", "triangle"):
+        code, out, err = run(capsys, "matrix", "search-relation", m4, m3, "--kind", kind)
+        assert code == 2
+        assert out == ""
+        assert "share one box" in err
+
+
 def test_matrix_verify_condition(tmp_path, capsys):
     mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
     wit = tmp_path / "w.json"

@@ -8,12 +8,13 @@ import pytest
 
 from logcvx import (BoxTooSmall, ConditionEntry, ConditionWitness,
                     DimensionMismatch, GridValidationError, LevelNotFound,
-                    NotNormalized, RelationEntry, RelationWitness, SearchSpace,
-                    SequenceGrid, WeightMatrix, factorial_grid,
+                    NotNormalized, RelationEntry, RelationWitness,
+                    SequenceGrid, WeightMatrix, convex_random_grid, factorial_grid,
                     l37r_counterexample_curve, l37r_counterexample_matrix,
-                    search_relation, verify_condition, verify_relation)
-from logcvx.core import EXP, LOG
-from logcvx.matrices import _slack
+                    search_relation, verify_condition, verify_relation,
+                    write_report)
+from logcvx.core import EXP, LOG, order_array
+from logcvx.matrices import C_GRID, H_GRID, CandidateSlack, _slack
 
 
 def exp_line(n, f):
@@ -157,7 +158,7 @@ def test_search_finds_the_smallest_grid_constant():
     assert entry.C == pytest.approx(10.0, rel=1e-12)
     assert entry.kappa == 1.0
     assert verify_relation(M, N, "roumieu", out.witness).holds
-    assert len(out.table) == len(SearchSpace().C_grid)
+    assert len(out.table) == len(C_GRID)
 
 
 def test_search_reports_failure_beyond_the_constant_grid():
@@ -174,13 +175,105 @@ def test_search_triangle_succeeds_when_the_gap_absorbs_every_h():
     N = WeightMatrix((1.0,), (exp_line(3, lambda p: math.factorial(p) * math.exp(p * p)),))
     out = search_relation(M, N, "triangle")
     assert out.witness is not None
-    assert len(out.witness.entries) == len(SearchSpace().h_grid)
+    assert len(out.witness.entries) == len(H_GRID)
     assert verify_relation(M, N, "triangle", out.witness).holds
 
 
 def test_search_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         search_relation(FACT, FACT, "diagonal")
+
+
+def test_search_rejects_matrices_on_different_boxes():
+    with pytest.raises(DimensionMismatch):
+        search_relation(FACT, WeightMatrix((1.0,), (factorial_grid(4),)), "roumieu")
+    point = WeightMatrix((1.0,), (SequenceGrid((0,), [1.0], EXP),))
+    for kind in ("roumieu", "beurling", "triangle"):
+        with pytest.raises(DimensionMismatch):
+            search_relation(FACT, point, kind)
+
+
+def reference_search(M, N, kind):
+    """The per-candidate scan: one slack array and one max per (lam, kappa, h, C),
+    with the smallest (C, kappa) per level (roumieu, beurling) or the smallest C
+    per (lam, kappa, h) (triangle)."""
+    orders = order_array(M.box)
+    lams, kappas = (N.levels, M.levels) if kind == "beurling" else (M.levels, N.levels)
+    table, entries, found_all = [], [], True
+    for lam in lams:
+        best = None
+        for kappa in kappas:
+            for h in (H_GRID if kind == "triangle" else (None,)):
+                first = None
+                for C in C_GRID:
+                    if kind == "roumieu":
+                        lhs, rhs = M.log_flat(lam), orders * math.log(C) + N.log_flat(kappa)
+                    elif kind == "beurling":
+                        lhs, rhs = M.log_flat(kappa), orders * math.log(C) + N.log_flat(lam)
+                    else:
+                        lhs = M.log_flat(lam)
+                        rhs = math.log(C) + orders * math.log(h) + N.log_flat(kappa)
+                    s = float(_slack(lhs, rhs).max())
+                    table.append(CandidateSlack(lam, kappa, C, h, s))
+                    if s <= 1e-9 and first is None:
+                        first = RelationEntry(lam, kappa, C, h)
+                if kind == "triangle":
+                    found_all = found_all and first is not None
+                    entries += [first] if first is not None else []
+                elif first is not None and (best is None or first.C < best.C):
+                    best = first
+        if kind != "triangle":
+            found_all = found_all and best is not None
+            entries += [best] if best is not None else []
+    witness = RelationWitness(kind, tuple(entries)) if found_all else None
+    return witness, tuple(table)
+
+
+def ladder(base, slopes, quads=None):
+    """Levels 1, 2, ... of exp(base + c|a| + q|a|^2) on the box of base."""
+    orders = order_array(base.box)
+    quads = quads or (0.0,) * len(slopes)
+    return WeightMatrix(tuple(float(i + 1) for i in range(len(slopes))), tuple(
+        SequenceGrid(base.box, np.exp(base.flat + c * orders + q * orders ** 2), EXP)
+        for c, q in zip(slopes, quads)))
+
+
+BASE = convex_random_grid((4, 4), 3)
+LOW = ladder(BASE, (0.0, 0.3, 0.7))
+HIGH = ladder(BASE, (0.1, 0.4, 0.9))
+STEEP = ladder(BASE, (0.0, 0.2), (0.0, 5.0))
+QUAD = ladder(BASE, (0.0, 0.1), (2.0, 3.0))
+
+
+@pytest.mark.parametrize("kind, M, N, found", [
+    ("roumieu", LOW, LOW, True),       # several kappa pass at C = 1 for lam = 1, 2
+    ("roumieu", HIGH, LOW, True),      # lam = 3 needs kappa = 3 or a larger C
+    ("roumieu", STEEP, LOW, False),    # no C passes for the steep level
+    ("beurling", LOW, LOW, True),
+    ("beurling", LOW, STEEP, True),
+    ("beurling", QUAD, STEEP, False),  # nothing of QUAD lies below STEEP's lowest level
+    ("triangle", LOW, QUAD, True),     # every (lam, kappa, h) passes, at various C
+    ("triangle", LOW, HIGH, False),    # small h fails, large h passes at various C
+    ("triangle", LOW, STEEP, False),
+    ("triangle", FACT, FACT, False),
+])
+def test_search_matches_the_per_candidate_scan(kind, M, N, found):
+    witness, table = reference_search(M, N, kind)
+    out = search_relation(M, N, kind)
+    assert write_report(out.table) == write_report(table)
+    assert write_report(out.witness) == write_report(witness)
+    assert (out.witness is not None) == found
+    assert any(c.max_slack <= 1e-9 for c in table)
+
+
+def test_search_takes_the_smallest_kappa_among_ties():
+    out = search_relation(LOW, LOW, "roumieu")
+    passing_at_1 = {c.kappa for c in out.table if c.lam == 1.0 and c.C == 1.0
+                    and c.max_slack <= 1e-9}
+    assert passing_at_1 == {1.0, 2.0, 3.0}
+    assert [(e.lam, e.kappa, e.C) for e in out.witness.entries][:2] == [
+        (1.0, 1.0, 1.0), (2.0, 2.0, 1.0)]
+    assert verify_relation(LOW, LOW, "roumieu", out.witness).holds
 
 
 # ------------------------------------------------------------- conditions
