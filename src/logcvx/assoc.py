@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate
-from .core import (EXP, LOG, MultiIndex, SequenceGrid, as_log_grid, index_array,
-                   outer_shell_mask, to_exp, validate_grid)
+from .core import (EXP, LOG, TIE_REL_TOL, MultiIndex, SequenceGrid, as_log_grid,
+                   index_array, outer_shell_mask, to_exp, validate_grid)
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
 from .errors import (DimensionMismatch, EmptySGrid, GridValidationError,
                      NotNormalized)
 
-TIE_REL_TOL = 1e-12
 GAP_TOL = 1e-9
 Q3_REL_TOL = 0.02
 

@@ -22,7 +22,7 @@ from . import assoc as _assoc
 from . import conjugate, envelope, envelope1d, generators, io, lpsolve, matrices
 from .core import EXP, LOG, SequenceGrid, as_log_grid, growth_check, index_array
 from .errors import (GridValidationError, LogcvxError, NumericBreakdown, OutOfRange,
-                     SchemaError, TargetOutsideHull)
+                     SchemaError)
 
 _EXIT_VALIDATION = 2
 _EXIT_PARSE = 3
@@ -148,13 +148,7 @@ def cmd_minorant(args) -> int:
             raise OutOfRange(f"--method oracle enumerates subsets and is capped at "
                              f"{_ORACLE_POINT_CAP} grid points; this grid has {work.n_points}")
         idx = index_array(work.box)
-        pairs = list(zip((tuple(map(int, a)) for a in idx), work.flat.tolist()))
-        vals = []
-        for alpha in idx:
-            try:
-                vals.append(lpsolve.brute_force_envelope(pairs, tuple(map(int, alpha))))
-            except TargetOutsideHull:
-                vals.append(float("inf"))
+        vals = lpsolve.brute_force_batch(idx, work.flat, idx)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         boundary = []
     else:  # dual-grid
@@ -253,7 +247,7 @@ def cmd_matrix(args) -> int:
         inputs: list[bytes] = []
         if args.box is not None:
             box = _parse_ints(args.box, "--box")
-            M = matrices.l37r_counterexample_matrix((box[0], box[1]))
+            M = matrices.l37r_counterexample_matrix(box)
             text = io.write_matrix(M)
             if args.out:
                 Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -294,33 +288,29 @@ def cmd_matrix(args) -> int:
 def cmd_gen(args) -> int:
     kind = args.kind
     fmt = args.format
-    if kind == "notconvex":
-        box = _parse_ints(args.box, "--box")
-        g = generators.notconvex_grid((box[0], box[1]), scale=args.scale)
-        text = io.write_grid(g, fmt=fmt)
-    elif kind == "factorial":
-        g = generators.factorial_grid(args.n, scale=args.scale)
-        text = io.write_grid(g, fmt=fmt)
-    elif kind == "random":
-        box = _parse_ints(args.box, "--box")
-        if args.dim is not None and args.dim != len(box):
-            raise OutOfRange(f"--dim {args.dim} does not match --box {args.box}")
-        g = generators.random_grid(box, args.seed, scale=args.scale,
-                                   amplitude=args.amplitude, lift=args.lift)
-        text = io.write_grid(g, fmt=fmt)
-    elif kind == "convex":
-        box = _parse_ints(args.box, "--box")
-        g = generators.convex_random_grid(box, args.seed)
-        text = io.write_grid(g, fmt=fmt)
-    elif kind == "log-convex-1d":
-        g = generators.log_convex_random_1d(args.n, args.seed)
-        text = io.write_grid(g, fmt=fmt)
-    else:  # l37r-counterexample
-        box = _parse_ints(args.box, "--box")
-        M = matrices.l37r_counterexample_matrix((box[0], box[1]))
+    if kind == "l37r-counterexample":
+        M = matrices.l37r_counterexample_matrix(_parse_ints(args.box, "--box"))
         if fmt == "csv":
             raise OutOfRange("matrix files are JSON only")
         text = io.write_matrix(M)
+    else:
+        if kind == "notconvex":
+            g = generators.notconvex_grid(_parse_ints(args.box, "--box"), scale=args.scale)
+        elif kind == "factorial":
+            g = generators.factorial_grid(args.n, scale=args.scale)
+        elif kind == "random":
+            box = _parse_ints(args.box, "--box")
+            if args.dim is not None and args.dim != len(box):
+                raise OutOfRange(f"--dim {args.dim} does not match --box {args.box}")
+            g = generators.random_grid(box, args.seed, scale=args.scale,
+                                       amplitude=args.amplitude, lift=args.lift)
+        elif kind == "convex":
+            g = generators.convex_random_grid(_parse_ints(args.box, "--box"), args.seed)
+        else:  # log-convex-1d
+            g = generators.log_convex_random_1d(args.n, args.seed)
+        if fmt == "csv" and g.dim > 2:
+            raise OutOfRange("CSV output only covers grids of dimension <= 2")
+        text = io.write_grid(g, fmt=fmt)
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n",
                                   encoding="utf-8")

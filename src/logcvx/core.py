@@ -30,6 +30,10 @@ from .errors import DimensionMismatch, EmptyShell, NonPositiveEntry, ScaleMismat
 LOG = "log"
 EXP = "exp"
 
+# Two values v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|): slopes in
+# the 1-D sweep, suprema of omega and q3 over indices and samples.
+TIE_REL_TOL = 1e-12
+
 MultiIndex = tuple[int, ...]
 
 

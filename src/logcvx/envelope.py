@@ -7,7 +7,7 @@ For a LOG-scale grid a the minorant at alpha is
 i.e. the highest supporting hyperplane below the data, evaluated at alpha.
 Three routes are offered:
 
-* ``minorant_lp``     exact per-point LP (the reference route, certified),
+* ``minorant_lp``     exact LP at every index, one batch (the reference route, certified),
 * ``dual_value``      sampled slope grid, lower bound, cheap at a single real x,
 * the 1-D sweep in :mod:`logcvx.envelope1d`.
 
@@ -163,36 +163,38 @@ class MinorantResult:
     boundary_affected: tuple[MultiIndex, ...]
 
 
-def _start_basis(finite: np.ndarray, box: MultiIndex, strides: list[int],
-                 alpha: MultiIndex, i: int) -> list[int] | None:
-    """Flat indices of a feasible start basis at alpha (flat index i), or None
-    for phase 1.
+def _start_bases(finite: np.ndarray, box: MultiIndex) -> np.ndarray:
+    """Flat indices of a feasible start basis at every index of the box,
+    shape (n, d+1), with a row of -1 where phase 1 runs.
 
     A finite alpha (weight 1) with one finite neighbour alpha -/+ e_j per
-    axis; at a hole, alpha -/+ e_j on one axis (weights 1/2, 1/2) with one
-    neighbour per other axis.  ``strides`` are the flat offsets of e_j.
+    axis; at a hole, alpha -/+ e_j on the first axis that has both (weights
+    1/2, 1/2), with one neighbour per other axis.
     """
-    def neighbour(j):
-        if alpha[j] > 0 and finite[i - strides[j]]:
-            return i - strides[j]
-        if alpha[j] < box[j] and finite[i + strides[j]]:
-            return i + strides[j]
-        return None
-
-    if finite[i]:
-        nbrs = [neighbour(j) for j in range(len(box))]
-        return None if None in nbrs else [i, *nbrs]
+    idx = index_array(box)
+    flat = np.arange(idx.shape[0])
+    strides = [math.prod(n + 1 for n in box[j + 1:]) for j in range(len(box))]
+    nbr = np.full(idx.shape, -1)
+    both = np.zeros(idx.shape, dtype=bool)
     for j, st in enumerate(strides):
-        if 0 < alpha[j] < box[j] and finite[i - st] and finite[i + st]:
-            nbrs = [neighbour(l) for l in range(len(box)) if l != j]
-            if None not in nbrs:
-                return [i - st, i + st, *nbrs]
-    return None
+        down = (idx[:, j] > 0) & finite[np.maximum(flat - st, 0)]
+        up = (idx[:, j] < box[j]) & finite[np.minimum(flat + st, flat.size - 1)]
+        nbr[:, j] = np.where(down, flat - st, np.where(up, flat + st, -1))
+        both[:, j] = down & up
+    starts = np.full((flat.size, len(box) + 1), -1)
+    pick = finite & (nbr >= 0).all(axis=1)
+    starts[pick] = np.column_stack([flat, nbr])[pick]
+    for j, st in enumerate(strides):
+        others = np.delete(nbr, j, axis=1)
+        pick = (starts[:, 0] < 0) & ~finite & both[:, j] & (others >= 0).all(axis=1)
+        starts[pick] = np.column_stack([flat - st, flat + st, others])[pick]
+    return starts
 
 
 def minorant_lp(g: SequenceGrid) -> MinorantResult:
-    """Exact convex minorant of a validated LOG-scale grid, one
-    convex-combination LP per index (:func:`lpsolve.solve`)."""
+    """Exact convex minorant of a validated LOG-scale grid: the
+    convex-combination LP at every index, solved in one batch
+    (:func:`lpsolve.solve_batch`)."""
     _require_log(g, "minorant_lp")
     violations = validate_grid(g)
     if violations:
@@ -203,28 +205,26 @@ def minorant_lp(g: SequenceGrid) -> MinorantResult:
     finite = np.isfinite(a)
     shell = outer_shell_mask(g.box)
     targets = [tuple(r) for r in idx.tolist()]
-    strides = [math.prod(g.values.shape[j + 1:]) for j in range(g.dim)]
 
-    values = np.empty(a.size)
-    certificates: dict[MultiIndex, SupportPlane | None] = {}
-    boundary: list[MultiIndex] = []
-    for i, alpha in enumerate(targets):
-        sol = lpsolve.solve(P, a, P[i], shell, _start_basis(finite, g.box, strides, alpha, i))
-        if sol.status == lpsolve.UNBOUNDED:
-            values[i] = math.inf
-            certificates[alpha] = None
-            boundary.append(alpha)
-            continue
-        values[i] = sol.optimum
-        k, h = tuple(sol.point[:g.dim].tolist()), float(sol.point[g.dim])
-        certificates[alpha] = SupportPlane(k, h, tuple(targets[r] for r in sol.active_rows))
-        if any(shell[r] for r in sol.active_rows):
-            boundary.append(alpha)
+    lp = lpsolve.solve_batch(P, a, P, shell, _start_bases(finite, g.box))
+    values = lp.optimum
+    # the touching sets, row by row: touched[ends[i-1]:ends[i]] for index i
+    rows, cols = np.nonzero(lp.tight)
+    touched = [targets[c] for c in cols.tolist()]
+    ends = np.cumsum(np.bincount(rows, minlength=len(targets))).tolist()
+    certificates: dict[MultiIndex, SupportPlane | None] = {
+        alpha: None if out else SupportPlane(tuple(plane[:-1]), plane[-1], tuple(touched[lo:hi]))
+        for alpha, out, plane, lo, hi in zip(targets, lp.unbounded.tolist(), lp.point.tolist(),
+                                             [0] + ends, ends)}
+    boundary = lp.unbounded | (lp.tight & shell).any(axis=1)
 
-    contact = [alpha for i, alpha in enumerate(targets)
-               if finite[i] and abs(a[i] - values[i]) <= CONTACT_TOL * max(1.0, abs(a[i]))]
+    meets = np.zeros(a.size, dtype=bool)
+    meets[finite] = (np.abs(a[finite] - values[finite])
+                     <= CONTACT_TOL * np.maximum(1.0, np.abs(a[finite])))
     minorant = SequenceGrid(g.box, values, LOG)
-    return MinorantResult(minorant, certificates, tuple(contact), tuple(boundary))
+    return MinorantResult(minorant, certificates,
+                          tuple(targets[i] for i in np.flatnonzero(meets).tolist()),
+                          tuple(targets[i] for i in np.flatnonzero(boundary).tolist()))
 
 
 def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:

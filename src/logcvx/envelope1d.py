@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG, SequenceGrid, validate_grid
+from .core import LOG, TIE_REL_TOL, SequenceGrid, validate_grid
 from .errors import DimensionMismatch, GridValidationError, OutOfRange, ScaleMismatch
-
-TIE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .core import EXP, LOG, SequenceGrid, index_array, order_array, to_exp
+from .errors import DimensionMismatch, OutOfRange
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,7 +81,7 @@ def notconvex_grid(box: tuple[int, int] = (4, 4), scale: str = EXP) -> SequenceG
     at (1,1), while a_{(1,1)} = 15.
     """
     if len(box) != 2:
-        raise ValueError("this example is two-dimensional")
+        raise DimensionMismatch("this example is two-dimensional")
     idx = index_array(box).astype(float)
     a = ((idx[:, 0] + 1.0) * (idx[:, 1] + 1.0)) ** 2 - 1.0
     g = SequenceGrid(box, a, LOG)
@@ -95,7 +96,9 @@ def notconvex_grid(box: tuple[int, int] = (4, 4), scale: str = EXP) -> SequenceG
 
 def factorial_grid(n: int, scale: str = EXP) -> SequenceGrid:
     """One-dimensional M_p = p! for p = 0..n."""
-    if not 0 <= n <= 170:
+    if n < 0:
+        raise OutOfRange("n must be nonnegative")
+    if n > 170:
         raise OverflowError("p! exceeds double precision beyond p = 170")
     vals = [float(math.factorial(p)) for p in range(n + 1)]
     g = SequenceGrid((n,), vals, EXP)
@@ -126,7 +129,7 @@ def log_convex_random_1d(n: int, seed: int, step_scale: float = 0.5) -> Sequence
     are cumulative sums of nondecreasing increments, with a_0 = 0 (so M_0 = 1
     and M_p M_q <= M_{p+q})."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise OutOfRange("n must be nonnegative")
     rng = SplitMix64(seed)
     draws = step_scale * rng.floats(n)
     increments = np.cumsum(draws)

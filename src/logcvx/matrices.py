@@ -184,6 +184,8 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
                     witness: RelationWitness) -> RelationReport:
     """Check every witness inequality over the full common box."""
     _check_pair(M, N, kind)
+    if witness.kind != kind:
+        raise WitnessError(f"witness is for a {witness.kind} relation, not {kind}")
     idx = index_array(M.box)
     acc = _PairChecker()
     for entry in witness.entries:

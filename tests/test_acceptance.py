@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from logcvx import (AssociatedFunction, SGridSpec, SequenceGrid, SplitMix64,
-                    TargetOutsideHull, WeightMatrix, as_log_grid,
-                    audit_minorant, brute_force_envelope,
+                    WeightMatrix, as_log_grid, audit_minorant,
                     check_log_convexity, convex_random_grid, envelope1d,
                     factorial_grid, l37r_counterexample_curve,
                     l37r_counterexample_matrix, minorant_lp, notconvex_grid,
@@ -21,6 +20,7 @@ from logcvx import (AssociatedFunction, SGridSpec, SequenceGrid, SplitMix64,
 from logcvx.assoc import _q3_all
 from logcvx.cli import main
 from logcvx.core import index_array
+from logcvx.lpsolve import brute_force_batch
 from logcvx.matrices import ConditionEntry, ConditionWitness
 
 
@@ -42,8 +42,8 @@ def lattice(box):
 
 
 def brute_all(g) -> np.ndarray:
-    pairs = list(zip(lattice(g.box), g.flat.tolist()))
-    return np.array([brute_force_envelope(pairs, alpha) for alpha in lattice(g.box)])
+    idx = index_array(g.box)
+    return brute_force_batch(idx, g.flat, idx)
 
 
 def test_criterion_01_three_way_agreement_1d():
@@ -281,12 +281,7 @@ def test_criterion_11_holed_grids_pass_the_audit():
             flat[1 + rng.next_u64() % (flat.size - 1)] = math.inf
         holed = SequenceGrid(box, flat, g.scale)
         res = audited(holed)
-        pairs = list(zip(lattice(box), flat.tolist()))
-        for alpha, value in zip(lattice(box), res.minorant.flat):
-            try:
-                ref = brute_force_envelope(pairs, alpha)
-            except TargetOutsideHull:
-                ref = math.inf
+        for alpha, value, ref in zip(lattice(box), res.minorant.flat, brute_all(holed)):
             if math.isinf(ref) or math.isinf(value):
                 assert math.isinf(ref) and math.isinf(value), f"{box} {alpha}"
             else:

@@ -70,6 +70,26 @@ def test_gen_random_overflow_exits_numeric(capsys):
     assert "numeric breakdown" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["notconvex", "--box", "4"], "two-dimensional"),
+    (["l37r-counterexample", "--box", "4"], "two-dimensional"),
+    (["random", "--box", "2,2,2", "--format", "csv"], "CSV"),
+    (["log-convex-1d", "--n", "-1"], "nonnegative"),
+    (["factorial", "--n", "-3"], "nonnegative"),
+])
+def test_gen_bad_arguments_are_validation_errors(capsys, argv, message):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_matrix_counterexample_on_a_one_dimensional_box_is_a_validation_error(capsys):
+    code, _, err = run(capsys, "matrix", "counterexample", "--box", "4")
+    assert code == 2
+    assert "two-dimensional" in err
+
+
 # --------------------------------------------------------------- minorant
 
 
@@ -353,6 +373,18 @@ def test_matrix_verify_relation_roundtrip(tmp_path, capsys):
     res = read_report(out)["results"]
     assert res["holds"] is True
     assert res["covers_all_levels"] is True
+
+
+def test_matrix_verify_relation_rejects_a_witness_of_another_kind(tmp_path, capsys):
+    mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps(
+        {"kind": "triangle", "entries": [{"lambda": 1.0, "kappa": 1.0, "C": 1.0, "h": 0.5}]}))
+    code, out, err = run(capsys, "matrix", "verify-relation", mf, mf,
+                         "--kind", "roumieu", "--witness", str(wit))
+    assert code == 2
+    assert out == ""
+    assert "triangle" in err
 
 
 def test_matrix_search_relation_finds_the_constant(tmp_path, capsys):

@@ -12,8 +12,9 @@ from logcvx import (EXP, LOG, AllInfinite, DimensionMismatch, EmptyKGrid,
                     axis_slope_range, boundary_restriction, convex_random_grid,
                     dual_value, envelope1d, factorial_grid, h_of_k,
                     minorant_lp, notconvex_grid, random_grid, stability_probe)
-from logcvx import conjugate
-from logcvx.core import index_array
+from logcvx import conjugate, lpsolve
+from logcvx.core import index_array, outer_shell_mask
+from logcvx.envelope import _start_bases
 
 REF = SequenceGrid((3,), [0.0, 2.0, 1.0, 6.0], LOG)
 
@@ -352,3 +353,72 @@ def test_stability_probe_mismatch_guards():
         stability_probe(REF, SequenceGrid((2,), [0.0, 2.0, 1.0], LOG))
     with pytest.raises(GridMismatch):
         stability_probe(REF, SequenceGrid((4,), [0.0, 2.0, 1.5, 6.0, 2.0], LOG))
+
+
+# ------------------------------------------------------- the batched LP
+
+
+def fuzz_grids():
+    """Holes anywhere but the origin, the outer shell included; zero extents,
+    where no index has a start basis; integer ties on a degenerate linear
+    grid; magnitudes from 1e-6 to 1e6."""
+    grids = []
+    for seed, box in enumerate([(6, 5), (3, 3, 2), (9,), (5, 5)]):
+        a = random_grid(box, seed=seed + 50).flat.copy()
+        rng = np.random.default_rng(seed)
+        a[rng.choice(np.arange(1, a.size), a.size // 5, replace=False)] = math.inf
+        grids.append(SequenceGrid(box, a, LOG))
+    grids += [random_grid(box, seed=1) for box in [(4, 0), (0, 3), (0,), (3, 0, 2)]]
+    a = index_array((4, 4)).sum(axis=1).astype(float)
+    a[0] = -0.5
+    grids.append(SequenceGrid((4, 4), a, LOG))
+    for e in (-6, -3, 3, 6):
+        g = random_grid((5, 4), seed=e + 10)
+        grids.append(SequenceGrid(g.box, g.flat * 10.0 ** e, LOG))
+    return grids
+
+
+def test_minorant_lp_rows_equal_single_solves_bit_for_bit():
+    # minorant_lp solves all indices in one batch; solving any of them alone,
+    # from the same start basis, gives the same bits
+    for g in fuzz_grids():
+        res = minorant_lp(g)
+        assert audit_minorant(g, res) == ()
+        P, a = index_array(g.box).astype(float), g.flat
+        shell = outer_shell_mask(g.box)
+        starts = _start_bases(np.isfinite(a), g.box)
+        for i, alpha in enumerate(lattice(g.box)):
+            sol = lpsolve.solve(P, a, P[i], shell, starts[i] if starts[i, 0] >= 0 else None)
+            plane = res.certificates[alpha]
+            assert np.float64(sol.optimum).tobytes() == res.minorant.flat[i].tobytes()
+            if plane is None:
+                assert sol.status == lpsolve.UNBOUNDED
+                continue
+            assert sol.point.tobytes() == np.array(plane.k + (plane.h,)).tobytes()
+            assert sol.active_rows == tuple(
+                int(np.ravel_multi_index(b, g.values.shape)) for b in plane.touching)
+
+
+def test_zero_extent_box_has_no_start_basis():
+    g = random_grid((4, 0), seed=2)
+    assert (_start_bases(np.isfinite(g.flat), g.box) < 0).all()
+    res = minorant_lp(g)
+    assert audit_minorant(g, res) == ()
+    sweep = envelope1d.sweep(SequenceGrid((4,), g.flat, LOG))
+    assert np.allclose(res.minorant.flat, sweep.minorant, atol=1e-12)
+
+
+def test_start_bases_are_feasible_where_given():
+    g = random_grid((5, 4, 3), seed=9)
+    a = g.flat.copy()
+    a[np.random.default_rng(9).choice(np.arange(1, a.size), 30, replace=False)] = math.inf
+    P = index_array(g.box).astype(float)
+    starts = _start_bases(np.isfinite(a), g.box)
+    given = starts[:, 0] >= 0
+    assert given.any() and not given.all()
+    for target, start in zip(P[given], starts[given]):
+        assert np.isfinite(a[start]).all()
+        # the target is a convex combination of its start points
+        M = np.vstack([np.ones(4), P[start].T])
+        lam = np.linalg.solve(M, np.concatenate([[1.0], target]))
+        assert (lam >= -1e-12).all()

@@ -5,7 +5,8 @@ import pytest
 
 import logcvx.lpsolve as lps
 from logcvx.core import index_array, outer_shell_mask
-from logcvx.errors import TargetOutsideHull
+from logcvx.envelope import _start_bases
+from logcvx.errors import NumericBreakdown, TargetOutsideHull
 from logcvx.generators import SplitMix64, random_grid
 
 INF = math.inf
@@ -191,3 +192,114 @@ def test_brute_force_matches_lp_on_random_grids():
             bf = lps.brute_force_envelope(pts, (target,))
             assert sol.status == lps.OPTIMAL
             assert bf == pytest.approx(sol.optimum, abs=1e-8)
+
+
+# ------------------------------------------------------------ the batch
+
+
+def holed_lattice(box, seed, share=0.2):
+    """Lattice points of ``box`` with random_grid data and a share of the
+    entries but the origin, the outer shell included, set to +inf; so is the
+    far corner, which leaves it outside the hull of the finite points."""
+    P = index_array(box).astype(float)
+    a = random_grid(box, seed=seed).flat.copy()
+    rng = np.random.default_rng(seed)
+    a[rng.choice(np.arange(1, a.size), int(share * a.size), replace=False)] = INF
+    a[-1] = INF
+    return P, a
+
+
+def assert_same(one, batch, t):
+    """A single solve equals row t of a batch, bit for bit."""
+    assert one.status == (lps.UNBOUNDED if batch.unbounded[t] else lps.OPTIMAL)
+    assert np.float64(one.optimum).tobytes() == batch.optimum[t].tobytes()
+    assert one.active_rows == tuple(np.flatnonzero(batch.tight[t]).tolist())
+    if one.point is None:
+        assert np.isnan(batch.point[t]).all()
+    else:
+        assert one.point.tobytes() == batch.point[t].tobytes()
+
+
+def test_batch_rows_equal_single_solves_bit_for_bit():
+    # each target's arithmetic is independent of the others in its batch,
+    # whatever their phase: holes give phase-1 targets and unbounded ones,
+    # the shell gives tilted certificates
+    for seed, box in enumerate([(5, 4), (3, 3, 2), (12,)]):
+        P, a = holed_lattice(box, seed + 40)
+        shell = outer_shell_mask(box)
+        starts = _start_bases(np.isfinite(a), box)
+        batch = lps.solve_batch(P, a, P, shell, starts)
+        assert batch.unbounded.any() and not batch.unbounded.all()
+        assert (starts < 0).any() and (starts >= 0).any()
+        for t in range(len(P)):
+            start = starts[t] if starts[t, 0] >= 0 else None
+            assert_same(lps.solve(P, a, P[t], shell, start), batch, t)
+
+
+def test_blocks_do_not_change_the_results(monkeypatch):
+    P, a = holed_lattice((6, 5), 3)
+    shell = outer_shell_mask((6, 5))
+    whole = lps.solve_batch(P, a, P, shell)
+    # blocks of 2 targets: 2 * (n + d + 1) entries
+    monkeypatch.setattr(lps, "BLOCK_ENTRIES", 2 * (len(P) + 3))
+    split = lps.solve_batch(P, a, P, shell)
+    for f in ("unbounded", "optimum", "point", "tight"):
+        assert getattr(whole, f).tobytes() == getattr(split, f).tobytes()
+
+
+def test_empty_batch():
+    P, a = on_line([0.0, 1.0, 3.0])
+    out = lps.solve_batch(P, a, np.empty((0, 1)), np.array([True, False, True]))
+    assert out.optimum.shape == (0,) and out.point.shape == (0, 2)
+    assert out.tight.shape == (0, 3) and out.unbounded.shape == (0,)
+
+
+def test_singular_and_infeasible_starts_run_phase_one_in_a_batch():
+    P, a = on_line([0.0, 2.0, 1.0, 6.0])
+    starts = np.array([[1, 0], [2, 2], [2, 3], [-1, -1]])  # fine, singular, infeasible, none
+    batch = lps.solve_batch(P, a, np.ones((4, 1)), None, starts)
+    assert batch.optimum[0] == 0.5
+    assert batch.optimum[1:] == pytest.approx([0.5] * 3, abs=1e-12)
+    assert batch.tight.tolist() == [[True, False, True, False]] * 4
+    with pytest.raises(ValueError):
+        lps.solve_batch(P, a, np.ones((1, 1)), None, np.array([[0, 4]]))
+    with pytest.raises(ValueError):
+        lps.solve(P, a, [1.0], start=[-1, 0])
+
+
+def test_bland_rule_ends_a_cycle(monkeypatch):
+    # a = floor(4 |beta - (8, 8)|) - 45 on the (16, 16) box: at (9, 9) the plane
+    # through the start basis (9, 9), (8, 9), (9, 8) rises above the data,
+    # and the most-negative rule pivots in a cycle of degenerate bases, the
+    # weight staying on the target; after BLAND_AFTER degenerate pivots
+    # Bland's rule takes over and ends it
+    box = (16, 16)
+    P = index_array(box).astype(float)
+    a = np.floor(4.0 * np.linalg.norm(P - 8.0, axis=1))
+    a -= a[0]
+    shell = outer_shell_mask(box)
+    i, start = 9 * 17 + 9, [9 * 17 + 9, 8 * 17 + 9, 9 * 17 + 8]
+    sol = lps.solve(P, a, P[i], shell, start=start)
+    assert sol.status == lps.OPTIMAL
+    assert sol.optimum == a[i]
+    k, h = sol.point[:2], sol.point[2]
+    assert np.all(P @ k + h <= a + 1e-9)
+    assert i in sol.active_rows
+    # the same target inside a batch whose other targets never switch
+    batch = lps.solve_batch(P, a, P[[0, i, 40]], shell, [[0, 1, 17], start, [40, 39, 23]])
+    assert_same(sol, batch, 1)
+    monkeypatch.setattr(lps, "BLAND_AFTER", 10**9)
+    with pytest.raises(NumericBreakdown, match="no convergence"):
+        lps.solve(P, a, P[i], shell, start=start)
+
+
+def test_brute_force_batch_matches_single_targets():
+    P, a = holed_lattice((3, 2), 5, share=0.3)
+    pairs = [(tuple(map(int, p)), v) for p, v in zip(P, a)]
+    values = lps.brute_force_batch(P, a, P)
+    for p, v in zip(P, values):
+        try:
+            assert v == lps.brute_force_envelope(pairs, tuple(map(int, p)))
+        except TargetOutsideHull:
+            assert v == INF
+    assert np.isinf(values).any()

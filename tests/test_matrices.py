@@ -9,10 +9,10 @@ import pytest
 from logcvx import (BoxTooSmall, ConditionEntry, ConditionWitness,
                     DimensionMismatch, GridValidationError, LevelNotFound,
                     NotNormalized, RelationEntry, RelationWitness,
-                    SequenceGrid, WeightMatrix, convex_random_grid, factorial_grid,
-                    l37r_counterexample_curve, l37r_counterexample_matrix,
-                    search_relation, verify_condition, verify_relation,
-                    write_report)
+                    SequenceGrid, WeightMatrix, WitnessError, convex_random_grid,
+                    factorial_grid, l37r_counterexample_curve,
+                    l37r_counterexample_matrix, search_relation,
+                    verify_condition, verify_relation, write_report)
 from logcvx.core import EXP, LOG, order_array
 from logcvx.matrices import C_GRID, H_GRID, CandidateSlack, _slack
 
@@ -144,6 +144,15 @@ def test_relation_input_guards():
     with pytest.raises(ValueError, match="positive"):
         verify_relation(FACT, FACT, "roumieu",
                         RelationWitness("roumieu", (RelationEntry(1.0, 1.0, 0.0),)))
+
+
+def test_relation_witness_of_another_kind_is_rejected():
+    triangle = RelationWitness("triangle", (RelationEntry(1.0, 1.0, 1.0, 0.5),))
+    for kind in ("roumieu", "beurling"):
+        with pytest.raises(WitnessError, match="triangle"):
+            verify_relation(FACT, FACT, kind, triangle)
+    with pytest.raises(WitnessError, match="roumieu"):
+        verify_relation(FACT, FACT, "triangle", trivial_witness("roumieu", FACT))
 
 
 # ----------------------------------------------------------------- search
