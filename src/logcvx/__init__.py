@@ -8,6 +8,8 @@ top of that sit the associated weight function omega_M, a supremum check that
 characterizes log-convexity, and verifiers for relations between weight
 matrices and structural conditions on a single matrix.
 """
+import types
+
 from .assoc import (AssociatedFunction, LogConvexityReport, LogConvexMinorant,
                     OmegaEval, SGridSpec, check_log_convexity,
                     log_convex_minorant, omega, q3_supremum, q3_supremum_log,
@@ -43,31 +45,6 @@ from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllInfinite", "AssociatedFunction", "BEURLING", "BoxTooSmall",
-    "CONDITIONS", "ConditionEntry", "ConditionReport", "ConditionWitness",
-    "DimensionMismatch", "DualValue", "EXP", "EmptyKGrid",
-    "EmptySGrid", "EmptyShell", "GridMismatch", "GridValidationError",
-    "GrowthDiagnostic", "KGridSpec", "LOG", "LPSolution", "LevelNotFound",
-    "LogConvexMinorant", "LogConvexityReport", "LogcvxError", "MinorantResult",
-    "NewtonPolygon", "NonPositiveEntry", "NotNormalized", "NumericBreakdown",
-    "OmegaEval", "OutOfRange", "PolygonSegment", "RELATION_KINDS", "ROUMIEU",
-    "RelationEntry", "RelationReport", "RelationWitness", "SGridSpec",
-    "ScaleMismatch", "SchemaError", "SearchOutcome",
-    "SequenceGrid", "SlackRecord", "SplitMix64", "StabilityReport",
-    "SupportPlane", "TRIANGLE", "TargetOutsideHull", "Violation",
-    "WeightMatrix", "WitnessError", "as_log_grid", "audit_minorant",
-    "axis_slope_range", "boundary_infinities",
-    "boundary_restriction", "brute_force_envelope", "canonical_json",
-    "check_log_convexity", "convex_random_grid", "dual_value", "evaluate",
-    "factorial_grid", "fmt_float", "growth_check", "h_of_k",
-    "l37r_counterexample_curve", "l37r_counterexample_matrix",
-    "log_convex_minorant", "log_convex_random_1d", "minorant_lp",
-    "notconvex_grid", "omega", "q3_supremum", "q3_supremum_log",
-    "random_grid", "read_condition_witness", "read_grid",
-    "read_matrix", "read_relation_witness", "read_report", "search_relation",
-    "stability_probe", "sweep", "to_exp", "to_jsonable", "to_log",
-    "trace_function", "validate_grid", "verify_condition", "verify_relation",
-    "write_condition_witness", "write_grid", "write_matrix",
-    "write_relation_witness", "write_report",
-]
+# every name imported above; the submodules themselves are not exported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

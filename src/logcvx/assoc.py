@@ -231,18 +231,13 @@ def _coordinatewise(a: np.ndarray, box) -> tuple[MultiIndex, int] | None:
     for j, n in enumerate(box):
         if n < 2:
             continue
-        mid = [slice(None)] * len(box)
-        lo = [slice(None)] * len(box)
-        hi = [slice(None)] * len(box)
-        mid[j] = slice(1, n)
-        lo[j] = slice(0, n - 1)
-        hi[j] = slice(2, n + 1)
+        aj = np.moveaxis(a, j, 0)  # axis j first
         with np.errstate(invalid="ignore"):
-            bad = 2.0 * a[tuple(mid)] > a[tuple(lo)] + a[tuple(hi)] + GAP_TOL
+            bad = 2.0 * aj[1:n] > aj[:n - 1] + aj[2:] + GAP_TOL
         if not bad.any():
             continue
         full = np.zeros(shape, dtype=bool)
-        full[tuple(mid)] = bad
+        np.moveaxis(full, j, 0)[1:n] = bad
         first = int(np.flatnonzero(full.reshape(-1))[0])
         if best is None or (first, j) < best:
             best = (first, j)
@@ -277,8 +272,7 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
 
     shape = tuple(n + 1 for n in lg.box)
     boundary_flat = np.zeros(flat_a.size, dtype=bool)
-    for alpha in result.boundary_affected:
-        boundary_flat[int(np.ravel_multi_index(alpha, shape))] = True
+    boundary_flat[[np.ravel_multi_index(b, shape) for b in result.boundary_affected]] = True
     interior = finite & ~boundary_flat
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= GAP_TOL)

@@ -45,18 +45,15 @@ def _digest(chunks: list[bytes]) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_floats(text: str, flag: str, kind=float, what: str = "numbers") -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        return tuple(kind(tok) for tok in text.split(","))
     except ValueError:
-        raise SchemaError(flag, "comma-separated numbers", repr(text)) from None
+        raise SchemaError(flag, f"comma-separated {what}", repr(text)) from None
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise SchemaError(flag, "comma-separated integers", repr(text)) from None
+    return _parse_floats(text, flag, int, "integers")
 
 
 def _growth_warnings(g: SequenceGrid) -> list[str]:
@@ -72,20 +69,16 @@ def _growth_warnings(g: SequenceGrid) -> list[str]:
 
 def _emit(args, results, warnings: list[str], inputs: list[bytes],
           started: float) -> int:
-    """Print the payload; results may hold dataclasses, converted here once."""
-    payload = {
-        "command": args._echo,
-        "input_digest": _digest(inputs),
-        "results": results,
-        "warnings": warnings,
-    }
+    """Print the JSON payload (--json) or the human report; results may hold
+    dataclasses."""
     if args.json:
-        print(io.write_report(payload))
-    else:
-        _render(io.to_jsonable(results), indent=0)
-        for w in warnings:
-            print(f"warning: {w}")
-        print(f"duration: {1000.0 * (time.monotonic() - started):.1f} ms")
+        print(io.write_report({"command": args._echo, "input_digest": _digest(inputs),
+                               "results": results, "warnings": warnings}))
+        return 0
+    _render(io.to_jsonable(results), indent=0)
+    for w in warnings:
+        print(f"warning: {w}")
+    print(f"duration: {1000.0 * (time.monotonic() - started):.1f} ms")
     return 0
 
 

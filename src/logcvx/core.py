@@ -33,6 +33,8 @@ EXP = "exp"
 # Two values v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|): slopes in
 # the 1-D sweep, suprema of omega and q3 over indices and samples.
 TIE_REL_TOL = 1e-12
+# A weight-matrix level l matches a requested s when |l - s| <= LEVEL_REL_TOL * max(1, |l|).
+LEVEL_REL_TOL = 1e-12
 
 MultiIndex = tuple[int, ...]
 
@@ -238,9 +240,8 @@ def growth_check(g: SequenceGrid) -> GrowthDiagnostic:
     interior = finite & (orders < total)
 
     idx = index_array(g.box)
-    ratios = {}
-    for i in np.flatnonzero(outer | second):
-        ratios[tuple(idx[i].tolist())] = float(ratios_all[i])
+    ratios = {tuple(idx[i].tolist()): float(ratios_all[i])
+              for i in np.flatnonzero(outer | second)}
 
     min_boundary = float(ratios_all[outer].min()) if outer.any() else math.inf
     max_interior = float(ratios_all[interior].max()) if interior.any() else -math.inf

@@ -8,6 +8,10 @@ serializes to identical bytes:
 * +inf, -inf and NaN as the quoted strings "inf", "-inf", "nan",
 * negative zero normalized to "0".
 
+One encoder, a single recursive walk appending strings to a list, writes it:
+canonical_json for plain data, write_report for reports (dataclasses, sets and
+non-str keys too).  to_jsonable gives the human CLI output its plain data.
+
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
 self-describing through leading "# dim:" and "# scale:" comment lines;
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io as _stdio
 import json
 import math
 
@@ -38,60 +41,104 @@ _SPECIAL = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
 def fmt_float(x: float) -> str:
-    """17-significant-digit decimal; exact round trip for doubles."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "0"
-    return f"{x:.17g}"
+    """17 significant digits (doubles round-trip), "inf", "-inf", "nan"; "0" for ±0."""
+    return f"{float(x) + 0.0:.17g}"  # + 0.0 turns -0.0 into 0.0
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text of plain data (dict/list/str/num/bool/None)."""
-    out = _stdio.StringIO()
-    _dump(obj, out)
-    return out.getvalue()
+    """Deterministic JSON text of plain data: dict (str keys), list, tuple, str,
+    int, float, bool, None, numpy arrays and numbers; TypeError on anything else."""
+    out: list[str] = []
+    _encode(obj, out, False)
+    return "".join(out)
 
 
-def _dump(obj, out) -> None:
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isfinite(x):
-            out.write(fmt_float(x))
-        else:
-            out.write(json.dumps(fmt_float(x)))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if i:
-                out.write(",")
-            out.write(json.dumps(key, ensure_ascii=False))
-            out.write(":")
-            _dump(obj[key], out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.write("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, item in enumerate(seq):
-            if i:
-                out.write(",")
-            _dump(item, out)
-        out.write("]")
+def write_report(payload) -> str:
+    """canonical_json of a report: plain data plus dataclasses (objects of their
+    fields), sets (sorted) and non-str keys (str(k)), in the same one walk."""
+    out: list[str] = []
+    _encode(payload, out, True)
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring  # what json.dumps(s, ensure_ascii=False) calls
+_QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+_KEYS: dict[str, str] = {}  # key -> '"key":' for up to 4096 keys; depends on the key alone
+_FIELDS: dict[type, list[tuple[str, str]]] = {}  # dataclass -> [('"name":', name)], sorted
+# What any other value is read as, in this order; sets only in a report.
+_PLAIN = (((set, frozenset), sorted), (np.ndarray, lambda a: list(a.tolist())),
+          ((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
+          (dict, dict), ((list, tuple), list))
+
+
+def _float(x: float) -> str:
+    s = f"{x + 0.0:.17g}"  # fmt_float of a float
+    return _QUOTED.get(s, s)
+
+
+def _encode(obj, out: list[str], report: bool) -> None:
+    """Append the JSON text of obj to out; exact plain types are tried first."""
+    t = type(obj)
+    if t is float:
+        out.append(_float(obj))
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif t is list or t is tuple:
+        _encode_list(obj, out, report)
+    elif t is dict:
+        if report and not all(isinstance(k, str) for k in obj):
+            obj = {k if isinstance(k, str) else str(k): v for k, v in obj.items()}
+        _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out, report)
+    elif report and (t in _FIELDS or (dataclasses.is_dataclass(obj)
+                                       and not isinstance(obj, type))):
+        if t not in _FIELDS:
+            _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
+        _encode_object([(key, getattr(obj, name)) for key, name in _FIELDS[t]], out, True)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        for kinds, plain in _PLAIN[not report:]:
+            if isinstance(obj, kinds):
+                return _encode(plain(obj), out, report)
+        raise TypeError(f"cannot serialize {t.__name__}")
+
+
+def _key(k) -> str:
+    key = _KEYS.get(k)
+    if key is None:
+        if not isinstance(k, str):
+            raise TypeError(f"JSON object keys must be strings, got {k!r}")
+        key = _quote(k) + ":"
+        if len(_KEYS) < 4096:
+            _KEYS[k] = key
+    return key
+
+
+def _encode_object(items: list[tuple[str, object]], out: list[str], report: bool) -> None:
+    out.append("{")
+    for key, value in items:
+        out.append(key)
+        _encode(value, out, report)
+        out.append(",")
+    out[-1] = "}" if items else "{}"
+
+
+def _encode_list(seq, out: list[str], report: bool) -> None:
+    t = type(seq[0]) if seq else None
+    if t is float and all(type(x) is float for x in seq):
+        out.append("[" + ",".join(map(_float, seq)) + "]")
+    elif t is int and all(type(x) is int for x in seq):
+        out.append("[" + ",".join(map(str, seq)) + "]")
+    else:
+        out.append("[")
+        for x in seq:
+            _encode(x, out, report)
+            out.append(",")
+        out[-1] = "]" if seq else "[]"
 
 
 def to_jsonable(obj):
@@ -371,14 +418,17 @@ def _witness_entries(obj: dict):
                _num(_require(e, "kappa", p), f"{p}/kappa"))
 
 
+def _write_witness(head: dict, entries, fields: tuple[str, ...]) -> str:
+    """A witness document: each entry's lambda, kappa and those of ``fields``
+    that are not None."""
+    return canonical_json(dict(head, entries=[
+        {"lambda": e.lam, "kappa": e.kappa,
+         **{n: getattr(e, n) for n in fields if getattr(e, n) is not None}}
+        for e in entries]))
+
+
 def write_relation_witness(w: RelationWitness) -> str:
-    entries = []
-    for e in w.entries:
-        d = {"lambda": e.lam, "kappa": e.kappa, "C": e.C}
-        if e.h is not None:
-            d["h"] = e.h
-        entries.append(d)
-    return canonical_json({"kind": w.kind, "entries": entries})
+    return _write_witness({"kind": w.kind}, w.entries, ("C", "h"))
 
 
 def read_condition_witness(source) -> ConditionWitness:
@@ -405,17 +455,7 @@ def read_condition_witness(source) -> ConditionWitness:
 
 
 def write_condition_witness(w: ConditionWitness) -> str:
-    entries = []
-    for e in w.entries:
-        d = {"lambda": e.lam, "kappa": e.kappa}
-        for name in ("A", "B", "C", "H"):
-            v = getattr(e, name)
-            if v is not None:
-                d[name] = v
-        if e.pairs is not None:
-            d["pairs"] = [[C, B] for C, B in e.pairs]
-        entries.append(d)
-    return canonical_json({"condition": w.condition, "entries": entries})
+    return _write_witness({"condition": w.condition}, w.entries, ("A", "B", "C", "H", "pairs"))
 
 
 def _load_obj(source) -> dict:
@@ -431,8 +471,3 @@ def _load_obj(source) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError("/", "object", type(obj).__name__)
     return obj
-
-
-def write_report(payload) -> str:
-    """Canonical JSON for an arbitrary report structure (dataclasses allowed)."""
-    return canonical_json(to_jsonable(payload))

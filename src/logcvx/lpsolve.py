@@ -329,6 +329,15 @@ def solve(points, values, target, shell=None, start=None) -> LPSolution:
                       tuple(np.flatnonzero(out.tight[0]).tolist()))
 
 
+def _subsets(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset of the rows of P, and the (d+1) x k matrix [1; P_S^T] of each."""
+    combos = np.array(list(itertools.combinations(range(len(P)), k)))
+    Q = np.empty((len(combos), P.shape[1] + 1, k))
+    Q[:, 0, :] = 1.0
+    Q[:, 1:, :] = P[combos].transpose(0, 2, 1)
+    return combos, Q
+
+
 def brute_force_batch(points, values, targets) -> np.ndarray:
     """Lower convex envelope values at every row of ``targets`` by subset
     enumeration, +inf where a target lies outside the hull of the finite
@@ -339,9 +348,9 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
     inside the hull is the minimum of sum(lam_i * v_i) over convex
     combinations of at most d+1 points whose abscissae combine to the target.
     The (d+1)-point subsets and their determinants are computed once, and the
-    barycentric coordinates of every target are solved together; a target no
-    nondegenerate subset reaches falls back to smaller subsets by least
-    squares.
+    barycentric coordinates of every target are solved together.  Targets no
+    nondegenerate subset reaches fall back to subsets of 1..d+1 points and
+    their minimum-norm least-squares coordinates, again all targets at once.
 
     Meant for small instances (roughly <= 25 finite points) as an independent
     oracle for the LP route.
@@ -354,10 +363,7 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
     rhs = np.vstack([np.ones(len(targets)), np.asarray(targets, dtype=float).reshape(-1, d).T])
     best = np.full(rhs.shape[1], math.inf)
     if n >= d + 1:
-        combos = np.array(list(itertools.combinations(range(n), d + 1)))
-        M = np.empty((combos.shape[0], d + 1, d + 1))
-        M[:, 0, :] = 1.0
-        M[:, 1:, :] = P[combos].transpose(0, 2, 1)
+        combos, M = _subsets(P, d + 1)
         good = np.abs(np.linalg.det(M)) > 1e-8
         M, combos = M[good], combos[good]
         size = max(1, BLOCK_ENTRIES // ((d + 1) * max(len(best), 1)))
@@ -366,14 +372,20 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
             cand = np.where((lam >= -1e-12).all(axis=1),
                             (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
             best = np.minimum(best, cand.min(axis=0))
-    for t in np.flatnonzero(np.isinf(best)):
-        # degenerate point sets: fall back to smaller subsets via least squares
-        for size in range(1, min(n, d + 1) + 1):
-            for combo in itertools.combinations(range(n), size):
-                Q = np.vstack([np.ones(size), P[list(combo)].T])
-                lam, *_ = np.linalg.lstsq(Q, rhs[:, t], rcond=None)
-                if np.all(lam >= -1e-12) and np.allclose(Q @ lam, rhs[:, t], atol=1e-9):
-                    best[t] = min(best[t], float(lam @ v[list(combo)]))
+    miss = np.flatnonzero(np.isinf(best))
+    if miss.size:
+        R = rhs[:, miss]
+        for k in range(1, min(n, d + 1) + 1):
+            combos, Q = _subsets(P, k)
+            # the minimum-norm solution, singular values cut as lstsq's rcond=None does
+            Qinv = np.linalg.pinv(Q, rcond=np.finfo(float).eps * (d + 1))
+            size = max(1, BLOCK_ENTRIES // (k * miss.size))
+            for s in range(0, len(combos), size):
+                lam = Qinv[s:s + size] @ R
+                ok = ((lam >= -1e-12).all(axis=1)
+                      & np.isclose(Q[s:s + size] @ lam, R, atol=1e-9).all(axis=1))
+                cand = np.where(ok, (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
+                best[miss] = np.minimum(best[miss], cand.min(axis=0))
     return best
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP, MultiIndex, SequenceGrid, index_array, order_array,
-                   validate_grid)
+from .core import (EXP, LEVEL_REL_TOL, MultiIndex, SequenceGrid, index_array,
+                   order_array, validate_grid)
 from .errors import (BoxTooSmall, DimensionMismatch, GridValidationError,
                      LevelNotFound, NotNormalized, WitnessError)
 
@@ -102,12 +102,22 @@ class WeightMatrix:
 
     def level_index(self, lam: float) -> int:
         for i, x in enumerate(self.levels):
-            if abs(x - lam) <= 1e-12 * max(1.0, abs(x)):
+            if _same_level(x, lam):
                 return i
         raise LevelNotFound(f"level {lam!r} not in ladder {self.levels}")
 
     def log_flat(self, lam: float) -> np.ndarray:
         return self._logs[self.level_index(lam)]
+
+
+def _same_level(level: float, lam: float) -> bool:
+    return abs(level - lam) <= LEVEL_REL_TOL * max(1.0, abs(level))
+
+
+def _covers(levels, entries) -> bool:
+    """Whether every level matches the lam of some witness entry."""
+    seen = {e.lam for e in entries}
+    return all(any(_same_level(l, s) for s in seen) for l in levels)
 
 
 def _slack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -201,14 +211,12 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
         log_h = math.log(entry.h) if kind == TRIANGLE else None
         acc.feed(_relation_slacks(M, N, kind, entry.lam, entry.kappa,
                                   math.log(entry.C), log_h), rec)
-    required_lams = M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels
-    seen = {e.lam for e in witness.entries}
-    covers = all(any(abs(l - s) <= 1e-12 * max(1.0, abs(l)) for s in seen)
-                 for l in required_lams)
+    covers = _covers(M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels,
+                     witness.entries)
     if kind == TRIANGLE:
         pairs = {(e.lam, e.kappa) for e in witness.entries}
         covers = covers and all((l, k) in pairs for l in M.levels for k in N.levels)
-    return RelationReport(kind, bool(acc.max_slack <= SLACK_TOL), acc.max_slack,
+    return RelationReport(kind, acc.holds(), acc.max_slack,
                           acc.worst, acc.first, covers, acc.checked)
 
 
@@ -338,6 +346,10 @@ class _PairChecker:
                 j = int(bad[0])
                 self.first = make_record(j, float(slacks.flat[j]))
 
+    def holds(self) -> bool:
+        """Some inequality was checked and none fails beyond SLACK_TOL."""
+        return self.checked > 0 and self.max_slack <= SLACK_TOL
+
 
 def _check_pairwise(acc: _PairChecker, box, a_lhs_alpha: np.ndarray,
                     a_lhs_beta: np.ndarray, a_rhs: np.ndarray,
@@ -358,10 +370,8 @@ def _check_pairwise(acc: _PairChecker, box, a_lhs_alpha: np.ndarray,
         lhs = A_lhs.flat[i] + B_lhs[sub]
         rhs = const + alpha_coef * o_alpha + order_coef * (o_alpha + orders[sub]) + R[shifted]
         s = _slack(lhs, rhs)
-        alpha_t = tuple(int(c) for c in alpha)
-        sub_shape = s.shape
 
-        def rec(flat_j, slack, _a=alpha_t, _shape=sub_shape):
+        def rec(flat_j, slack, _a=tuple(int(c) for c in alpha), _shape=s.shape):
             beta = tuple(int(c) for c in np.unravel_index(flat_j, _shape))
             return SlackRecord(record_base["lam"], record_base["kappa"],
                                _a, beta=beta, C=record_base.get("C"),
@@ -377,23 +387,16 @@ def _check_shift(acc: _PairChecker, box, a_top: np.ndarray, a_bot: np.ndarray,
     T = a_top.reshape(shape)
     B = a_bot.reshape(shape)
     orders = order_array(box).reshape(shape)
-    d = len(box)
     for j, n in enumerate(box):
         if n < 1:
             continue
-        up = [slice(None)] * d
-        lo = [slice(None)] * d
-        up[j] = slice(1, n + 1)
-        lo[j] = slice(0, n)
-        lhs = T[tuple(up)]
-        rhs = logA * (orders[tuple(lo)] + 1.0) + B[tuple(lo)]
-        s = _slack(lhs, rhs)
-        sub_shape = s.shape
+        top, bot, o = (np.moveaxis(X, j, 0) for X in (T, B, orders))  # axis j first
+        s = np.moveaxis(_slack(top[1:], logA * (o[:-1] + 1.0) + bot[:-1]), 0, j)
 
-        def rec(flat_j, slack, _j=j, _shape=sub_shape):
-            alpha = list(np.unravel_index(flat_j, _shape))
-            return SlackRecord(record_base["lam"], record_base["kappa"],
-                               tuple(int(c) for c in alpha), axis=_j, slack=slack)
+        def rec(flat_j, slack, _j=j, _shape=s.shape):
+            alpha = tuple(int(c) for c in np.unravel_index(flat_j, _shape))
+            return SlackRecord(record_base["lam"], record_base["kappa"], alpha,
+                               axis=_j, slack=slack)
 
         acc.feed(s, rec)
 
@@ -408,7 +411,6 @@ def verify_condition(M: WeightMatrix, condition: str,
     roumieu_side = condition.endswith("R")
     acc = _PairChecker()
     half = _halfpower_log(M.box)
-    zeros = np.zeros_like(half)
 
     for e in witness.entries:
         M.level_index(e.lam), M.level_index(e.kappa)  # LevelNotFound early
@@ -427,40 +429,24 @@ def verify_condition(M: WeightMatrix, condition: str,
                 raise WitnessError("L12B entries need H > 0")
             if e.pairs and any(C <= 0 or Bc <= 0 for C, Bc in e.pairs):
                 raise WitnessError("L12B pairs must be positive")
-        a_lam = M.log_flat(e.lam)
-        a_kap = M.log_flat(e.kappa)
-        if condition == "L37R":
-            _check_pairwise(acc, M.box, a_lam, a_lam, a_kap,
-                            math.log(e.A), 0.0, 0.0,
-                            {"lam": e.lam, "kappa": e.kappa})
-        elif condition == "63B":
-            _check_pairwise(acc, M.box, a_kap, a_kap, a_lam,
-                            math.log(e.A), 0.0, 0.0,
-                            {"lam": e.lam, "kappa": e.kappa})
-        elif condition == "L21R":
-            _check_shift(acc, M.box, a_lam, a_kap, math.log(e.A),
-                         {"lam": e.lam, "kappa": e.kappa})
-        elif condition == "L21B":
-            _check_shift(acc, M.box, a_kap, a_lam, math.log(e.A),
-                         {"lam": e.lam, "kappa": e.kappa})
-        elif condition == "L12R":
-            _check_pairwise(acc, M.box, half, a_lam, a_kap,
-                            math.log(e.H), math.log(e.B), math.log(e.C),
-                            {"lam": e.lam, "kappa": e.kappa, "C": e.C, "H": e.H})
-        else:  # L12B
-            if not e.pairs:
+        # the Beurling side swaps the roles of the two levels
+        lo, hi = M.log_flat(e.lam), M.log_flat(e.kappa)
+        if not roumieu_side:
+            lo, hi = hi, lo
+        base = {"lam": e.lam, "kappa": e.kappa}
+        if condition in ("L37R", "63B"):
+            _check_pairwise(acc, M.box, lo, lo, hi, math.log(e.A), 0.0, 0.0, base)
+        elif condition in ("L21R", "L21B"):
+            _check_shift(acc, M.box, lo, hi, math.log(e.A), base)
+        else:  # L12R with its (C, B), L12B with each of its pairs
+            if condition == "L12B" and not e.pairs:
                 raise WitnessError("L12B entries need explicit (C, B) pairs")
-            for C, Bc in e.pairs:
-                _check_pairwise(acc, M.box, half, a_kap, a_lam,
-                                math.log(e.H), math.log(Bc), math.log(C),
-                                {"lam": e.lam, "kappa": e.kappa, "C": C, "H": e.H})
+            for C, Bc in e.pairs if condition == "L12B" else [(e.C, e.B)]:
+                _check_pairwise(acc, M.box, half, lo, hi, math.log(e.H), math.log(Bc),
+                                math.log(C), dict(base, C=C, H=e.H))
 
-    seen = {e.lam for e in witness.entries}
-    covers = all(any(abs(l - s) <= 1e-12 * max(1.0, abs(l)) for s in seen)
-                 for l in M.levels)
-    max_slack = acc.max_slack if acc.checked else -math.inf
-    return ConditionReport(condition, bool(max_slack <= SLACK_TOL), max_slack,
-                           acc.worst, acc.first, covers, acc.checked)
+    return ConditionReport(condition, acc.holds(), acc.max_slack, acc.worst,
+                           acc.first, _covers(M.levels, witness.entries), acc.checked)
 
 
 def _log_counterexample(alpha1: int, alpha2: int) -> float:

@@ -454,3 +454,105 @@ def test_matrix_bad_witness_file_is_a_parse_error(tmp_path, capsys):
                        "--kind", "roumieu", "--witness", str(wit))
     assert code == 3
     assert "parse error" in err
+
+
+def test_matrix_verify_relation_with_no_entries_does_not_hold(tmp_path, capsys):
+    mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps({"kind": "roumieu", "entries": []}))
+    code, out, _ = run(capsys, "matrix", "verify-relation", mf, mf,
+                       "--kind", "roumieu", "--witness", str(wit), "--json")
+    assert code == 0
+    res = read_report(out)["results"]
+    assert res["checked"] == 0
+    assert res["covers_all_levels"] is False
+    assert res["holds"] is False
+
+
+def test_matrix_verify_condition_with_no_entries_does_not_hold(tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    assert run(capsys, "gen", "l37r-counterexample", "--box", "4,4", "--out", str(mpath))[0] == 0
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps({"condition": "L37R", "entries": []}))
+    code, out, _ = run(capsys, "matrix", "verify-condition", str(mpath),
+                       "--cond", "L37R", "--witness", str(wit), "--json")
+    assert code == 0
+    res = read_report(out)["results"]
+    assert res["checked"] == 0
+    assert res["covers_all_levels"] is False
+    assert res["holds"] is False
+
+
+# ------------------------------------------------ output against two passes
+
+
+def _output_corpus(tmp_path):
+    """argv (without --json) of every command and minorant method."""
+    from logcvx import WeightMatrix, write_matrix
+    from logcvx.core import LOG, order_array
+    nc = tmp_path / "nc.json"
+    nc.write_text(write_grid(notconvex_grid((2, 2))))
+    holed = random_grid((3, 3), 5, scale=LOG).flat.copy()
+    holed[[5, 15]] = math.inf
+    hf = tmp_path / "holed.json"
+    hf.write_text(write_grid(SequenceGrid((3, 3), holed, LOG)))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"box": [3], "dim": 1, "scale": "log",
+                                "values": [0.0, 2.0, 1.0, 6.0]}))
+    larger = tmp_path / "larger.json"
+    larger.write_text(json.dumps({"box": [4], "dim": 1, "scale": "log",
+                                  "values": [0.0, 2.0, 1.0, 6.0, 2.0]}))
+    fact = fact_file(tmp_path)
+    orders = order_array((5, 5))
+    ladder = [WeightMatrix((1.0, 2.0), tuple(SequenceGrid((5, 5), np.exp(c * orders), "exp")
+                                             for c in (0.1 + lift, 0.4 + lift)))
+              for lift in (0.0, 0.15)]
+    mats = []
+    for name, m in zip(("m.json", "n.json"), ladder):
+        (tmp_path / name).write_text(write_matrix(m))
+        mats.append(str(tmp_path / name))
+    sq = write_fact_matrix(tmp_path, "sq.json", lambda p: math.factorial(p) ** 2)
+    mf = write_fact_matrix(tmp_path, "mf.json", math.factorial)
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"kind": "triangle", "entries": [
+        {"lambda": 1.0, "kappa": 1.0, "C": 2.0, "h": 0.5},
+        {"lambda": 2.0, "kappa": 2.0, "C": 1.0, "h": 0.25}]}))
+    cond = tmp_path / "cond.json"
+    cond.write_text(json.dumps({"condition": "L12B", "entries": [
+        {"lambda": 1.0, "kappa": 1.0, "H": 2.0, "pairs": [[1.0, 1.0], [2.0, 3.0]]}]}))
+    return [
+        ["minorant", str(hf)],
+        ["minorant", str(nc), "--method", "lp"],
+        ["minorant", str(line), "--method", "sweep"],
+        ["minorant", str(hf), "--method", "oracle"],
+        ["minorant", str(hf), "--method", "dual-grid"],
+        ["minorant", str(line), "--stability", str(larger)],
+        ["assoc", fact, "--t", "2", "--t-grid", "0.5,8,5", "--trace-k", "0.7"],
+        ["check", str(nc)],
+        ["check", str(hf)],
+        ["matrix", "verify-relation", *mats, "--kind", "triangle", "--witness", str(rel)],
+        ["matrix", "search-relation", *mats, "--kind", "triangle"],
+        ["matrix", "search-relation", sq, mf, "--kind", "roumieu"],
+        ["matrix", "verify-condition", mf, "--cond", "L12B", "--witness", str(cond)],
+        ["matrix", "counterexample", "--n-max", "6", "--box", "3,3"],
+    ]
+
+
+def test_output_matches_the_two_pass_walk_on_every_command(tmp_path, capsys, monkeypatch):
+    from logcvx import io
+    from test_io import _ref_to_jsonable, reference_write_report
+
+    def outputs():
+        texts = []
+        for argv in _output_corpus(tmp_path):
+            for flags in (["--json"], []):
+                code, out, _ = run(capsys, *argv, *flags)
+                assert code == 0, argv
+                texts.append([line for line in out.splitlines()
+                              if not line.startswith("duration:")])
+        return texts
+
+    ours = outputs()
+    monkeypatch.setattr(io, "write_report", reference_write_report)
+    monkeypatch.setattr(io, "to_jsonable", _ref_to_jsonable)
+    assert ours == outputs()

@@ -1,5 +1,10 @@
 """Canonical serialization: byte-stable JSON, 17-digit float round trips,
 CSV for one and two dimensions, matrices, witnesses, reports."""
+import collections
+import dataclasses
+import enum
+import io as stdio
+import json
 import math
 from dataclasses import dataclass
 
@@ -77,6 +82,215 @@ def test_report_round_trip_restores_specials_and_null():
     assert math.isnan(back["n"])
     with pytest.raises(SchemaError):
         read_report("{not json")
+
+
+# ------------------------------------- one-walk encoder against two passes
+# The reference is the two-pass walk the writers made before they shared one
+# encoder: to_jsonable into plain data, then _dump.  Kept as it was, so the
+# tests below pin the encoder's bytes to it.
+
+
+def _ref_dump(obj, out) -> None:
+    if obj is None:
+        out.write("null")
+    elif isinstance(obj, bool):
+        out.write("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            out.write(fmt_float(x))
+        else:
+            out.write(json.dumps(fmt_float(x)))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, dict):
+        out.write("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            if i:
+                out.write(",")
+            out.write(json.dumps(key, ensure_ascii=False))
+            out.write(":")
+            _ref_dump(obj[key], out)
+        out.write("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.write("[")
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        for i, item in enumerate(seq):
+            if i:
+                out.write(",")
+            _ref_dump(item, out)
+        out.write("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _ref_to_jsonable(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _ref_to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k) if not isinstance(k, str) else k: _ref_to_jsonable(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ref_to_jsonable(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_ref_to_jsonable(v) for v in sorted(obj)]
+    if isinstance(obj, np.ndarray):
+        return [_ref_to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
+def reference_canonical_json(obj) -> str:
+    out = stdio.StringIO()
+    _ref_dump(obj, out)
+    return out.getvalue()
+
+
+def reference_write_report(payload) -> str:
+    return reference_canonical_json(_ref_to_jsonable(payload))
+
+
+@dataclass
+class Leaf:
+    value: float
+    note: str | None = None
+
+
+@dataclass
+class Branch:
+    name: str
+    leaf: Leaf | None
+    leaves: tuple = ()
+    extra: dict | None = None
+
+
+class Tag(str):
+    def __str__(self):
+        return "not the text"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+Pair = collections.namedtuple("Pair", "lo hi")
+
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308,
+               0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1.5]
+TEXTS = ["", "plain", "é日本語", "\U0001F600", "\n\t\r\b\f", '"quoted"', "back\\slash",
+         "\x00\x01\x1f\x7f", "  ", "\ud800"]
+PLAIN_CASES = [
+    EDGE_FLOATS,
+    {"v": EDGE_FLOATS, "t": tuple(EDGE_FLOATS)},
+    *[[x] for x in EDGE_FLOATS],
+    *EDGE_FLOATS,
+    [np.float64(x) for x in EDGE_FLOATS],
+    [np.float32(x) for x in (math.inf, -0.0, 0.1, 1e-45, 3.4e38)],
+    [np.int64(-7), np.int64(2 ** 62), np.int32(5), np.uint8(255)],
+    np.float64(-0.0), np.int64(3),
+    np.array(EDGE_FLOATS), np.arange(6).reshape(2, 3), np.array([[1.5, -0.0], [math.nan, 2.0]]),
+    np.array([], dtype=float), np.array([True, False]),
+    [1, -2, 2 ** 70, True, False, None], [1, 2.5, "x"], [2.5, 1], [True, 1.0],
+    (), [], {}, [[], {}, [[]]], ((1, 2), (3.5,)),
+    TEXTS, {t: t for t in TEXTS},
+    {"b": {"d": [1, {"f": None}], "c": 2.0}, "a": "x"},
+    [Tag("t"), Level.LOW, np.str_("z"), Pair(1, 2.5)], {Tag("k"): Level.LOW},
+    collections.OrderedDict([("b", 1), ("a", 2)]), collections.defaultdict(list, {"x": [1]}),
+]
+REPORT_CASES = PLAIN_CASES + [
+    {1, 3, 2}, frozenset({"b", "a"}), {2.5, -1.0, math.inf}, [set(), frozenset()],
+    {(1, 2): "tuple", (0, 5): [1.0]}, {1: "a", 2: "b", 10: "c"},
+    {1: "int", "1": "str"}, {"1": "str", 1: "int"}, {None: 0, 2.5: 1, "k": 2},
+    Leaf(1.0), Leaf(-0.0, "é"),
+    Branch("b", None), Branch("b", Leaf(math.nan), (Leaf(5e-324, None), Leaf(1e308)),
+                               {"x": Leaf(math.inf), (1, 1): None}),
+    {"results": [Branch("n", Leaf(np.float64(2.0))), {"s": frozenset({3, 1})}],
+     "arr": np.array([[1, 2], [3, 4]]), "f": np.float32(0.5)},
+]
+
+
+@pytest.mark.parametrize("obj", PLAIN_CASES)
+def test_canonical_json_matches_the_two_pass_walk(obj):
+    assert canonical_json(obj) == reference_canonical_json(obj)
+
+
+@pytest.mark.parametrize("obj", REPORT_CASES)
+def test_write_report_matches_the_two_pass_walk(obj):
+    assert write_report(obj) == reference_write_report(obj)
+
+
+def test_encoder_keeps_the_float_rules():
+    assert canonical_json(EDGE_FLOATS[:7]) == \
+        '["inf","-inf","nan",0,0,4.9406564584124654e-324,1e+308]'
+    assert write_report({(1, 2): -0.0}) == '{"(1, 2)":0}'
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "non-string key"}, {(1, 2): 1.0}, {"a": 1, 2: "b"}, {"x": object()}, object(),
+    {1, 2}, frozenset(), Leaf(1.0), [Leaf(1.0)], Leaf, np.bool_(True), np.array(0.0),
+    np.array(2.5), b"bytes", 1j, {"x": [1, {2: 3}]},
+])
+def test_canonical_json_raises_type_error_where_the_two_pass_walk_did(obj):
+    with pytest.raises(TypeError):
+        reference_canonical_json(obj)
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), {"x": np.bool_(False)}, np.array(0.0), [b"b"], Leaf])
+def test_write_report_raises_type_error_where_the_two_pass_walk_did(obj):
+    with pytest.raises(TypeError):
+        reference_write_report(obj)
+    with pytest.raises(TypeError):
+        write_report(obj)
+
+
+def test_encoder_matches_the_two_pass_walk_on_random_payloads():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    numbers = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.integers(min_value=-2 ** 80, max_value=2 ** 80), st.booleans(), st.none(),
+        st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+        st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64))
+    leaves = st.one_of(numbers, st.text(max_size=6))
+    plain = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5), st.tuples(inner, inner),
+            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            st.lists(st.floats(), min_size=1, max_size=5).map(np.array)),
+        max_leaves=20)
+    report = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5), st.tuples(inner, inner),
+            st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-3, 3),
+                                      st.tuples(st.integers(0, 2), st.integers(0, 2))),
+                            inner, max_size=4),
+            st.frozensets(st.integers(-5, 5), max_size=4),
+            st.sets(st.text(max_size=3), max_size=3),
+            st.builds(Leaf, st.floats(), st.one_of(st.none(), st.text(max_size=3))),
+            st.builds(Branch, st.text(max_size=3), st.none(), st.lists(inner, max_size=3))),
+        max_leaves=20)
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(plain, report)
+    def check(p, r):
+        assert canonical_json(p) == reference_canonical_json(p)
+        assert write_report(p) == reference_write_report(p)
+        assert write_report(r) == reference_write_report(r)
+
+    check()
 
 
 # -------------------------------------------------------------- grid JSON

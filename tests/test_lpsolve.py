@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -303,3 +304,31 @@ def test_brute_force_batch_matches_single_targets():
         except TargetOutsideHull:
             assert v == INF
     assert np.isinf(values).any()
+
+
+def reference_fallback(P, a, targets):
+    """brute_force_batch's least-squares fallback as one lstsq per subset and
+    target: every target at which it finds a convex combination, and its value."""
+    keep = np.isfinite(a)
+    P, a = P[keep], a[keep]
+    n, d = P.shape
+    out = np.full(len(targets), INF)
+    for t, alpha in enumerate(np.asarray(targets, dtype=float)):
+        rhs = np.concatenate([[1.0], alpha])
+        for size in range(1, min(n, d + 1) + 1):
+            for combo in itertools.combinations(range(n), size):
+                Q = np.vstack([np.ones(size), P[list(combo)].T])
+                lam, *_ = np.linalg.lstsq(Q, rhs, rcond=None)
+                if np.all(lam >= -1e-12) and np.allclose(Q @ lam, rhs, atol=1e-9):
+                    out[t] = min(out[t], float(lam @ a[list(combo)]))
+    return out
+
+
+@pytest.mark.parametrize("box", [(4, 0), (0, 3), (3, 0, 2), (2, 2), (2, 1, 1)])
+def test_brute_force_fallback_matches_the_per_target_loop(box):
+    # zero extents leave every (d+1)-subset degenerate, so every value comes
+    # from the fallback; holes put targets outside the hull
+    for seed in range(3):
+        P, a = holed_lattice(box, seed, share=0.25)
+        np.testing.assert_allclose(lps.brute_force_batch(P, a, P), reference_fallback(P, a, P),
+                                   rtol=1e-12, atol=1e-12)
