@@ -129,15 +129,16 @@ class SGridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def _omega_grid(af: AssociatedFunction, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """omega(e^s) at every s in x^d and its boundary flags (see OmegaEval): off
-    the outer shell (some alpha_j = N_j) lies the sub-box [0, N_j - 1]^d, and a
-    box with a zero extent has none, so it is flagged everywhere."""
+def _omega_at(af: AssociatedFunction, x: np.ndarray, samples) -> tuple[np.ndarray, np.ndarray]:
+    """omega(e^s) at the rows of ``samples``, a (k, d) array of indices into
+    x, and its boundary flags (see OmegaEval): off the outer shell (some
+    alpha_j = N_j) lies the sub-box [0, N_j - 1]^d, and a box with a zero
+    extent has none, so it is flagged everywhere."""
     a = af._a.reshape(tuple(n + 1 for n in af.box))
-    om = conjugate.forward(x, a)
+    om = conjugate.forward_at(x, a, samples)
     if 0 in af.box:
         return om, np.ones(om.shape, dtype=bool)
-    oi = conjugate.forward(x, a[tuple(slice(0, n) for n in af.box)])
+    oi = conjugate.forward_at(x, a[tuple(slice(0, n) for n in af.box)], samples)
     return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
 
 
@@ -147,11 +148,12 @@ def _q3_all(af: AssociatedFunction, spec: SGridSpec) -> tuple[np.ndarray, np.nda
     The flag of an index is the omega boundary flag at its first maximising
     sample: if set, omega there is possibly underestimated by the truncation,
     so the sampled supremum is not certified from above by the box alone.
+    Omega is evaluated again at those samples only.
     """
     x = spec.axis_samples()
-    om, flags = _omega_grid(af, x)
-    vals, arg = conjugate.backward(x, om, af.box)
-    return vals.reshape(-1), flags.reshape(-1)[arg.reshape(-1)]
+    vals, arg = conjugate.biconjugate(x, af._a.reshape(tuple(n + 1 for n in af.box)))
+    samples = np.stack(np.unravel_index(arg.reshape(-1), (x.size,) * af.dim), axis=1)
+    return vals.reshape(-1), _omega_at(af, x, samples)[1]
 
 
 def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> tuple[float, bool]:

@@ -147,7 +147,7 @@ def cmd_minorant(args) -> int:
     else:  # dual-grid
         spec = envelope.KGridSpec.from_grid(work, step=args.k_step)
         ax = spec.axis_samples()
-        vals, _ = conjugate.backward(ax, conjugate.forward(ax, work.values), work.box)
+        vals, _ = conjugate.biconjugate(ax, work.values)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         results["k_grid"] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
         boundary = []

@@ -186,8 +186,8 @@ def validate_grid(g: SequenceGrid) -> list[Violation]:
             bad = np.flatnonzero(flat <= 0.0)
         for i in bad:
             alpha = tuple(idx[i].tolist())
-            if alpha == origin:
-                continue
+            if alpha == origin and not math.isfinite(v0):
+                continue  # already reported under origin_finite
             out.append(Violation(alpha, "lower_bound",
                                  f"non-positive entry {flat[i]!r} at {alpha} (exp scale)"))
     return out

@@ -126,10 +126,11 @@ def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
     (shape (n,) shared, or (T, n)), and the artificial columns e_i.  A point
     enters only when its reduced cost is below -``tol``; +inf costs never do.
     In phase 1 an artificial costs 1 and may enter, with tolerance FEAS_TOL;
-    otherwise it costs 0 and never enters.  Each target takes the column with
-    the most negative reduced cost relative to tol; after BLAND_AFTER
-    degenerate pivots in a row, Bland's smallest-index rule takes over for
-    that target for good, so no target can cycle.
+    otherwise it costs 0 and never enters.  A basic column never re-enters.
+    Each target takes the column with the most negative reduced cost relative
+    to tol; after BLAND_AFTER degenerate pivots in a row, Bland's
+    smallest-index rule takes over for that target for good, so no target
+    can cycle.
     """
     n, m = P.shape[0], basis.shape[1]
     if not len(basis):
@@ -143,6 +144,9 @@ def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
         score = (cost[..., :n] - _relative(P, alpha, y)) / tol
         if phase_one:
             score = np.concatenate([score, (1.0 - y) / FEAS_TOL], axis=1)
+        # a basic column prices at zero only up to rounding
+        rows, cols = np.nonzero(bas < score.shape[1])
+        score[rows, bas[rows, cols]] = math.inf
         j = score.argmin(axis=1)
         if degenerate.max(initial=0) >= BLAND_AFTER:
             bland = degenerate >= BLAND_AFTER

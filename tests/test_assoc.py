@@ -13,7 +13,7 @@ from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     omega, q3_supremum, q3_supremum_log, random_grid, to_exp,
                     trace_function)
 from logcvx import assoc
-from logcvx.assoc import _omega_grid
+from logcvx.assoc import _omega_at
 from logcvx.envelope import boundary_restriction
 
 FACT = factorial_grid(8)
@@ -79,13 +79,14 @@ def test_omega_grid_matches_pointwise_evaluation():
     af = AssociatedFunction(g)
     rng = SplitMix64(42)
     x = np.array([rng.uniform(-2.0, 6.0) for _ in range(8)])
-    vals, flags = _omega_grid(af, x)
-    assert vals.shape == flags.shape == (8, 8)
+    samples = list(np.ndindex(8, 8))  # omega at every sample of the 8 x 8 grid
+    vals, flags = _omega_at(af, x, samples)
+    assert vals.shape == flags.shape == (64,)
     assert flags.any() and not flags.all()
-    for s in np.ndindex(8, 8):
+    for s, v, flag in zip(samples, vals, flags):
         ev = af.evaluate(np.exp(x[list(s)]))
-        assert vals[s] == pytest.approx(ev.value, abs=1e-10)
-        assert flags[s] == ev.sup_on_boundary
+        assert v == pytest.approx(ev.value, abs=1e-10)
+        assert flag == ev.sup_on_boundary
 
 
 # ------------------------------------------------------------------ trace

@@ -232,6 +232,18 @@ def test_minorant_invalid_grid_lists_violations(tmp_path, capsys):
     assert "validation error" in err and "lower_bound" in err
 
 
+@pytest.mark.parametrize("command", ["minorant", "check"])
+@pytest.mark.parametrize("m0", [0.0, -1.0])
+def test_non_positive_exp_origin_lists_the_violation(tmp_path, capsys, command, m0):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"box": [2], "dim": 1, "scale": "exp", "values": [m0, 1.0, 2.0]}))
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert err.count("lower_bound") == 1 and "at (0,): lower_bound" in err
+    assert "cannot take log" not in err
+
+
 # ------------------------------------------------------------------ assoc
 
 

@@ -1,16 +1,19 @@
 """The per-axis conjugate kernel against a dense scan of every sample against
 every point, on random, convex, +inf-holed, 1-D, 3-D and zero-extent boxes;
-the sample cap; and the dual routes built on the kernel."""
+the blocked biconjugate and the q3 flags against the unblocked kernel they
+replace, bit for bit; the sample cap; and the dual routes built on the
+kernel."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from logcvx import (AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
-                    SequenceGrid, SplitMix64, convex_random_grid, dual_value,
-                    random_grid)
-from logcvx.assoc import TIE_REL_TOL, _omega_grid, _q3_all
-from logcvx.conjugate import MAX_SAMPLES, backward, check_samples, forward
+                    SequenceGrid, SplitMix64, conjugate, convex_random_grid,
+                    dual_value, random_grid)
+from logcvx.assoc import TIE_REL_TOL, _omega_at, _q3_all
+from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples, forward, forward_at
 from logcvx.core import index_array, outer_shell_mask
 
 
@@ -56,30 +59,146 @@ def close(got, want):
     return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def every_sample(m, d):
+    return np.stack(np.unravel_index(np.arange(m ** d), (m,) * d), axis=1)
+
+
 def test_kernel_matches_the_dense_scan():
     for g, m in corpus():
         af = AssociatedFunction(g)
         x = SGridSpec.from_grid(g, points=m).axis_samples()
         om, flags, q3, q3_flags = dense_q3(g.flat, g.box, x)
-        k_om, k_flags = _omega_grid(af, x)
+        k_om, k_flags = _omega_at(af, x, every_sample(m, g.dim))
         k_q3, k_q3_flags = _q3_all(af, SGridSpec.from_grid(g, points=m))
-        assert k_om.shape == (m,) * g.dim
-        assert close(k_om.reshape(-1), om), g.box
-        assert np.array_equal(k_flags.reshape(-1), flags), g.box
+        assert k_om.shape == k_flags.shape == (m ** g.dim,)
+        assert close(forward(x, g.values).reshape(-1), om), g.box
+        assert close(k_om, om), g.box
+        assert np.array_equal(k_flags, flags), g.box
         assert close(k_q3, q3), g.box
         assert np.array_equal(k_q3_flags, q3_flags), g.box
 
 
+# The unblocked kernel that ``biconjugate`` and ``_q3_all`` replace: one
+# forward pass over the m^d samples of the box, one over the sub-box for the
+# boundary flags, and one backward pass over all of them.
+
+
+def ref_forward(x, f):
+    F = -np.asarray(f, dtype=float)
+    for _ in range(f.ndim):
+        out = np.full(F.shape[1:] + (x.size,), -np.inf)
+        tmp = np.empty_like(out)
+        for b in range(F.shape[0]):
+            np.add(F[b][..., None], b * x, out=tmp)
+            np.maximum(out, tmp, out=out)
+        F = out
+    return F
+
+
+def ref_backward(x, A, box):
+    V, P = -A, None
+    for j in reversed(range(A.ndim)):
+        V = np.ascontiguousarray(np.moveaxis(V, j, -1))
+        P = None if P is None else np.ascontiguousarray(np.moveaxis(P, j, -1))
+        vals = np.empty(V.shape[:j] + (box[j] + 1,) + V.shape[j:-1])
+        args = np.empty(vals.shape, dtype=np.intp)
+        T = np.empty_like(V)
+        for c in range(box[j] + 1):
+            np.add(V, c * x, out=T)
+            i = T.argmax(axis=-1)[..., None]
+            at = (slice(None),) * j + (c,)
+            vals[at] = np.take_along_axis(T, i, -1)[..., 0]
+            args[at] = (i[..., 0] + x.size * np.arange(i.size).reshape(i.shape[:-1])
+                        if P is None else np.take_along_axis(P, i, -1)[..., 0])
+        V, P = vals, args
+    return V, P
+
+
+def ref_omega_grid(af, x):
+    a = af._a.reshape(tuple(n + 1 for n in af.box))
+    om = ref_forward(x, a)
+    if 0 in af.box:
+        return om, np.ones(om.shape, dtype=bool)
+    oi = ref_forward(x, a[tuple(slice(0, n) for n in af.box)])
+    return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
+
+
+def ref_q3_all(af, x):
+    om, flags = ref_omega_grid(af, x)
+    vals, arg = ref_backward(x, om, af.box)
+    return vals.reshape(-1), flags.reshape(-1)[arg.reshape(-1)]
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def identity_corpus(wide=True):
+    yield from corpus()
+    yield holed((3, 3, 3), 2), 50
+    yield convex_random_grid((2, 4, 3), seed=3), 50
+    yield random_grid((3, 0, 2), seed=4), 50
+    if wide:  # the benchmark's sampling, too slow in blocks of one row
+        yield random_grid((5,), seed=1), 600
+        yield convex_random_grid((6, 6), seed=5), 600
+
+
+def assert_kernel_is_the_reference(wide=True):
+    for g, m in identity_corpus(wide):
+        af = AssociatedFunction(g)
+        spec = SGridSpec.from_grid(g, points=m)
+        x = spec.axis_samples()
+        vals, arg = biconjugate(x, g.values)
+        want_vals, want_arg = ref_backward(x, ref_forward(x, g.values), g.box)
+        assert same_bits(vals, want_vals) and np.array_equal(arg, want_arg), g.box
+        q3, flags = _q3_all(af, spec)
+        want_q3, want_flags = ref_q3_all(af, x)
+        assert same_bits(q3, want_q3) and np.array_equal(flags, want_flags), g.box
+
+
+def test_biconjugate_and_q3_are_the_unblocked_kernel_bit_for_bit():
+    assert_kernel_is_the_reference()
+
+
+@pytest.mark.parametrize("block", [300, 700])
+def test_small_blocks_give_the_same_bits(monkeypatch, block):
+    # 6 to 28 rows of 25 to 50 samples per block, most with a ragged last block
+    monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", block)
+    assert_kernel_is_the_reference(wide=False)
+
+
+def test_forward_at_is_forward_at_every_sample():
+    for g, m in identity_corpus():
+        if m ** g.dim > 40_000:
+            continue
+        x = SGridSpec.from_grid(g, points=m).axis_samples()
+        at = forward_at(x, g.values, every_sample(m, g.dim))
+        assert same_bits(at, forward(x, g.values).reshape(-1)), g.box
+        assert same_bits(forward(x, g.values), ref_forward(x, g.values)), g.box
+
+
+def test_q3_holds_no_sample_grid_in_memory():
+    g = convex_random_grid((6, 6), seed=11)
+    af, spec = AssociatedFunction(g), SGridSpec.from_grid(g, points=600)
+    tracemalloc.start()
+    try:
+        _q3_all(af, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one 600**2 float array is 2.75 MiB
+
+
 def test_backward_returns_the_first_maximising_sample():
     x = np.linspace(-1.0, 1.0, 5)
-    A = np.zeros((5, 5))  # every sample ties at alpha = 0
-    vals, arg = backward(x, A, (1, 1))
-    assert vals[0, 0] == 0.0 and arg[0, 0] == 0
+    f = np.array([[0.0, math.inf], [math.inf, math.inf]])  # A(s) = 0 at every sample
+    vals, arg = biconjugate(x, f)
+    assert vals[0, 0] == 0.0 and arg[0, 0] == 0  # every sample ties
     # at alpha = (1, 0) every sample with s_0 = 1 ties; the first has s_1 = -1
     assert vals[1, 0] == 1.0 and arg[1, 0] == 4 * 5 + 0
     for alpha in [(0, 1), (1, 1)]:
-        s = np.unravel_index(arg[alpha], A.shape)
-        assert vals[alpha] == pytest.approx(float(np.dot(alpha, x[list(s)])) - A[s])
+        s = np.unravel_index(arg[alpha], (5, 5))
+        assert vals[alpha] == pytest.approx(float(np.dot(alpha, x[list(s)])))
 
 
 def test_forward_with_infinite_data_imposes_nothing():

@@ -100,6 +100,14 @@ def test_validate_lower_bound():
     assert all(v.rule == "lower_bound" for v in out)
 
 
+def test_validate_non_positive_exp_origin_once():
+    for m0 in [0.0, -1.0]:
+        out = validate_grid(SequenceGrid((2,), [m0, 1.0, 2.0], EXP))
+        assert [(v.index, v.rule) for v in out] == [((0,), "lower_bound")]
+    out = validate_grid(SequenceGrid((2,), [-INF, 1.0, 2.0], EXP))
+    assert [(v.index, v.rule) for v in out] == [((0,), "origin_finite")]
+
+
 def test_plus_inf_interior_is_legal():
     assert validate_grid(SequenceGrid((2,), [0, INF, 6], LOG)) == []
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import logcvx.lpsolve as lps
-from logcvx.core import index_array, outer_shell_mask
-from logcvx.envelope import _start_bases
+from logcvx.core import LOG, SequenceGrid, index_array, outer_shell_mask
+from logcvx.envelope import _start_bases, minorant_lp
 from logcvx.errors import NumericBreakdown, TargetOutsideHull
-from logcvx.generators import SplitMix64, random_grid
+from logcvx.generators import SplitMix64, convex_random_grid, random_grid
 
 INF = math.inf
 
@@ -292,6 +292,16 @@ def test_bland_rule_ends_a_cycle(monkeypatch):
     monkeypatch.setattr(lps, "BLAND_AFTER", 10**9)
     with pytest.raises(NumericBreakdown, match="no convergence"):
         lps.solve(P, a, P[i], shell, start=start)
+
+
+def test_a_basic_column_never_reenters():
+    # scaled by 1e6, a basic column prices below -RED_TOL * scale by rounding
+    # alone; pivoting it in for itself changed nothing, so the targets cycled
+    # until NumericBreakdown after 2,950 pivots
+    g = convex_random_grid((5, 5), 0)
+    big = SequenceGrid(g.box, g.flat * 1e6, LOG)
+    res = minorant_lp(big)  # convex data: the minorant is the data
+    assert np.allclose(res.minorant.flat, big.flat, rtol=1e-12, atol=1e-7)
 
 
 def test_brute_force_batch_matches_single_targets():
