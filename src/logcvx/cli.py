@@ -10,6 +10,7 @@ breakdown inside a solver.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -327,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute on an enclosing grid and compare")
     m.add_argument("--k-step", type=float, default=0.25)
     m.add_argument("--json", action="store_true")
-    m.set_defaults(func=cmd_minorant)
 
     a = sub.add_parser("assoc", help="weight function omega and its trace")
     a.add_argument("input")
@@ -337,14 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate omega at N geometric points on the diagonal")
     a.add_argument("--trace-k", metavar="K1,...,KD", default=None)
     a.add_argument("--json", action="store_true")
-    a.set_defaults(func=cmd_assoc)
 
     c = sub.add_parser("check", help="log-convexity and regularity report")
     c.add_argument("input")
     c.add_argument("--s-points", type=int, default=None,
                    help="sample count per axis for the supremum scan")
     c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_check)
 
     mx = sub.add_parser("matrix", help="weight-matrix relations and conditions")
     mxsub = mx.add_subparsers(dest="matrix_cmd", required=True)
@@ -354,26 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--kind", choices=matrices.RELATION_KINDS, required=True)
     vr.add_argument("--witness", required=True)
     vr.add_argument("--json", action="store_true")
-    vr.set_defaults(func=cmd_matrix)
     sr = mxsub.add_parser("search-relation")
     sr.add_argument("M")
     sr.add_argument("N")
     sr.add_argument("--kind", choices=matrices.RELATION_KINDS, required=True)
     sr.add_argument("--json", action="store_true")
-    sr.set_defaults(func=cmd_matrix)
     vc = mxsub.add_parser("verify-condition")
     vc.add_argument("M")
     vc.add_argument("--cond", choices=matrices.CONDITIONS, required=True)
     vc.add_argument("--witness", required=True)
     vc.add_argument("--json", action="store_true")
-    vc.set_defaults(func=cmd_matrix)
     ce = mxsub.add_parser("counterexample")
     ce.add_argument("--n-max", type=int, default=10)
     ce.add_argument("--box", default=None,
                     help="also build the matrix on this box (e.g. 12,12)")
     ce.add_argument("--out", default=None)
     ce.add_argument("--json", action="store_true")
-    ce.set_defaults(func=cmd_matrix)
 
     gn = sub.add_parser("gen", help="write example grids and matrices")
     gn.add_argument("kind", choices=("notconvex", "factorial", "random",
@@ -389,17 +383,22 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--format", choices=("json", "csv"), default="json")
     gn.add_argument("--out", default=None)
     gn.add_argument("--json", action="store_true")
-    gn.set_defaults(func=cmd_gen)
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._echo = argv
     try:
-        return args.func(args)
+        # looked up by name at each call, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.cmd}"](args)
     except SchemaError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return _EXIT_PARSE

@@ -160,7 +160,16 @@ class Violation:
 
 
 def validate_grid(g: SequenceGrid) -> list[Violation]:
-    """Check the data-model rules; returns one violation per offending entry."""
+    """Check the data-model rules; returns one violation per offending entry.
+
+    A grid is immutable, so the violations are found once and kept on it; each
+    call returns a fresh list of them."""
+    if "_violations" not in g.__dict__:
+        object.__setattr__(g, "_violations", tuple(_violations(g)))
+    return list(g._violations)
+
+
+def _violations(g: SequenceGrid) -> list[Violation]:
     out: list[Violation] = []
     origin = (0,) * g.dim
     v0 = g.value(origin)

@@ -234,7 +234,8 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     Nothing from the solver is trusted.  With the tolerance FEAS_TOL of
     :mod:`lpsolve` relative to max(1, |a_beta|), for all planes at once:
     the value is +inf exactly where the certificate is None; each plane lies
-    under every finite data point and meets the value at its own alpha;
+    under every finite data point (relative also to the plane's terms
+    |h| + sum_j |k_j| (alpha_j + beta_j) there) and meets the value at its own alpha;
     ``touching`` is exactly the set of finite points tight at the plane;
     ``contact_set`` is the finite indices whose value meets the data within
     CONTACT_TOL; ``boundary_affected`` is the indices without a certificate
@@ -249,11 +250,18 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     finite = np.isfinite(a)
     has = np.array([result.certificates[t] is not None for t in targets])
     planes = [result.certificates[t] or SupportPlane((0.0,) * g.dim, 0.0, ()) for t in targets]
-    V = np.repeat(np.array([pl.h for pl in planes])[:, None], n, axis=1)
+    h = np.array([pl.h for pl in planes])
+    K = np.array([pl.k for pl in planes])
+    V = np.repeat(h[:, None], n, axis=1)
     for j in range(g.dim):
-        V += np.array([pl.k[j] for pl in planes])[:, None] * P[None, :, j]
+        V += K[:, j, None] * P[None, :, j]
     gap = a[None, :] - V
-    tol = lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
+    size = np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
+    tol = lpsolve.FEAS_TOL * size
+    # the plane's value at beta is h + <k, beta> with h = y_0 - <k, alpha>, whose
+    # rounding grows with |h| + sum_j |k_j| (alpha_j + beta_j), not with |a_beta|
+    terms = (np.abs(h) + (np.abs(K) * P).sum(axis=1))[:, None] + np.abs(K) @ P.T
+    above = gap < -lpsolve.FEAS_TOL * np.maximum(size, terms)
 
     def listed(alphas):
         return np.isin(np.arange(n), [np.ravel_multi_index(b, g.values.shape) for b in alphas])
@@ -265,7 +273,7 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
                     <= lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(values)))
     checks = [
         (has != np.isposinf(values), "the value is +inf with a certificate, or finite without"),
-        (~has | ~(gap < -tol).any(axis=1), "the plane rises above the data"),
+        (~has | ~above.any(axis=1), "the plane rises above the data"),
         (~has | at_alpha, "the plane misses the value"),
         ((touching == ((np.abs(gap) <= tol) & finite & has[:, None])).all(axis=1),
          "the touching set is not the tight set"),

@@ -10,7 +10,11 @@ serializes to identical bytes:
 
 One encoder, a single recursive walk appending strings to a list, writes it:
 canonical_json for plain data, write_report for reports (dataclasses, sets and
-non-str keys too).  to_jsonable gives the human CLI output its plain data.
+non-str keys too).  A report's list or tuple of dataclasses of one type is
+written row by row from one cached template per type (its sorted '"key":'
+prefixes, values fetched by one attrgetter, floats memoised per call); a row
+holding any value that is not a plain float, int, str, bool or None takes the
+generic walk.  to_jsonable gives the human CLI output its plain data.
 
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
@@ -27,6 +31,7 @@ import csv
 import dataclasses
 import json
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -65,10 +70,14 @@ _quote = json.encoder.encode_basestring  # what json.dumps(s, ensure_ascii=False
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 _KEYS: dict[str, str] = {}  # key -> '"key":' for up to 4096 keys; depends on the key alone
 _FIELDS: dict[type, list[tuple[str, str]]] = {}  # dataclass -> [('"name":', name)], sorted
+_ROWS: dict[type, tuple] = {}  # dataclass -> ('{"a":%s,"b":%s}', getter of (a, b))
 # What any other value is read as, in this order; sets only in a report.
 _PLAIN = (((set, frozenset), sorted), (np.ndarray, lambda a: list(a.tolist())),
           ((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
           (dict, dict), ((list, tuple), list))
+# How _rows writes each plain value but a float.
+_CELLS = {str: _quote, int: str, bool: {True: "true", False: "false"}.__getitem__,
+          type(None): lambda _: "null"}
 
 
 def _float(x: float) -> str:
@@ -97,14 +106,18 @@ def _encode(obj, out: list[str], report: bool) -> None:
         _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out, report)
     elif report and (t in _FIELDS or (dataclasses.is_dataclass(obj)
                                        and not isinstance(obj, type))):
-        if t not in _FIELDS:
-            _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
-        _encode_object([(key, getattr(obj, name)) for key, name in _FIELDS[t]], out, True)
+        _encode_object([(key, getattr(obj, name)) for key, name in _fields(t)], out, True)
     else:
         for kinds, plain in _PLAIN[not report:]:
             if isinstance(obj, kinds):
                 return _encode(plain(obj), out, report)
         raise TypeError(f"cannot serialize {t.__name__}")
+
+
+def _fields(t: type) -> list[tuple[str, str]]:
+    if t not in _FIELDS:
+        _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
+    return _FIELDS[t]
 
 
 def _key(k) -> str:
@@ -133,12 +146,42 @@ def _encode_list(seq, out: list[str], report: bool) -> None:
         out.append("[" + ",".join(map(_float, seq)) + "]")
     elif t is int and all(type(x) is int for x in seq):
         out.append("[" + ",".join(map(str, seq)) + "]")
+    elif report and dataclasses.is_dataclass(t) and all(type(x) is t for x in seq):
+        out.append("[" + ",".join(_rows(seq, t)) + "]")
     else:
         out.append("[")
         for x in seq:
             _encode(x, out, report)
             out.append(",")
         out[-1] = "]" if seq else "[]"
+
+
+def _rows(seq, t: type) -> list[str]:
+    """The JSON object of each dataclass in seq, all of type t."""
+    if t not in _ROWS:
+        names = [n for _, n in _fields(t)]
+        get = (attrgetter(*names) if len(names) > 1
+               else lambda o: tuple(getattr(o, n) for n in names))
+        _ROWS[t] = ("{" + ",".join(k + "%s" for k, _ in _fields(t)) + "}", get)
+    template, get = _ROWS[t]
+    memo: dict[float, str] = {}
+    texts = []
+    for obj in seq:
+        cells = []
+        for v in get(obj):
+            c = type(v)
+            if c is float:
+                cells.append(memo.get(v) or memo.setdefault(v, _float(v)))
+            elif c in _CELLS:
+                cells.append(_CELLS[c](v))
+            else:  # not plain: the generic walk writes this row
+                row: list[str] = []
+                _encode(obj, row, True)
+                texts.append("".join(row))
+                break
+        else:
+            texts.append(template % tuple(cells))
+    return texts
 
 
 def to_jsonable(obj):

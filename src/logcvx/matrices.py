@@ -122,9 +122,13 @@ def _covers(levels, entries) -> bool:
 
 def _slack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """lhs - rhs in log scale with +inf conventions: an infinite rhs satisfies
-    anything, an infinite lhs against finite rhs violates everything."""
+    anything, an infinite lhs against finite rhs violates everything.  The
+    masks change only NaN entries of lhs - rhs (+inf - +inf, a NaN operand), so
+    without a NaN, as on finite ladders, lhs - rhs is returned unmasked."""
     with np.errstate(invalid="ignore"):
         s = np.asarray(lhs - rhs, dtype=float)
+    if not np.isnan(s).any():
+        return s
     s = np.where(np.isposinf(rhs), -math.inf, s)
     s = np.where(np.isposinf(lhs) & ~np.isposinf(rhs), math.inf, s)
     return s

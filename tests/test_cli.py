@@ -568,3 +568,89 @@ def test_output_matches_the_two_pass_walk_on_every_command(tmp_path, capsys, mon
     monkeypatch.setattr(io, "write_report", reference_write_report)
     monkeypatch.setattr(io, "to_jsonable", _ref_to_jsonable)
     assert ours == outputs()
+
+
+def test_search_relation_json_matches_the_two_pass_walk_for_every_kind(tmp_path, capsys,
+                                                                       monkeypatch):
+    from logcvx import WeightMatrix, io, write_matrix
+    from logcvx.core import order_array
+    from test_io import reference_write_report
+    orders = order_array((4, 4))
+    paths = []
+    for name, lift, hole in (("m.json", 0.0, None), ("n.json", 0.15, None),
+                             ("mh.json", 0.0, 7), ("nh.json", 0.15, 7)):
+        grids = []
+        for c in (0.1 + lift, 0.4 + lift):
+            flat = np.exp(c * orders)
+            if hole is not None:
+                flat[[hole, 24]] = math.inf
+            grids.append(SequenceGrid((4, 4), flat, "exp"))
+        (tmp_path / name).write_text(write_matrix(WeightMatrix((1.0, 2.0), tuple(grids))))
+        paths.append(str(tmp_path / name))
+    m, n, mh, nh = paths
+    argvs = [["matrix", "search-relation", a, b, "--kind", kind, "--json"]
+             for kind in ("roumieu", "beurling", "triangle")
+             for a, b in ((m, n), (mh, nh), (m, nh), (nh, mh))]
+
+    def outputs():
+        return [run(capsys, *argv)[:2] for argv in argvs]
+
+    ours = outputs()
+    assert all(code == 0 for code, _ in ours)
+    assert any('"h":null' in out for _, out in ours)
+    monkeypatch.setattr(io, "write_report", reference_write_report)
+    assert ours == outputs()
+
+
+# ------------------------------------------------------ one parser per process
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    from logcvx import cli
+    fact = fact_file(tmp_path)
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"box": [3], "dim": 1, "scale": "log",
+                                "values": [0.0, 2.0, 1.0, 6.0]}))
+    calls = [["assoc", fact, "--t", "2", "--t", "3", "--json"],
+             ["assoc", fact, "--t", "4"],
+             ["minorant", str(line), "--method", "sweep", "--json"],
+             ["minorant", str(line)],
+             ["assoc", fact, "--trace-k", "0.7", "--json"]]
+
+    def text(out):
+        return [line for line in out.splitlines() if not line.startswith("duration:")]
+
+    in_a_row = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().currsize == 1
+    for argv, (code, out, err) in zip(calls, in_a_row):
+        cli._parser.cache_clear()
+        alone_code, alone_out, alone_err = run(capsys, *argv)
+        assert (code, text(out), err) == (alone_code, text(alone_out), alone_err)
+    assert len(read_report(in_a_row[0][1])["results"]["omega"]) == 2
+    assert "omega:" in in_a_row[1][1] and "t: [4.0]" in in_a_row[1][1]
+    assert read_report(in_a_row[2][1])["results"]["method"] == "sweep"
+    assert "method: lp" in in_a_row[3][1]
+    assert "omega" not in read_report(in_a_row[4][1])["results"]
+    args = cli._parser().parse_args(["assoc", fact, "--t", "5"])
+    assert (args.t, args.json, args.trace_k) == (["5"], False, None)
+
+
+def test_a_usage_error_exits_2_on_every_call(tmp_path, capsys):
+    fact = fact_file(tmp_path)
+    for argv in (["check"], ["minorant", fact, "--method", "simplex"], ["nonsense"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+    assert run(capsys, "check", fact, "--json")[0] == 0
+
+
+def test_main_runs_a_replaced_command(tmp_path, capsys, monkeypatch):
+    from logcvx import cli
+    fact = fact_file(tmp_path)
+    assert run(capsys, "check", fact)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.input) or 7)
+    assert main(["check", fact]) == 7
+    assert seen == [fact]

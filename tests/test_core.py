@@ -108,6 +108,19 @@ def test_validate_non_positive_exp_origin_once():
     assert [(v.index, v.rule) for v in out] == [((0,), "origin_finite")]
 
 
+def test_validate_finds_the_violations_once_and_hands_out_copies():
+    g = SequenceGrid((3,), [INF, -INF, math.nan, 1.0], LOG)
+    first = validate_grid(g)
+    assert [v.rule for v in first] == ["origin_finite", "complete", "lower_bound"]
+    first.clear()
+    second = validate_grid(g)
+    assert second == validate_grid(g) and second is not validate_grid(g)
+    assert [v.rule for v in second] == ["origin_finite", "complete", "lower_bound"]
+    clean = SequenceGrid((2,), [0, 1, 6], LOG)
+    validate_grid(clean).append("not a violation")
+    assert validate_grid(clean) == []
+
+
 def test_plus_inf_interior_is_legal():
     assert validate_grid(SequenceGrid((2,), [0, INF, 6], LOG)) == []
 

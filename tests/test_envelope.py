@@ -285,6 +285,28 @@ def test_audit_catches_corrupted_results():
     assert any("misses the value" in f for f in audit_minorant(g, replace(res, minorant=lowered)))
 
 
+SCALED = SequenceGrid((5, 5), convex_random_grid((5, 5), 0).flat * 1e6, LOG)
+
+
+def test_audit_passes_at_large_scale():
+    # h = y_0 - <k, alpha> cancels terms near 2.5e7 at (0, 5), so the plane may
+    # stand 7.45e-9 above a_0 = 0 by rounding alone; a tolerance relative to
+    # |a_0| only rejected the correct minorant
+    res = minorant_lp(SCALED)
+    assert np.allclose(res.minorant.flat, SCALED.flat, rtol=1e-12, atol=1e-7)
+    assert audit_minorant(SCALED, res) == ()
+
+
+def test_audit_rejects_a_plane_lifted_by_1e_6_relative_at_large_scale():
+    res = minorant_lp(SCALED)
+    lift = 1e-6 * np.abs(SCALED.flat).max()
+    for alpha in [(0, 5), (2, 3), (5, 5)]:
+        certs = dict(res.certificates)
+        certs[alpha] = replace(certs[alpha], h=certs[alpha].h + lift)
+        failures = audit_minorant(SCALED, replace(res, certificates=certs))
+        assert f"the plane rises above the data, at {alpha}" in failures
+
+
 def test_minorant_lp_rejects_invalid_grids():
     bad = SequenceGrid((2,), [0.0, math.nan, 1.0], LOG)
     with pytest.raises(GridValidationError):

@@ -293,6 +293,68 @@ def test_encoder_matches_the_two_pass_walk_on_random_payloads():
     check()
 
 
+# ------------------------------------------- rows of one dataclass type
+
+
+@dataclass(frozen=True)
+class Row:
+    lam: float
+    kappa: object
+    C: object = 1.0
+    h: object = None
+    note: object = "x"
+
+
+@dataclass
+class Single:
+    only: object
+
+
+@dataclass
+class Empty:
+    pass
+
+
+ROW_VALUES = EDGE_FLOATS + [None, 0, -3, 2 ** 70, True, False, "", "é\n\"", Tag("t"),
+                            np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
+                            np.int64(7), [1.0, [None, math.inf]], (2, -0.0), {"k": [1]},
+                            frozenset({2, 1}), Leaf(math.nan), np.array([1.5, -0.0])]
+
+
+def row_cases():
+    rows = [Row(x, y, C=z) for x, y, z in zip(EDGE_FLOATS, EDGE_FLOATS[::-1], ROW_VALUES)]
+    rows += [Row(1.0, v, h=v, note=w) for v, w in zip(ROW_VALUES, ROW_VALUES[::-1])]
+    plain = [Row(0.5, 2.0, 1e6, h, -0.0) for h in (None, 0.25, math.inf, 5e-324)]
+    return [rows, tuple(rows), plain, tuple(plain), rows[:1], [Single(x) for x in ROW_VALUES],
+            [Empty(), Empty()], {"table": rows, "nested": [plain, (rows[3],)]}]
+
+
+@pytest.mark.parametrize("obj", row_cases())
+def test_rows_of_one_dataclass_type_match_the_two_pass_walk(obj):
+    assert write_report(obj) == reference_write_report(obj)
+
+
+def test_rows_of_one_dataclass_type_take_the_row_path():
+    from logcvx import io
+    for obj in row_cases():
+        write_report(obj)
+    assert {Row, Single, Empty} <= set(io._ROWS)
+
+
+@pytest.mark.parametrize("obj", [
+    [Row(1.0, 2.0), Leaf(1.0)], (Leaf(-0.0), Row(math.nan, None), Leaf(2.0)),
+    [Row(1.0, 2.0), 1.0], [Row(1.0, 2.0), None, Row(1.0, 3.0)], [Single(1), Empty()], [],
+    (), [[]], {"table": []},
+])
+def test_rows_of_mixed_types_or_none_fall_back_to_the_walk(obj):
+    assert write_report(obj) == reference_write_report(obj)
+
+
+def test_rows_are_no_report_data():
+    with pytest.raises(TypeError):
+        canonical_json([Row(1.0, 2.0), Row(3.0, 4.0)])
+
+
 # -------------------------------------------------------------- grid JSON
 
 

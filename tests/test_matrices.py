@@ -88,6 +88,31 @@ def test_slack_infinity_conventions():
     assert s[3] == -math.inf
 
 
+def masked_slack(lhs, rhs):
+    """_slack with both +inf masks applied always."""
+    with np.errstate(invalid="ignore"):
+        s = np.asarray(lhs - rhs, dtype=float)
+    s = np.where(np.isposinf(rhs), -math.inf, s)
+    return np.where(np.isposinf(lhs) & ~np.isposinf(rhs), math.inf, s)
+
+
+SPECIALS = np.array([-math.inf, -1.5, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan])
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (SPECIALS[:, None], SPECIALS[None, :]),          # every pair of specials
+    (SPECIALS[1:6, None], SPECIALS[None, 1:6]),      # finite: the masks are skipped
+    (np.array([0.0, math.inf, 1.0]), np.array([[0.5, 1.0, -math.inf], [2.0, math.inf, 3.0]])),
+    (np.array([[math.nan, 1.0], [math.inf, -math.inf]]), np.array([-math.inf, math.inf])),
+    (np.array([1.0, 2.0]), np.array([math.inf, 3.0])),  # -inf slack without a NaN
+    (np.array([math.inf, 2.0]), np.array([-math.inf, 3.0])),
+])
+def test_slack_is_bit_identical_to_the_masked_form(lhs, rhs):
+    fast, masked = _slack(lhs, rhs), masked_slack(lhs, rhs)
+    assert fast.shape == masked.shape
+    assert np.array_equal(fast.view(np.int64), masked.view(np.int64))
+
+
 # -------------------------------------------------------------- relations
 
 
@@ -222,7 +247,7 @@ def reference_search(M, N, kind):
                     else:
                         lhs = M.log_flat(lam)
                         rhs = math.log(C) + orders * math.log(h) + N.log_flat(kappa)
-                    s = float(_slack(lhs, rhs).max())
+                    s = float(masked_slack(lhs, rhs).max())
                     table.append(CandidateSlack(lam, kappa, C, h, s))
                     if s <= 1e-9 and first is None:
                         first = RelationEntry(lam, kappa, C, h)
@@ -273,6 +298,34 @@ def test_search_matches_the_per_candidate_scan(kind, M, N, found):
     assert write_report(out.witness) == write_report(witness)
     assert (out.witness is not None) == found
     assert any(c.max_slack <= 1e-9 for c in table)
+
+
+def with_holes(M, holes):
+    """M with +inf from each level up at the flat indices holes[i] of level i."""
+    grids, cut = [], []
+    for g, extra in zip(M.grids, holes):
+        cut += extra
+        flat = g.flat.copy()
+        flat[cut] = math.inf
+        grids.append(SequenceGrid(g.box, flat, EXP))
+    return WeightMatrix(M.levels, tuple(grids))
+
+
+HOLED_LOW = with_holes(LOW, ([24], [7, 18], [23]))
+HOLED_HIGH = with_holes(HIGH, ([], [24, 3], [12]))
+
+
+@pytest.mark.parametrize("kind, M, N", [
+    ("roumieu", HOLED_LOW, HOLED_LOW), ("roumieu", HOLED_LOW, HOLED_HIGH),
+    ("roumieu", LOW, HOLED_HIGH), ("beurling", HOLED_HIGH, HOLED_LOW),
+    ("beurling", HOLED_LOW, LOW), ("triangle", HOLED_LOW, HOLED_HIGH),
+    ("triangle", LOW, HOLED_LOW), ("triangle", HOLED_HIGH, QUAD),
+])
+def test_search_on_ladders_with_holes_matches_the_per_candidate_scan(kind, M, N):
+    witness, table = reference_search(M, N, kind)
+    out = search_relation(M, N, kind)
+    assert write_report(out.table) == write_report(table)
+    assert write_report(out.witness) == write_report(witness)
 
 
 def test_search_takes_the_smallest_kappa_among_ties():
