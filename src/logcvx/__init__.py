@@ -26,15 +26,14 @@ from .errors import (AllInfinite, BoxTooSmall, DimensionMismatch, EmptyKGrid,
                      EmptySGrid, EmptyShell, GridMismatch,
                      GridValidationError, LevelNotFound, LogcvxError,
                      NonPositiveEntry, NotNormalized, NumericBreakdown,
-                     OutOfRange, ScaleMismatch, SchemaError, TargetOutsideHull,
-                     WitnessError)
+                     OutOfRange, ScaleMismatch, SchemaError, WitnessError)
 from .generators import (SplitMix64, convex_random_grid, factorial_grid,
                          log_convex_random_1d, notconvex_grid, random_grid)
 from .io import (canonical_json, fmt_float, read_condition_witness, read_grid,
                  read_matrix, read_relation_witness, read_report, to_jsonable,
                  write_condition_witness, write_grid, write_matrix,
                  write_relation_witness, write_report)
-from .lpsolve import LPSolution, brute_force_envelope
+from .lpsolve import LPSolution
 from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
                        TRIANGLE, ConditionEntry, ConditionReport,
                        ConditionWitness, RelationEntry, RelationReport,

@@ -273,9 +273,7 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
     max_gap = float(gaps[finite].max()) if finite.any() else 0.0
 
     shape = tuple(n + 1 for n in lg.box)
-    boundary_flat = np.zeros(flat_a.size, dtype=bool)
-    boundary_flat[[np.ravel_multi_index(b, shape) for b in result.boundary_affected]] = True
-    interior = finite & ~boundary_flat
+    interior = finite & ~result.boundary
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= GAP_TOL)
 
@@ -294,7 +292,7 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
         q3_max_shortfall = 0.0
         q3_worst = None
 
-    caveat = bool(result.boundary_affected) or bool(q3_flags[interior].any()) \
+    caveat = bool(result.boundary.any()) or bool(q3_flags[interior].any()) \
         or not interior.any()
     return LogConvexityReport(
         coordinatewise_ok=cw is None,

@@ -104,10 +104,6 @@ def _render(obj, indent: int, key: str | None = None) -> None:
         print(f"{label}{obj}")
 
 
-def _alpha_list(arr) -> list[list[int]]:
-    return [list(map(int, a)) for a in arr]
-
-
 def cmd_minorant(args) -> int:
     started = time.monotonic()
     raw = _read_file(args.input)
@@ -130,13 +126,15 @@ def cmd_minorant(args) -> int:
         boundary = [[int(p)] for p in poly.boundary_affected]
     elif args.method == "lp":
         res = envelope.minorant_lp(work)
+        idx = index_array(work.box)
+        has = np.isfinite(res.planes).all(axis=1)
         results["minorant"] = io.grid_to_obj(res.minorant)
-        results["contacts"] = _alpha_list(res.contact_set)
+        results["contacts"] = idx[res.contact].tolist()
         results["certificates"] = [
-            {"alpha": list(map(int, a)), "k": list(map(float, pl.k)),
-             "h": float(pl.h), "touching": _alpha_list(pl.touching)}
-            for a, pl in sorted(res.certificates.items()) if pl is not None]
-        boundary = _alpha_list(res.boundary_affected)
+            {"alpha": alpha, "k": plane[:-1], "h": plane[-1], "touching": idx[touch].tolist()}
+            for alpha, plane, touch in zip(idx[has].tolist(), res.planes[has].tolist(),
+                                           res.touching[has])]
+        boundary = idx[res.boundary].tolist()
     elif args.method == "oracle":
         if work.n_points > _ORACLE_POINT_CAP:
             raise OutOfRange(f"--method oracle enumerates subsets and is capped at "
@@ -164,7 +162,7 @@ def cmd_minorant(args) -> int:
         probe = envelope.stability_probe(work, larger)
         results["stability"] = {
             "max_diff": probe.max_diff,
-            "unstable": _alpha_list(probe.unstable),
+            "unstable": [list(alpha) for alpha in probe.unstable],
         }
         return _emit(args, results, warnings, [raw, larger_raw], started)
     return _emit(args, results, warnings, [raw], started)
@@ -226,7 +224,7 @@ def cmd_check(args) -> int:
         "q3_holds": report.q3_holds,
         "q3_max_shortfall": report.q3_max_shortfall,
         "q3_worst": list(map(int, report.q3_worst)) if report.q3_worst is not None else None,
-        "q3_failures": _alpha_list(report.q3_failures),
+        "q3_failures": [list(alpha) for alpha in report.q3_failures],
         "boundary_caveat": report.boundary_caveat,
         "minorant": io.grid_to_obj(report.minorant.minorant),
     }

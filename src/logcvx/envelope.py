@@ -13,13 +13,13 @@ Three routes are offered:
 
 A +inf data entry imposes no constraint.  Values are exact for the truncated
 point set; they upper-bound the untruncated minorant, and indices where every
-optimal certificate touches the truncation faces are flagged
-``boundary_affected``.
+optimal certificate touches the truncation faces are flagged in
+``MinorantResult.boundary``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,13 @@ STABLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SupportPlane:
-    """An affine minorant <k, x> + h touching the data on ``touching``."""
+    """An affine minorant <k, x> + h touching the data on ``touching``.
+
+    :func:`h_of_k` returns one: ``touching`` lists the finite points within
+    TOUCH_REL_TOL * max(1, |h|) of the lowest gap.  A certificate of
+    :func:`minorant_lp` is a row of ``MinorantResult.planes`` instead, and its
+    touching set is the points within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|).
+    """
 
     k: tuple[float, ...]
     h: float
@@ -146,21 +152,27 @@ def dual_value(g: SequenceGrid, x, k_grid: KGridSpec | None = None) -> DualValue
 
 @dataclass(frozen=True, eq=False)
 class MinorantResult:
-    """LP minorant with per-index certificates.
+    """LP minorant with per-index certificates, as arrays over the box's
+    indices in row-major order (the rows of :func:`core.index_array`).
 
-    ``certificates[alpha]`` is an optimal supporting plane (None where +inf
-    entries leave alpha outside the hull of the finite abscissae; the minorant
-    is +inf there).  ``contact_set`` lists indices where the minorant meets
-    the data.  ``boundary_affected`` lists indices where every optimal plane
-    touches the truncation faces (equivalently, some optimal convex
-    combination weighs a face point), i.e. whose value could move if the box
-    grew; exactly their certificates touch the faces.
+    ``planes[i]`` is an optimal supporting plane (k_1, ..., k_d, h) at index
+    i, a NaN row where +inf entries leave i outside the hull of the finite
+    abscissae (the minorant is +inf there).  ``touching[i]`` marks the finite
+    points tight at that plane within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|);
+    this is wider than :func:`h_of_k`'s touching set, which uses
+    TOUCH_REL_TOL * max(1, |h|).  ``contact`` marks the indices where the
+    minorant meets the data within CONTACT_TOL.  ``boundary`` marks the
+    indices where every optimal plane touches the truncation faces
+    (equivalently, some optimal convex combination weighs a face point), i.e.
+    whose value could move if the box grew; exactly their planes touch the
+    faces, and every index outside the hull is marked.
     """
 
     minorant: SequenceGrid
-    certificates: dict[MultiIndex, SupportPlane | None]
-    contact_set: tuple[MultiIndex, ...]
-    boundary_affected: tuple[MultiIndex, ...]
+    planes: np.ndarray    # (n, d+1) float
+    touching: np.ndarray  # (n, n) bool
+    contact: np.ndarray   # (n,) bool
+    boundary: np.ndarray  # (n,) bool
 
 
 def _start_bases(finite: np.ndarray, box: MultiIndex) -> np.ndarray:
@@ -200,31 +212,14 @@ def minorant_lp(g: SequenceGrid) -> MinorantResult:
     if violations:
         raise GridValidationError(violations)
     a = g.flat
-    idx = index_array(g.box)
-    P = idx.astype(float)
+    P = index_array(g.box).astype(float)
     finite = np.isfinite(a)
     shell = outer_shell_mask(g.box)
-    targets = [tuple(r) for r in idx.tolist()]
-
     lp = lpsolve.solve_batch(P, a, P, shell, _start_bases(finite, g.box))
-    values = lp.optimum
-    # the touching sets, row by row: touched[ends[i-1]:ends[i]] for index i
-    rows, cols = np.nonzero(lp.tight)
-    touched = [targets[c] for c in cols.tolist()]
-    ends = np.cumsum(np.bincount(rows, minlength=len(targets))).tolist()
-    certificates: dict[MultiIndex, SupportPlane | None] = {
-        alpha: None if out else SupportPlane(tuple(plane[:-1]), plane[-1], tuple(touched[lo:hi]))
-        for alpha, out, plane, lo, hi in zip(targets, lp.unbounded.tolist(), lp.point.tolist(),
-                                             [0] + ends, ends)}
-    boundary = lp.unbounded | (lp.tight & shell).any(axis=1)
-
-    meets = np.zeros(a.size, dtype=bool)
-    meets[finite] = (np.abs(a[finite] - values[finite])
-                     <= CONTACT_TOL * np.maximum(1.0, np.abs(a[finite])))
-    minorant = SequenceGrid(g.box, values, LOG)
-    return MinorantResult(minorant, certificates,
-                          tuple(targets[i] for i in np.flatnonzero(meets).tolist()),
-                          tuple(targets[i] for i in np.flatnonzero(boundary).tolist()))
+    with np.errstate(invalid="ignore"):
+        meets = finite & (np.abs(a - lp.optimum) <= CONTACT_TOL * np.maximum(1.0, np.abs(a)))
+    return MinorantResult(SequenceGrid(g.box, lp.optimum, LOG), lp.point, lp.tight, meets,
+                          lp.unbounded | (lp.tight & shell).any(axis=1))
 
 
 def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
@@ -233,25 +228,26 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
 
     Nothing from the solver is trusted.  With the tolerance FEAS_TOL of
     :mod:`lpsolve` relative to max(1, |a_beta|), for all planes at once:
-    the value is +inf exactly where the certificate is None; each plane lies
-    under every finite data point (relative also to the plane's terms
+    the value is +inf exactly where the plane row is not finite; each plane
+    lies under every finite data point (relative also to the plane's terms
     |h| + sum_j |k_j| (alpha_j + beta_j) there) and meets the value at its own alpha;
     ``touching`` is exactly the set of finite points tight at the plane;
-    ``contact_set`` is the finite indices whose value meets the data within
-    CONTACT_TOL; ``boundary_affected`` is the indices without a certificate
-    or whose certificate touches the outer shell.
+    ``contact`` is the finite indices whose value meets the data within
+    CONTACT_TOL; ``boundary`` is the indices without a plane or whose plane
+    touches the outer shell.
     """
     _require_log(g, "audit_minorant")
     idx = index_array(g.box)
-    targets = [tuple(r) for r in idx.tolist()]
-    if result.minorant.box != g.box or set(result.certificates) != set(targets):
+    n, m = idx.shape[0], g.dim + 1
+    if (result.minorant.box != g.box or np.shape(result.planes) != (n, m)
+            or np.shape(result.touching) != (n, n)
+            or np.shape(result.contact) != (n,) or np.shape(result.boundary) != (n,)):
         return ("the result does not cover the box of the data",)
-    a, values, P, n = g.flat, result.minorant.flat, idx.astype(float), len(targets)
+    a, values, P = g.flat, result.minorant.flat, idx.astype(float)
     finite = np.isfinite(a)
-    has = np.array([result.certificates[t] is not None for t in targets])
-    planes = [result.certificates[t] or SupportPlane((0.0,) * g.dim, 0.0, ()) for t in targets]
-    h = np.array([pl.h for pl in planes])
-    K = np.array([pl.k for pl in planes])
+    has = np.isfinite(result.planes).all(axis=1)
+    planes = np.where(has[:, None], result.planes, 0.0)
+    K, h = planes[:, :-1], planes[:, -1]
     V = np.repeat(h[:, None], n, axis=1)
     for j in range(g.dim):
         V += K[:, j, None] * P[None, :, j]
@@ -262,27 +258,21 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     # rounding grows with |h| + sum_j |k_j| (alpha_j + beta_j), not with |a_beta|
     terms = (np.abs(h) + (np.abs(K) * P).sum(axis=1))[:, None] + np.abs(K) @ P.T
     above = gap < -lpsolve.FEAS_TOL * np.maximum(size, terms)
-
-    def listed(alphas):
-        return np.isin(np.arange(n), [np.ravel_multi_index(b, g.values.shape) for b in alphas])
-
-    touching = np.array([listed(pl.touching) for pl in planes]).reshape(n, n)
     with np.errstate(invalid="ignore"):
         meets = finite & (np.abs(a - values) <= CONTACT_TOL * np.maximum(1.0, np.abs(a)))
         at_alpha = (np.abs(np.diagonal(V) - values)
                     <= lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(values)))
     checks = [
-        (has != np.isposinf(values), "the value is +inf with a certificate, or finite without"),
+        (has != np.isposinf(values), "the value is +inf with a plane, or finite without"),
         (~has | ~above.any(axis=1), "the plane rises above the data"),
         (~has | at_alpha, "the plane misses the value"),
-        ((touching == ((np.abs(gap) <= tol) & finite & has[:, None])).all(axis=1),
+        ((result.touching == ((np.abs(gap) <= tol) & finite & has[:, None])).all(axis=1),
          "the touching set is not the tight set"),
-        (listed(result.contact_set) == meets, "contact_set is not where the value meets the data"),
-        (listed(result.boundary_affected)
-         == (~has | (touching & outer_shell_mask(g.box)).any(axis=1)),
-         "boundary_affected is not where a certificate is missing or touches the outer shell"),
+        (result.contact == meets, "contact is not where the value meets the data"),
+        (result.boundary == (~has | (result.touching & outer_shell_mask(g.box)).any(axis=1)),
+         "boundary is not where a plane is missing or touches the outer shell"),
     ]
-    return tuple(f"{what}, at {targets[np.flatnonzero(~ok)[0]]}"
+    return tuple(f"{what}, at {tuple(idx[np.flatnonzero(~ok)[0]].tolist())}"
                  for ok, what in checks if not ok.all())
 
 

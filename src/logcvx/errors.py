@@ -46,10 +46,6 @@ class NotNormalized(LogcvxError):
     """Value at the origin is not 1 (EXP scale) / 0 (LOG scale)."""
 
 
-class TargetOutsideHull(LogcvxError):
-    """Envelope evaluation requested outside the hull of the finite data."""
-
-
 class NumericBreakdown(LogcvxError):
     """The solver could not make progress within its numeric tolerances."""
 

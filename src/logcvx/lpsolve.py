@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericBreakdown, TargetOutsideHull
+from .errors import NumericBreakdown
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"  # target outside the hull: the plane LP is unbounded
@@ -392,20 +392,3 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
                 best[miss] = np.minimum(best[miss], cand.min(axis=0))
     return best
 
-
-def brute_force_envelope(points, target) -> float:
-    """Lower convex envelope value at ``target``: :func:`brute_force_batch`
-    on one target.
-
-    ``points`` is a list of (multi-index, value) pairs; TargetOutsideHull if
-    no convex combination of the finite ones reaches the target.
-    """
-    target = tuple(target)
-    P = np.array([a for a, _ in points], dtype=float).reshape(len(points), len(target))
-    values = np.array([float(v) for _, v in points])
-    if not np.isfinite(values).any():
-        raise TargetOutsideHull("no finite points given")
-    best = float(brute_force_batch(P, values, [target])[0])
-    if math.isinf(best):
-        raise TargetOutsideHull(f"{target} outside the hull of the finite abscissae")
-    return best

@@ -180,18 +180,21 @@ def _check_pair(M: WeightMatrix, N: WeightMatrix, kind: str) -> None:
         raise WitnessError(f"unknown relation kind {kind!r}")
 
 
+def _scaled_orders(box, log_c, log_h=None) -> np.ndarray:
+    """The constants' part of N's side of a relation slack: |alpha| log C, or
+    log C + |alpha| log h for triangle, along a last axis over the box."""
+    orders = order_array(box)
+    return orders * log_c if log_h is None else log_c + orders * log_h
+
+
 def _relation_slacks(M: WeightMatrix, N: WeightMatrix, kind: str, lam: float,
                      kappa: float, log_c, log_h=None) -> np.ndarray:
     """Slacks of one (lam, kappa) pair along a last axis over the box; log_c
-    and log_h are scalars or arrays that broadcast against it."""
-    orders = order_array(M.box)
-    if kind == ROUMIEU:
-        lhs, rhs = M.log_flat(lam), orders * log_c + N.log_flat(kappa)
-    elif kind == BEURLING:
-        lhs, rhs = M.log_flat(kappa), orders * log_c + N.log_flat(lam)
-    else:
-        lhs, rhs = M.log_flat(lam), (log_c + orders * log_h) + N.log_flat(kappa)
-    return _slack(lhs, rhs)
+    and log_h are scalars or arrays that broadcast against it.  M's level is
+    lam and N's kappa, the other way round for beurling."""
+    m_level, n_level = (kappa, lam) if kind == BEURLING else (lam, kappa)
+    return _slack(M.log_flat(m_level),
+                  _scaled_orders(M.box, log_c, log_h) + N.log_flat(n_level))
 
 
 def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
@@ -262,14 +265,20 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcom
     triangle = kind == TRIANGLE
     cands = ([(C, h) for h in H_GRID for C in C_GRID] if triangle
              else [(C, None) for C in C_GRID])
+    # N's side of the slack depends on N's level alone: build it once per level
+    scaled = _scaled_orders(M.box, _LOG_C, _LOG_H if triangle else None)
+    worst_of = {}  # (M's level, N's level) -> max slack per candidate
+    for n_level in N.levels:
+        rhs = scaled + N.log_flat(n_level)
+        for m_level in M.levels:
+            worst_of[m_level, n_level] = _slack(M.log_flat(m_level), rhs).max(axis=-1)
     table: list[CandidateSlack] = []
     entries: list[RelationEntry] = []
     found_all = True
     for lam in lams:
         passing = []
         for kappa in kappas:
-            worst = _relation_slacks(M, N, kind, lam, kappa, _LOG_C,
-                                     _LOG_H if triangle else None).max(axis=-1)
+            worst = worst_of[(kappa, lam) if kind == BEURLING else (lam, kappa)]
             table += [CandidateSlack(lam, kappa, C, h, s)
                       for (C, h), s in zip(cands, worst.ravel().tolist())]
             passing.append(worst <= SLACK_TOL)

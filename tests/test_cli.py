@@ -217,6 +217,40 @@ def test_minorant_hole_outside_the_hull_is_left_out_of_certificates(tmp_path, ca
     assert len(res["certificates"]) == 24
 
 
+def certificate_path_grids():
+    """Grids that reach every certificate path of the LP minorant: an index
+    outside the hull, a tilted certificate, phase 1 everywhere, and holes."""
+    g = random_grid((4, 4), seed=1, scale="log")
+    corner = g.values.copy()
+    corner[0, 4] = math.inf  # (0, 4) is unbounded and has no certificate
+    holed = random_grid((4, 4, 4), seed=5, scale="log").flat.copy()
+    holed[np.random.default_rng(0).choice(np.arange(1, holed.size), 10, replace=False)] = math.inf
+    return {
+        "corner_hole": SequenceGrid((4, 4), corner, "log"),
+        "tilted": SequenceGrid((2, 2), [0, 1, 2, 1, 1, 2, 2, 2, 3], "log"),
+        "zero_extent": random_grid((4, 0), seed=2, scale="log"),
+        "holed_3d": SequenceGrid((4, 4, 4), holed, "log"),
+    }
+
+
+MINORANT_JSON_SHA256 = {
+    "corner_hole": "8f0a6602436d5eeec78bafa144e6db5e20b0e8539ba39af9611de7d9ff1c654b",
+    "tilted": "647fb8ab6e493851ced0ee5195dc18a24533ffeb5b5f8475e9002090c9e44e6f",
+    "zero_extent": "8066dff2d85cf9d001506df8cac97fbacdc1283ebd6dcde4ea0c26f3614999d6",
+    "holed_3d": "339210067d413d590798d21a585986a77c902194091e291ffe0156e98e5257c0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINORANT_JSON_SHA256))
+def test_minorant_json_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    # a relative path keeps the echoed command, and so the bytes, fixed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(write_grid(certificate_path_grids()[name]))
+    code, out, _ = run(capsys, "minorant", "grid.json", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MINORANT_JSON_SHA256[name]
+
+
 def test_minorant_missing_file_is_a_parse_error(capsys):
     code, _, err = run(capsys, "minorant", "/no/such/file.json")
     assert code == 3

@@ -169,8 +169,8 @@ def test_dual_value_input_guards():
 def test_minorant_lp_reference_matches_sweep():
     res = minorant_lp(REF)
     assert np.allclose(res.minorant.values, [0.0, 0.5, 1.0, 6.0])
-    assert res.contact_set == ((0,), (2,), (3,))
-    assert res.boundary_affected == ((3,),)
+    assert res.contact.tolist() == [True, False, True, True]
+    assert res.boundary.tolist() == [False, False, False, True]
 
 
 def test_minorant_lp_notconvex_drops_only_the_center():
@@ -178,8 +178,8 @@ def test_minorant_lp_notconvex_drops_only_the_center():
     res = minorant_lp(g)
     expect = np.array([[0.0, 3.0, 8.0], [3.0, 8.0, 35.0], [8.0, 35.0, 80.0]])
     assert np.allclose(res.minorant.values, expect, atol=1e-8)
-    assert (1, 1) not in res.contact_set
-    assert len(res.contact_set) == 8
+    assert not res.contact[4]  # (1, 1)
+    assert res.contact.sum() == 8
 
 
 def test_minorant_lp_fixed_point_on_convex_data():
@@ -187,7 +187,7 @@ def test_minorant_lp_fixed_point_on_convex_data():
         g = convex_random_grid((3, 3), seed=seed)
         res = minorant_lp(g)
         assert np.allclose(res.minorant.values, g.values, atol=1e-8)
-        assert set(res.contact_set) == set(lattice(g.box))
+        assert res.contact.all()
 
 
 def test_minorant_lp_certificates_are_valid_planes():
@@ -195,24 +195,24 @@ def test_minorant_lp_certificates_are_valid_planes():
         g = random_grid((4, 3), seed=seed + 7)
         res = minorant_lp(g)
         a = g.values
-        for alpha, plane in res.certificates.items():
-            k = np.asarray(plane.k)
-            val = float(k @ np.asarray(alpha)) + plane.h
+        for alpha, plane, touch in zip(lattice(g.box), res.planes, res.touching):
+            k, h = plane[:-1], plane[-1]
+            val = float(k @ np.asarray(alpha)) + h
             assert val == pytest.approx(res.minorant.value(alpha), abs=1e-8)
             for beta in lattice(g.box):
-                bound = float(k @ np.asarray(beta)) + plane.h
+                bound = float(k @ np.asarray(beta)) + h
                 assert bound <= a[beta] + 1e-8
-            for beta in plane.touching:
-                bound = float(k @ np.asarray(beta)) + plane.h
-                assert bound == pytest.approx(a[beta], abs=1e-6)
+            for beta in np.array(lattice(g.box))[touch]:
+                bound = float(k @ beta) + h
+                assert bound == pytest.approx(a[tuple(beta)], abs=1e-6)
 
 
 def test_minorant_lp_unbounded_beyond_finite_hull():
     g = SequenceGrid((2,), [0.0, 5.0, math.inf], LOG)
     res = minorant_lp(g)
     assert math.isinf(res.minorant.value((2,)))
-    assert res.certificates[(2,)] is None
-    assert (2,) in res.boundary_affected
+    assert np.isnan(res.planes[2]).all()
+    assert res.boundary[2]
 
 
 def test_minorant_lp_agrees_with_sweep_on_random_lines():
@@ -230,10 +230,11 @@ def test_boundary_affected_only_where_every_optimal_plane_touches_the_shell():
     # which of them a solver lands on
     g = SequenceGrid((2, 2), [0, 1, 2, 1, 1, 2, 2, 2, 3], LOG)
     res = minorant_lp(g)
-    assert (1, 1) not in res.boundary_affected
-    assert all(2 not in beta for beta in res.certificates[(1, 1)].touching)
+    assert not res.boundary[4]
+    assert not (res.touching[4] & outer_shell_mask(g.box)).any()
     # at (0, 1) the optimal combination (0, 0)/2 + (0, 2)/2 weighs the shell
-    assert res.boundary_affected == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+    assert [lattice(g.box)[i] for i in np.flatnonzero(res.boundary)] == [
+        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
     assert audit_minorant(g, res) == ()
 
 
@@ -243,8 +244,8 @@ def test_hole_on_the_shell_leaves_indices_outside_the_hull():
     a[0, 4] = math.inf
     g = SequenceGrid(g.box, a, LOG)
     res = minorant_lp(g)
-    assert res.certificates[(0, 4)] is None
-    assert (0, 4) in res.boundary_affected
+    assert np.isnan(res.planes[4]).all()  # (0, 4)
+    assert res.boundary[4]
     assert math.isinf(res.minorant.value((0, 4)))
     assert audit_minorant(g, res) == ()
 
@@ -268,19 +269,19 @@ def test_audit_catches_corrupted_results():
     res = minorant_lp(g)
     assert audit_minorant(g, res) == ()
 
-    def with_cert(alpha, plane):
-        certs = dict(res.certificates)
-        certs[alpha] = plane
-        return replace(res, certificates=certs)
+    def changed(name, i, value):
+        arr = getattr(res, name).copy()
+        arr[i] = value
+        return replace(res, **{name: arr})
 
-    plane = res.certificates[(1, 1)]
-    raised = with_cert((1, 1), replace(plane, h=plane.h + 1e-6))
+    at = 5  # (1, 1)
+    raised = changed("planes", (at, -1), res.planes[at, -1] + 1e-6)
     assert any("rises above" in f for f in audit_minorant(g, raised))
-    dropped = with_cert((1, 1), replace(plane, touching=plane.touching[1:]))
+    dropped = changed("touching", (at, np.flatnonzero(res.touching[at])[0]), False)
     assert any("touching" in f for f in audit_minorant(g, dropped))
-    assert any("+inf" in f for f in audit_minorant(g, with_cert((1, 1), None)))
-    assert audit_minorant(g, replace(res, boundary_affected=())) != ()
-    assert audit_minorant(g, replace(res, contact_set=res.contact_set[1:])) != ()
+    assert any("+inf" in f for f in audit_minorant(g, changed("planes", at, math.nan)))
+    assert audit_minorant(g, changed("boundary", np.flatnonzero(res.boundary)[0], False)) != ()
+    assert audit_minorant(g, changed("contact", np.flatnonzero(res.contact)[0], False)) != ()
     lowered = SequenceGrid(g.box, res.minorant.values - 1e-6, LOG)
     assert any("misses the value" in f for f in audit_minorant(g, replace(res, minorant=lowered)))
 
@@ -301,9 +302,9 @@ def test_audit_rejects_a_plane_lifted_by_1e_6_relative_at_large_scale():
     res = minorant_lp(SCALED)
     lift = 1e-6 * np.abs(SCALED.flat).max()
     for alpha in [(0, 5), (2, 3), (5, 5)]:
-        certs = dict(res.certificates)
-        certs[alpha] = replace(certs[alpha], h=certs[alpha].h + lift)
-        failures = audit_minorant(SCALED, replace(res, certificates=certs))
+        planes = res.planes.copy()
+        planes[np.ravel_multi_index(alpha, SCALED.values.shape), -1] += lift
+        failures = audit_minorant(SCALED, replace(res, planes=planes))
         assert f"the plane rises above the data, at {alpha}" in failures
 
 
@@ -409,16 +410,14 @@ def test_minorant_lp_rows_equal_single_solves_bit_for_bit():
         P, a = index_array(g.box).astype(float), g.flat
         shell = outer_shell_mask(g.box)
         starts = _start_bases(np.isfinite(a), g.box)
-        for i, alpha in enumerate(lattice(g.box)):
+        for i in range(len(P)):
             sol = lpsolve.solve(P, a, P[i], shell, starts[i] if starts[i, 0] >= 0 else None)
-            plane = res.certificates[alpha]
             assert np.float64(sol.optimum).tobytes() == res.minorant.flat[i].tobytes()
-            if plane is None:
+            if np.isnan(res.planes[i]).all():
                 assert sol.status == lpsolve.UNBOUNDED
                 continue
-            assert sol.point.tobytes() == np.array(plane.k + (plane.h,)).tobytes()
-            assert sol.active_rows == tuple(
-                int(np.ravel_multi_index(b, g.values.shape)) for b in plane.touching)
+            assert sol.point.tobytes() == res.planes[i].tobytes()
+            assert sol.active_rows == tuple(np.flatnonzero(res.touching[i]).tolist())
 
 
 def test_zero_extent_box_has_no_start_basis():

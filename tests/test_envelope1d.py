@@ -8,7 +8,7 @@ from logcvx.envelope1d import NewtonPolygon, evaluate, sweep
 from logcvx.errors import (DimensionMismatch, GridValidationError, OutOfRange,
                            ScaleMismatch)
 from logcvx.generators import SplitMix64
-from logcvx.lpsolve import brute_force_envelope, TargetOutsideHull
+from logcvx.lpsolve import brute_force_batch
 
 INF = math.inf
 
@@ -98,12 +98,8 @@ def test_agrees_with_brute_force():
             vals[1 + rng.next_u64() % n] = INF
         g = SequenceGrid((n,), vals, LOG)
         poly = sweep(g)
-        pts = [((p,), v) for p, v in enumerate(vals)]
-        for p in range(n + 1):
-            try:
-                ref = brute_force_envelope(pts, (p,))
-            except TargetOutsideHull:
-                ref = INF
+        P = np.arange(n + 1)[:, None]
+        for p, ref in enumerate(brute_force_batch(P, vals, P)):
             assert poly.minorant[p] == pytest.approx(ref, abs=1e-8)
 
 

@@ -7,7 +7,7 @@ import pytest
 import logcvx.lpsolve as lps
 from logcvx.core import LOG, SequenceGrid, index_array, outer_shell_mask
 from logcvx.envelope import _start_bases, minorant_lp
-from logcvx.errors import NumericBreakdown, TargetOutsideHull
+from logcvx.errors import NumericBreakdown
 from logcvx.generators import SplitMix64, convex_random_grid, random_grid
 
 INF = math.inf
@@ -140,44 +140,39 @@ def test_validation_rejects_bad_shapes():
 
 
 def test_brute_force_1d_example():
-    pts = [((0,), 0.0), ((1,), 2.0), ((2,), 1.0), ((3,), 6.0)]
-    assert lps.brute_force_envelope(pts, (1,)) == pytest.approx(0.5, abs=1e-12)
-    assert lps.brute_force_envelope(pts, (2,)) == pytest.approx(1.0, abs=1e-12)
+    P, a = on_line([0.0, 2.0, 1.0, 6.0])
+    assert lps.brute_force_batch(P, a, [[1], [2]]) == pytest.approx([0.5, 1.0], abs=1e-12)
 
 
 def test_brute_force_ignores_infinite_points():
-    pts = [((0,), 0.0), ((1,), INF), ((2,), 1.0)]
-    assert lps.brute_force_envelope(pts, (1,)) == pytest.approx(0.5, abs=1e-12)
+    P, a = on_line([0.0, INF, 1.0])
+    assert lps.brute_force_batch(P, a, [[1]])[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_brute_force_outside_hull():
-    pts = [((0,), 0.0), ((1,), 2.0), ((2,), INF)]
-    with pytest.raises(TargetOutsideHull):
-        lps.brute_force_envelope(pts, (2,))
+    P, a = on_line([0.0, 2.0, INF])
+    assert lps.brute_force_batch(P, a, [[2]])[0] == INF
 
 
 def test_brute_force_no_finite_points():
-    with pytest.raises(TargetOutsideHull):
-        lps.brute_force_envelope([((0,), INF)], (0,))
+    assert lps.brute_force_batch([[0]], [INF], [[0]])[0] == INF
 
 
 def test_brute_force_single_point():
-    assert lps.brute_force_envelope([((2, 3), 5.0)], (2, 3)) == pytest.approx(5.0)
+    assert lps.brute_force_batch([[2, 3]], [5.0], [[2, 3]])[0] == pytest.approx(5.0)
 
 
 def test_brute_force_collinear_2d():
     # all abscissae on one line: every 3-point determinant vanishes, the
     # least-squares fallback must still combine endpoints
-    pts = [((0, 0), 0.0), ((1, 1), 4.0), ((2, 2), 2.0)]
-    v = lps.brute_force_envelope(pts, (1, 1))
+    v = lps.brute_force_batch([[0, 0], [1, 1], [2, 2]], [0.0, 4.0, 2.0], [[1, 1]])[0]
     assert v == pytest.approx(1.0, abs=1e-9)
 
 
 def test_brute_force_2d_square():
-    pts = [((0, 0), 0.0), ((2, 0), 8.0), ((0, 2), 8.0), ((1, 1), 15.0),
-           ((2, 2), 80.0), ((1, 0), 3.0), ((0, 1), 3.0), ((2, 1), 35.0),
-           ((1, 2), 35.0)]
-    assert lps.brute_force_envelope(pts, (1, 1)) == pytest.approx(8.0, abs=1e-12)
+    P = [[0, 0], [2, 0], [0, 2], [1, 1], [2, 2], [1, 0], [0, 1], [2, 1], [1, 2]]
+    a = [0.0, 8.0, 8.0, 15.0, 80.0, 3.0, 3.0, 35.0, 35.0]
+    assert lps.brute_force_batch(P, a, [[1, 1]])[0] == pytest.approx(8.0, abs=1e-12)
 
 
 def test_brute_force_matches_lp_on_random_grids():
@@ -186,11 +181,10 @@ def test_brute_force_matches_lp_on_random_grids():
         n = 3 + rng.next_u64() % 6
         vals = np.array([4.0 * rng.random() for _ in range(n + 1)])
         vals[0] = 0.0
-        pts = [((p,), float(v)) for p, v in enumerate(vals)]
         P = np.arange(n + 1, dtype=float)[:, None]
         for target in range(n + 1):
             sol = lps.solve(P, vals, [float(target)])
-            bf = lps.brute_force_envelope(pts, (target,))
+            bf = lps.brute_force_batch(P, vals, [[target]])[0]
             assert sol.status == lps.OPTIMAL
             assert bf == pytest.approx(sol.optimum, abs=1e-8)
 
@@ -305,14 +299,11 @@ def test_a_basic_column_never_reenters():
 
 
 def test_brute_force_batch_matches_single_targets():
+    # a target's value does not depend on the other targets of its batch
     P, a = holed_lattice((3, 2), 5, share=0.3)
-    pairs = [(tuple(map(int, p)), v) for p, v in zip(P, a)]
     values = lps.brute_force_batch(P, a, P)
     for p, v in zip(P, values):
-        try:
-            assert v == lps.brute_force_envelope(pairs, tuple(map(int, p)))
-        except TargetOutsideHull:
-            assert v == INF
+        assert v == lps.brute_force_batch(P, a, [p])[0]
     assert np.isinf(values).any()
 
 
