@@ -35,7 +35,7 @@ from .io import (canonical_json, fmt_float, read_condition_witness, read_grid,
                  write_relation_witness, write_report)
 from .lpsolve import LPSolution
 from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
-                       TRIANGLE, ConditionEntry, ConditionReport,
+                       TRIANGLE, CandidateTable, ConditionEntry, ConditionReport,
                        ConditionWitness, RelationEntry, RelationReport,
                        RelationWitness, SearchOutcome, SlackRecord,
                        WeightMatrix, l37r_counterexample_curve,

@@ -130,10 +130,9 @@ def cmd_minorant(args) -> int:
         has = np.isfinite(res.planes).all(axis=1)
         results["minorant"] = io.grid_to_obj(res.minorant)
         results["contacts"] = idx[res.contact].tolist()
-        results["certificates"] = [
-            {"alpha": alpha, "k": plane[:-1], "h": plane[-1], "touching": idx[touch].tolist()}
-            for alpha, plane, touch in zip(idx[has].tolist(), res.planes[has].tolist(),
-                                           res.touching[has])]
+        results["certificates"] = io.Columns(
+            {"alpha": np.flatnonzero(has), "k": res.planes[has, :-1], "h": res.planes[has, -1],
+             "touching": res.touching[has]}, idx)
         boundary = idx[res.boundary].tolist()
     elif args.method == "oracle":
         if work.n_points > _ORACLE_POINT_CAP:

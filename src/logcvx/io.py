@@ -10,11 +10,12 @@ serializes to identical bytes:
 
 One encoder, a single recursive walk appending strings to a list, writes it:
 canonical_json for plain data, write_report for reports (dataclasses, sets and
-non-str keys too).  A report's list or tuple of dataclasses of one type is
-written row by row from one cached template per type (its sorted '"key":'
-prefixes, values fetched by one attrgetter, floats memoised per call); a row
-holding any value that is not a plain float, int, str, bool or None takes the
-generic walk.  to_jsonable gives the human CLI output its plain data.
+non-str keys too).  A report's column table (a Columns, or the CandidateTable
+of a relation search) is written in one %-format over n copies of a row
+template with its keys sorted: a float column with at most half its values
+distinct, or with a non-finite one, formats each distinct value once; any
+other float column goes into the format as %.17g.  to_jsonable gives the
+human CLI output its plain data, a column table as its list of row objects.
 
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
@@ -31,15 +32,15 @@ import csv
 import dataclasses
 import json
 import math
-from operator import attrgetter
+from itertools import compress
 
 import numpy as np
 
 from .core import EXP, LOG, SequenceGrid, validate_grid
 from .errors import (DimensionMismatch, GridValidationError, NotNormalized,
                      SchemaError)
-from .matrices import (ConditionEntry, ConditionWitness, RelationEntry,
-                       RelationWitness, WeightMatrix, CONDITIONS,
+from .matrices import (CandidateTable, ConditionEntry, ConditionWitness,
+                       RelationEntry, RelationWitness, WeightMatrix, CONDITIONS,
                        RELATION_KINDS)
 
 _SPECIAL = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
@@ -70,14 +71,10 @@ _quote = json.encoder.encode_basestring  # what json.dumps(s, ensure_ascii=False
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 _KEYS: dict[str, str] = {}  # key -> '"key":' for up to 4096 keys; depends on the key alone
 _FIELDS: dict[type, list[tuple[str, str]]] = {}  # dataclass -> [('"name":', name)], sorted
-_ROWS: dict[type, tuple] = {}  # dataclass -> ('{"a":%s,"b":%s}', getter of (a, b))
 # What any other value is read as, in this order; sets only in a report.
 _PLAIN = (((set, frozenset), sorted), (np.ndarray, lambda a: list(a.tolist())),
           ((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
           (dict, dict), ((list, tuple), list))
-# How _rows writes each plain value but a float.
-_CELLS = {str: _quote, int: str, bool: {True: "true", False: "false"}.__getitem__,
-          type(None): lambda _: "null"}
 
 
 def _float(x: float) -> str:
@@ -104,20 +101,18 @@ def _encode(obj, out: list[str], report: bool) -> None:
         if report and not all(isinstance(k, str) for k in obj):
             obj = {k if isinstance(k, str) else str(k): v for k, v in obj.items()}
         _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out, report)
+    elif report and t in _TABLES:
+        out.append(_table_text(*_TABLES[t](obj)))
     elif report and (t in _FIELDS or (dataclasses.is_dataclass(obj)
                                        and not isinstance(obj, type))):
-        _encode_object([(key, getattr(obj, name)) for key, name in _fields(t)], out, True)
+        if t not in _FIELDS:
+            _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
+        _encode_object([(key, getattr(obj, name)) for key, name in _FIELDS[t]], out, True)
     else:
         for kinds, plain in _PLAIN[not report:]:
             if isinstance(obj, kinds):
                 return _encode(plain(obj), out, report)
         raise TypeError(f"cannot serialize {t.__name__}")
-
-
-def _fields(t: type) -> list[tuple[str, str]]:
-    if t not in _FIELDS:
-        _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
-    return _FIELDS[t]
 
 
 def _key(k) -> str:
@@ -146,8 +141,6 @@ def _encode_list(seq, out: list[str], report: bool) -> None:
         out.append("[" + ",".join(map(_float, seq)) + "]")
     elif t is int and all(type(x) is int for x in seq):
         out.append("[" + ",".join(map(str, seq)) + "]")
-    elif report and dataclasses.is_dataclass(t) and all(type(x) is t for x in seq):
-        out.append("[" + ",".join(_rows(seq, t)) + "]")
     else:
         out.append("[")
         for x in seq:
@@ -156,37 +149,65 @@ def _encode_list(seq, out: list[str], report: bool) -> None:
         out[-1] = "]" if seq else "[]"
 
 
-def _rows(seq, t: type) -> list[str]:
-    """The JSON object of each dataclass in seq, all of type t."""
-    if t not in _ROWS:
-        names = [n for _, n in _fields(t)]
-        get = (attrgetter(*names) if len(names) > 1
-               else lambda o: tuple(getattr(o, n) for n in names))
-        _ROWS[t] = ("{" + ",".join(k + "%s" for k, _ in _fields(t)) + "}", get)
-    template, get = _ROWS[t]
-    memo: dict[float, str] = {}
-    texts = []
-    for obj in seq:
-        cells = []
-        for v in get(obj):
-            c = type(v)
-            if c is float:
-                cells.append(memo.get(v) or memo.setdefault(v, _float(v)))
-            elif c in _CELLS:
-                cells.append(_CELLS[c](v))
-            else:  # not plain: the generic walk writes this row
-                row: list[str] = []
-                _encode(obj, row, True)
-                texts.append("".join(row))
-                break
-        else:
-            texts.append(template % tuple(cells))
-    return texts
+@dataclasses.dataclass(frozen=True, eq=False)
+class Columns:
+    """JSON objects as columns.  Each key, in to_jsonable's order, holds None
+    (null in every row), a float array (n,) or (n, d) (a number or d numbers
+    per row), an int array (n,) (one point per row, by its row in points) or a
+    bool array (n, len(points)) (the list of the points where true)."""
+
+    columns: dict
+    points: np.ndarray | None = None
+
+
+_TABLES = {Columns: lambda c: (c.columns, c.points),
+           CandidateTable: lambda t: (vars(t), None)}  # (columns, points); fields in order
+
+
+def _table_text(columns: dict, points) -> str:
+    """The JSON array of a column table's rows, in one %-format."""
+    n = len(next(col for col in columns.values() if col is not None))
+    texts = points is not None and ["[" + ",".join(map(str, p)) + "]" for p in points.tolist()]
+    slots, cells = [], []
+    for key in sorted(columns):
+        col, slot = columns[key], "%s"
+        if col is None:
+            slot = "null"
+        elif col.dtype == bool:
+            cells.append(["[" + ",".join(compress(texts, row)) + "]" for row in col.tolist()])
+        elif col.dtype.kind in "iu":
+            cells.append([texts[i] for i in col.tolist()])
+        else:  # each distinct value once, unless most are distinct and all finite
+            col = col + 0.0  # -0.0 to 0.0
+            unique, inverse = np.unique(col, return_inverse=True)
+            if 2 * len(unique) > col.size and np.isfinite(unique).all():
+                slot = "%.17g"
+            else:
+                col = np.array(list(map(_float, unique.tolist())),
+                               dtype=object)[inverse.reshape(col.shape)]
+            if col.ndim == 2:
+                slot = "[" + ",".join([slot] * col.shape[1]) + "]"
+            cells.extend(col.T if col.ndim == 2 else [col])
+        slots.append(_key(key).replace("%", "%%") + slot)
+    values = tuple(np.array(cells, dtype=object).T.ravel().tolist())  # row by row
+    return "[" + ",".join(["{" + ",".join(slots) + "}"] * n) % values + "]"
+
+
+def _table_rows(columns: dict, points) -> list[dict]:
+    """A column table's rows as plain dicts, keys in the order of columns."""
+    n = len(next(col for col in columns.values() if col is not None))
+    plain = [[None] * n if col is None
+             else [points[row].tolist() for row in col] if col.dtype == bool
+             else (points[col] if col.dtype.kind in "iu" else col).tolist()
+             for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*plain)]
 
 
 def to_jsonable(obj):
     """Recursively convert dataclasses, numpy values, tuples and sets into
     plain JSON data (floats stay floats; canonical_json handles specials)."""
+    if type(obj) in _TABLES:
+        return _table_rows(*_TABLES[type(obj)](obj))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -218,13 +239,16 @@ def _restore(obj):
     return obj
 
 
-def read_report(text: str) -> dict:
-    """Parse report JSON, mapping the quoted special tokens back to floats."""
+def _parse(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("/", "JSON document", f"parse error: {e}") from None
-    return _restore(data)
+
+
+def read_report(text: str) -> dict:
+    """Parse report JSON, mapping the quoted special tokens back to floats."""
+    return _restore(_parse(text))
 
 
 def _num(v, path: str) -> float:
@@ -263,14 +287,13 @@ def _grid_from_obj(obj, path: str = "") -> SequenceGrid:
     values = _require(obj, "values", path)
     if not isinstance(values, list):
         raise SchemaError(f"{path}/values", "list", type(values).__name__)
-    n = 1
-    for b in box:
-        n *= b + 1
+    n = math.prod(b + 1 for b in box)
     if len(values) != n:
         raise SchemaError(f"{path}/values", f"{n} entries for box {box}",
                           f"{len(values)} entries")
-    flat = [_num(v, f"{path}/values/{i}") for i, v in enumerate(values)]
-    return SequenceGrid(box, flat, scale)
+    if not set(map(type, values)) <= {int, float}:  # not only numbers: one by one
+        values = [_num(v, f"{path}/values/{i}") for i, v in enumerate(values)]
+    return SequenceGrid(box, values, scale)
 
 
 def grid_to_obj(g: SequenceGrid) -> dict:
@@ -286,24 +309,18 @@ def read_grid(source, fmt: str | None = None, validate: bool = True) -> Sequence
     raise GridValidationError after a syntactically clean parse; pass
     validate=False to obtain the raw grid anyway.
     """
-    if isinstance(source, dict):
-        return _validated(_grid_from_obj(source), validate)
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if not isinstance(source, str):
+    if isinstance(source, str):
+        kind = fmt if fmt is not None else "json" if source.lstrip()[:1] == "{" else "csv"
+        if kind == "csv":
+            return _validated(_grid_from_csv(source), validate)
+        if kind != "json":
+            raise ValueError(f"unknown format {fmt!r}")
+        source = _parse(source)
+    elif not isinstance(source, dict):
         raise SchemaError("/", "str, bytes or dict", type(source).__name__)
-    kind = fmt
-    if kind is None:
-        kind = "json" if source.lstrip()[:1] == "{" else "csv"
-    if kind == "json":
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError("/", "JSON document", f"parse error: {e}") from None
-        return _validated(_grid_from_obj(obj), validate)
-    if kind == "csv":
-        return _validated(_grid_from_csv(source), validate)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _validated(_grid_from_obj(source), validate)
 
 
 def _validated(g: SequenceGrid, validate: bool) -> SequenceGrid:
@@ -504,13 +521,7 @@ def write_condition_witness(w: ConditionWitness) -> str:
 def _load_obj(source) -> dict:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, str):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise SchemaError("/", "JSON document", f"parse error: {e}") from None
-    else:
-        obj = source
+    obj = _parse(source) if isinstance(source, str) else source
     if not isinstance(obj, dict):
         raise SchemaError("/", "object", type(obj).__name__)
     return obj

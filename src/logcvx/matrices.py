@@ -187,16 +187,6 @@ def _scaled_orders(box, log_c, log_h=None) -> np.ndarray:
     return orders * log_c if log_h is None else log_c + orders * log_h
 
 
-def _relation_slacks(M: WeightMatrix, N: WeightMatrix, kind: str, lam: float,
-                     kappa: float, log_c, log_h=None) -> np.ndarray:
-    """Slacks of one (lam, kappa) pair along a last axis over the box; log_c
-    and log_h are scalars or arrays that broadcast against it.  M's level is
-    lam and N's kappa, the other way round for beurling."""
-    m_level, n_level = (kappa, lam) if kind == BEURLING else (lam, kappa)
-    return _slack(M.log_flat(m_level),
-                  _scaled_orders(M.box, log_c, log_h) + N.log_flat(n_level))
-
-
 def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
                     witness: RelationWitness) -> RelationReport:
     """Check every witness inequality over the full common box."""
@@ -215,9 +205,12 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
             return SlackRecord(_e.lam, _e.kappa, tuple(int(c) for c in idx[i]),
                                C=_e.C, h=_e.h, slack=slack)
 
+        # M's level is lam and N's kappa, the other way round for beurling
+        m_level, n_level = ((entry.kappa, entry.lam) if kind == BEURLING
+                            else (entry.lam, entry.kappa))
         log_h = math.log(entry.h) if kind == TRIANGLE else None
-        acc.feed(_relation_slacks(M, N, kind, entry.lam, entry.kappa,
-                                  math.log(entry.C), log_h), rec)
+        acc.feed(_slack(M.log_flat(m_level), _scaled_orders(M.box, math.log(entry.C), log_h)
+                        + N.log_flat(n_level)), rec)
     covers = _covers(M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels,
                      witness.entries)
     if kind == TRIANGLE:
@@ -235,19 +228,25 @@ _LOG_C = np.array([math.log(c) for c in C_GRID])[:, None]
 _LOG_H = np.array([math.log(h) for h in H_GRID])[:, None, None]
 
 
-@dataclass(frozen=True)
-class CandidateSlack:
-    lam: float
-    kappa: float
-    C: float
-    h: float | None
-    max_slack: float
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Each candidate's max_slack, as float64 columns of one entry per row; rows
+    run over lam (outer), kappa, h, C, and h is None for roumieu and beurling."""
+
+    lam: np.ndarray
+    kappa: np.ndarray
+    C: np.ndarray
+    h: np.ndarray | None
+    max_slack: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.max_slack)
 
 
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
     witness: RelationWitness | None
-    table: tuple[CandidateSlack, ...]
+    table: CandidateTable
 
 
 def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcome:
@@ -263,39 +262,29 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcom
     _check_pair(M, N, kind)
     lams, kappas = (N.levels, M.levels) if kind == BEURLING else (M.levels, N.levels)
     triangle = kind == TRIANGLE
-    cands = ([(C, h) for h in H_GRID for C in C_GRID] if triangle
-             else [(C, None) for C in C_GRID])
     # N's side of the slack depends on N's level alone: build it once per level
     scaled = _scaled_orders(M.box, _LOG_C, _LOG_H if triangle else None)
-    worst_of = {}  # (M's level, N's level) -> max slack per candidate
-    for n_level in N.levels:
-        rhs = scaled + N.log_flat(n_level)
-        for m_level in M.levels:
-            worst_of[m_level, n_level] = _slack(M.log_flat(m_level), rhs).max(axis=-1)
-    table: list[CandidateSlack] = []
-    entries: list[RelationEntry] = []
-    found_all = True
-    for lam in lams:
-        passing = []
-        for kappa in kappas:
-            worst = worst_of[(kappa, lam) if kind == BEURLING else (lam, kappa)]
-            table += [CandidateSlack(lam, kappa, C, h, s)
-                      for (C, h), s in zip(cands, worst.ravel().tolist())]
-            passing.append(worst <= SLACK_TOL)
-        ok = np.array(passing)  # (kappa, C), or (kappa, h, C) for triangle
-        if triangle:
-            hit, first = ok.any(axis=-1), ok.argmax(axis=-1)
-            found_all = found_all and bool(hit.all())
-            entries += [RelationEntry(lam, kappas[k], C_GRID[first[k, i]], H_GRID[i])
-                        for k, i in zip(*np.nonzero(hit))]
-        elif ok.any():
-            c = int(ok.any(axis=0).argmax())
-            entries.append(RelationEntry(lam, kappas[int(ok[:, c].argmax())], C_GRID[c]))
-        else:
-            found_all = False
-
+    worst = np.array([[_slack(m, rhs).max(axis=-1) for m in M._logs]
+                      for rhs in (scaled + n for n in N._logs)])
+    if kind != BEURLING:  # axes (lam, kappa, (h,) C), lam of M
+        worst = worst.swapaxes(0, 1)
+    axes = [axis.reshape(-1) for axis in np.meshgrid(
+        lams, kappas, *([H_GRID] if triangle else []), C_GRID, indexing="ij")]
+    table = CandidateTable(*axes[:2], axes[-1], axes[2] if triangle else None,
+                           worst.reshape(-1))
+    ok = worst <= SLACK_TOL
+    if triangle:  # each (lam, kappa, h) at its smallest passing C
+        hit, first = ok.any(axis=-1), ok.argmax(axis=-1)
+        found_all = bool(hit.all())
+        entries = [RelationEntry(lams[l], kappas[k], C_GRID[first[l, k, i]], H_GRID[i])
+                   for l, k, i in zip(*np.nonzero(hit))]
+    else:  # each lam at its smallest C that some kappa passes, and the smallest such kappa
+        hit = ok.any(axis=1)  # (lam, C)
+        found_all = bool(hit.any(axis=-1).all())
+        entries = [RelationEntry(lams[l], kappas[int(ok[l, :, c].argmax())], C_GRID[c])
+                   for l, c in enumerate(hit.argmax(axis=-1)) if hit[l, c]]
     witness = RelationWitness(kind, tuple(entries)) if found_all else None
-    return SearchOutcome(witness, tuple(table))
+    return SearchOutcome(witness, table)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,16 @@ def test_gen_random_overflow_exits_numeric(capsys):
     assert "numeric breakdown" in err
 
 
+def test_grid_integer_too_large_for_a_float_exits_numeric(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"box": [2], "dim": 1, "scale": "log", "values": [0, 1, 1'
+                    + "0" * 400 + "]}")
+    code, out, err = run(capsys, "minorant", str(path), "--json")
+    assert code == 4
+    assert out == ""
+    assert err == "numeric breakdown: int too large to convert to float\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["notconvex", "--box", "4"], "two-dimensional"),
     (["l37r-counterexample", "--box", "4"], "two-dimensional"),
@@ -634,6 +644,59 @@ def test_search_relation_json_matches_the_two_pass_walk_for_every_kind(tmp_path,
     assert any('"h":null' in out for _, out in ours)
     monkeypatch.setattr(io, "write_report", reference_write_report)
     assert ours == outputs()
+
+
+# (M, N) from the ladders of test_matrices: finite, and with +inf holes that
+# give +inf slacks; roumieu and beurling rows carry "h":null
+RELATION_PIN_CASES = {
+    "roumieu": ("roumieu", "HIGH", "LOW"),
+    "beurling": ("beurling", "LOW", "STEEP"),
+    "triangle": ("triangle", "LOW", "HIGH"),
+    "roumieu_holed": ("roumieu", "HOLED_LOW", "HOLED_HIGH"),
+    "beurling_holed": ("beurling", "HOLED_HIGH", "HOLED_LOW"),
+    "triangle_holed": ("triangle", "HOLED_LOW", "HOLED_HIGH"),
+}
+# sha256 of the --json stdout, and of the human stdout less its duration line
+RELATION_SHA256 = {
+    "beurling": ("118cf262dc5db74f22c328b1d6135f2c008c3d5d8086bfb9d89fb140982730d6",
+                 "fe54c087ad2d2ec9f0c3d61142c258afb6e1c072421bf5ecb8f5abb77b21b6ca"),
+    "beurling_holed": ("44af2004ad8064b24ee94dede4a11f484bd97b579f3f828b8b2aaa85709b5781",
+                       "166eb93aa67ced2836451e907202f7103fb380ed94bbd57f82409c76f6ed7df0"),
+    "roumieu": ("8ccd0c075df8e2c836023f20a6834e8d1d766753d9eada085f63cd3e72088a09",
+                "c9fe5caaccdd3750aac826c9a662eb4aeba628d63e6679a50df8f29b11ee4bf2"),
+    "roumieu_holed": ("42da9eaf89e6056ca0c02222f6581b5738ff64df88de96a48ec1adb6fd12749f",
+                      "12e0922d471a0abac7d802f2575d9af44441fb849b9637339180bdb4a28113f9"),
+    "triangle": ("f0a7fc8345fb957e5da7394ea376f2fb4c810bc0e057c1a351597cb5510008c2",
+                 "c7a71c7bfa52a98f1d5322e23e3754ebf4a6c8580e16a0364f02e63afeab285d"),
+    "triangle_holed": ("fd868754102505e1da95a2837c142a7f8f198774c6b8b9502975ec4f3a0005a2",
+                       "bdd6674fdf1732ae74711f9ebe8c23c99d0b6c055a0db2f8f856e6f1c0b47d55"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_PIN_CASES))
+def test_search_relation_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    import test_matrices
+    from logcvx import write_matrix
+    kind, m, n = RELATION_PIN_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(write_matrix(getattr(test_matrices, m)))
+    (tmp_path / "n.json").write_text(write_matrix(getattr(test_matrices, n)))
+    code, out, _ = run(capsys, "matrix", "search-relation", "m.json", "n.json",
+                       "--kind", kind, "--json")
+    assert code == 0
+    code, human, _ = run(capsys, "matrix", "search-relation", "m.json", "n.json",
+                         "--kind", kind)
+    assert code == 0
+    lines = human.splitlines()
+    assert lines[-1].startswith("duration:")
+    assert sum(line.startswith("  lam: ") for line in lines) == 40
+    assert [line for line in lines if line.startswith("  ... ")] == [
+        f"  ... {len(read_report(out)['results']['table']) - 40} more"]
+    human = "\n".join(lines[:-1])
+    assert ('"max_slack":"inf"' in out) == name.endswith("_holed")
+    assert ('"h":null' in out) == (kind != "triangle")
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(human.encode()).hexdigest()) == RELATION_SHA256[name]
 
 
 # ------------------------------------------------------ one parser per process

@@ -19,6 +19,8 @@ from logcvx import (EXP, LOG, ConditionEntry, ConditionWitness,
                     read_relation_witness, read_report, to_jsonable,
                     write_condition_witness, write_grid, write_matrix,
                     write_relation_witness, write_report)
+from logcvx.io import Columns
+from logcvx.matrices import CandidateTable
 
 
 # ----------------------------------------------------------- float format
@@ -128,7 +130,30 @@ def _ref_dump(obj, out) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _ref_table_rows(table) -> list[dict]:
+    """A column table's rows as plain dicts, built one cell at a time."""
+    if isinstance(table, CandidateTable):
+        columns, points = {"lam": table.lam, "kappa": table.kappa, "C": table.C,
+                           "h": table.h, "max_slack": table.max_slack}, None
+    else:
+        columns, points = table.columns, table.points
+    n = max(len(col) for col in columns.values() if col is not None)
+
+    def cell(col, i):
+        if col is None:
+            return None
+        if col.dtype == bool:
+            return [points[j].tolist() for j in range(len(points)) if col[i, j]]
+        if col.dtype.kind in "iu":
+            return points[col[i]].tolist()
+        return col[i].tolist()
+
+    return [{key: cell(col, i) for key, col in columns.items()} for i in range(n)]
+
+
 def _ref_to_jsonable(obj):
+    if isinstance(obj, (CandidateTable, Columns)):
+        obj = _ref_table_rows(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _ref_to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -334,13 +359,6 @@ def test_rows_of_one_dataclass_type_match_the_two_pass_walk(obj):
     assert write_report(obj) == reference_write_report(obj)
 
 
-def test_rows_of_one_dataclass_type_take_the_row_path():
-    from logcvx import io
-    for obj in row_cases():
-        write_report(obj)
-    assert {Row, Single, Empty} <= set(io._ROWS)
-
-
 @pytest.mark.parametrize("obj", [
     [Row(1.0, 2.0), Leaf(1.0)], (Leaf(-0.0), Row(math.nan, None), Leaf(2.0)),
     [Row(1.0, 2.0), 1.0], [Row(1.0, 2.0), None, Row(1.0, 3.0)], [Single(1), Empty()], [],
@@ -353,6 +371,104 @@ def test_rows_of_mixed_types_or_none_fall_back_to_the_walk(obj):
 def test_rows_are_no_report_data():
     with pytest.raises(TypeError):
         canonical_json([Row(1.0, 2.0), Row(3.0, 4.0)])
+
+
+# ------------------------------------------------------- column tables
+
+EDGE_COLUMN = np.array([-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e6, 0.1, -2.5])
+FINITE_COLUMN = np.array([-0.0, 5e-324, 1e6, 0.1, -2.5, 1.0 / 3.0, 2.0 ** 53 + 2.0, -1e-300])
+FEW = np.array([1.0, -0.0, 1e6, 1.0, -0.0, 1e6, 1.0, 1.0])
+POINTS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+
+
+def table_cases():
+    empty = np.empty(0)
+    return [
+        CandidateTable(FEW, FEW[::-1], np.full(8, 5e-324), None, EDGE_COLUMN),
+        CandidateTable(EDGE_COLUMN, EDGE_COLUMN[::-1], FEW, EDGE_COLUMN, EDGE_COLUMN),
+        CandidateTable(FEW, FEW, FEW, FEW[::-1], FINITE_COLUMN),
+        CandidateTable(FINITE_COLUMN, FEW, FEW, None, FINITE_COLUMN[::-1]),
+        CandidateTable(empty, empty, empty, None, empty),
+        CandidateTable(empty, empty, empty, empty, empty),
+        Columns({"alpha": np.array([0, 3, 1]),
+                 "k": np.array([[0.5, -0.0], [math.inf, 1e6], [5e-324, math.nan]]),
+                 "h": np.array([1.0, 2.0, -0.0]),
+                 "touching": np.array([[True, False, True, False], [False] * 4, [True] * 4])},
+                POINTS),
+        Columns({"alpha": np.arange(8) % 4, "k": np.stack([FINITE_COLUMN, FEW], axis=1),
+                 "h": FINITE_COLUMN, "touching": np.eye(8, 4, dtype=bool)}, POINTS),
+        Columns({"z": None, "%d": np.array([1.5, 2.5]), "a": np.empty((2, 0))}),
+    ]
+
+
+@pytest.mark.parametrize("table", table_cases())
+def test_column_tables_match_the_two_pass_walk(table):
+    rows = _ref_table_rows(table)
+    assert write_report(table) == reference_write_report(table) == write_report(rows)
+    assert write_report({"table": table, "n": len(rows)}) == \
+        reference_write_report({"table": rows, "n": len(rows)})
+
+
+@pytest.mark.parametrize("table", table_cases())
+def test_column_tables_give_their_rows_as_plain_data(table):
+    rows = to_jsonable(table)
+    assert canonical_json(rows) == canonical_json(_ref_table_rows(table))
+    columns = ["lam", "kappa", "C", "h", "max_slack"] if isinstance(table, CandidateTable) \
+        else list(table.columns)
+    assert all(list(row) == columns for row in rows)
+    assert all(type(x) is not np.float64 for row in rows for x in row.values())
+
+
+def test_column_tables_take_the_table_path(monkeypatch):
+    from logcvx import io
+    calls = []
+    writer = io._table_text
+    monkeypatch.setattr(io, "_table_text", lambda *a: calls.append(1) or writer(*a))
+    cases = table_cases()
+    for table in cases:
+        write_report({"table": table})
+    assert len(calls) == len(cases)
+    for table in cases:
+        with pytest.raises(TypeError):
+            canonical_json(table)
+
+
+def test_column_tables_match_the_two_pass_walk_on_random_columns():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    few = st.sampled_from([-0.0, 0.0, 5e-324, 1e6, 0.1, math.inf, -math.inf, math.nan])
+
+    @st.composite
+    def tables(draw):
+        n = draw(st.integers(0, 12))
+        column = lambda values: np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                                         dtype=float)
+        cols = [column(draw(st.sampled_from([floats, few, st.floats(-1e9, 1e9)])))
+                for _ in range(5)]
+        if draw(st.booleans()):
+            cols[3] = None
+        if draw(st.booleans()):
+            return CandidateTable(*cols)
+        d = draw(st.integers(0, 3))
+        return Columns({"alpha": np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                                        max_size=n)), dtype=int),
+                        "k": np.array(draw(st.lists(st.lists(floats, min_size=d, max_size=d),
+                                                    min_size=n, max_size=n)),
+                                      dtype=float).reshape(n, d),
+                        "h": cols[4], "g": cols[3],
+                        "touching": np.array(draw(st.lists(
+                            st.lists(st.booleans(), min_size=4, max_size=4),
+                            min_size=n, max_size=n)), dtype=bool).reshape(n, 4)}, POINTS)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(tables())
+    def check(table):
+        rows = _ref_table_rows(table)
+        assert write_report(table) == reference_write_report(table) == write_report(rows)
+        assert canonical_json(to_jsonable(table)) == canonical_json(rows)
+
+    check()
 
 
 # -------------------------------------------------------------- grid JSON
@@ -410,6 +526,27 @@ def test_read_grid_schema_error_paths():
         with pytest.raises(SchemaError) as err:
             read_grid(obj)
         assert err.value.path == path
+
+
+def test_grid_values_are_read_in_bulk_or_one_by_one():
+    def values(vals):
+        return read_grid({"box": [3], "dim": 1, "scale": "log", "values": vals},
+                         validate=False).flat.tolist()
+
+    big = [2 ** 53 + 1, 2 ** 70 + 2 ** 17 + 1, -(2 ** 1023), 10 ** 308]
+    assert values([0, 1.5, *big[:2]]) == [0.0, 1.5] + [float(x) for x in big[:2]]
+    assert values([0, *big[1:]]) == [0.0] + [float(x) for x in big[1:]]
+    assert values([0.0, -0.0, 5e-324, 1e308]) == [0.0, -0.0, 5e-324, 1e308]
+    special = values([0, None, "inf", "-inf"])
+    assert math.isnan(special[1]) and special[2:] == [math.inf, -math.inf]
+    for bad, path in (([0, 1, True, 2.5], "/values/2"), ([0, False, 1, 2], "/values/1"),
+                      ([0, 1, 2, "2"], "/values/3"), ([0, [1], 2, 3], "/values/1")):
+        with pytest.raises(SchemaError) as err:
+            values(bad)
+        assert err.value.path == path
+    for vals in ([0, 1, 10 ** 400, 2], [0, 1.5, -(10 ** 400), 2], [0, None, 10 ** 400, 2]):
+        with pytest.raises(OverflowError):
+            values(vals)
 
 
 def test_read_grid_validates_semantics_unless_told_not_to():

@@ -14,7 +14,7 @@ from logcvx import (BoxTooSmall, ConditionEntry, ConditionWitness,
                     l37r_counterexample_matrix, search_relation,
                     verify_condition, verify_relation, write_report)
 from logcvx.core import EXP, LOG, order_array
-from logcvx.matrices import C_GRID, H_GRID, CandidateSlack, _slack
+from logcvx.matrices import C_GRID, H_GRID, _slack
 
 
 def exp_line(n, f):
@@ -201,7 +201,7 @@ def test_search_reports_failure_beyond_the_constant_grid():
     out = search_relation(M, N, "roumieu")
     assert out.witness is None
     assert out.table
-    assert min(c.max_slack for c in out.table) > 0
+    assert out.table.max_slack.min() > 0
 
 
 def test_search_triangle_succeeds_when_the_gap_absorbs_every_h():
@@ -248,7 +248,8 @@ def reference_search(M, N, kind):
                         lhs = M.log_flat(lam)
                         rhs = math.log(C) + orders * math.log(h) + N.log_flat(kappa)
                     s = float(masked_slack(lhs, rhs).max())
-                    table.append(CandidateSlack(lam, kappa, C, h, s))
+                    table.append({"lam": lam, "kappa": kappa, "C": C, "h": h,
+                                  "max_slack": s})
                     if s <= 1e-9 and first is None:
                         first = RelationEntry(lam, kappa, C, h)
                 if kind == "triangle":
@@ -297,7 +298,7 @@ def test_search_matches_the_per_candidate_scan(kind, M, N, found):
     assert write_report(out.table) == write_report(table)
     assert write_report(out.witness) == write_report(witness)
     assert (out.witness is not None) == found
-    assert any(c.max_slack <= 1e-9 for c in table)
+    assert any(c["max_slack"] <= 1e-9 for c in table)
 
 
 def with_holes(M, holes):
@@ -328,10 +329,23 @@ def test_search_on_ladders_with_holes_matches_the_per_candidate_scan(kind, M, N)
     assert write_report(out.witness) == write_report(witness)
 
 
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+def test_search_table_has_one_column_entry_per_candidate(kind):
+    M = ladder(BASE, (0.0, 0.3))
+    out = search_relation(M, HIGH, kind)
+    rows = len(M.levels) * len(HIGH.levels) * len(C_GRID) * (
+        len(H_GRID) if kind == "triangle" else 1)
+    assert len(out.table) == rows
+    t = out.table
+    for col in (t.lam, t.kappa, t.C, t.max_slack) + ((t.h,) if kind == "triangle" else ()):
+        assert isinstance(col, np.ndarray) and col.shape == (rows,) and col.dtype == float
+    assert (t.h is None) == (kind != "triangle")
+
+
 def test_search_takes_the_smallest_kappa_among_ties():
     out = search_relation(LOW, LOW, "roumieu")
-    passing_at_1 = {c.kappa for c in out.table if c.lam == 1.0 and c.C == 1.0
-                    and c.max_slack <= 1e-9}
+    t = out.table
+    passing_at_1 = set(t.kappa[(t.lam == 1.0) & (t.C == 1.0) & (t.max_slack <= 1e-9)].tolist())
     assert passing_at_1 == {1.0, 2.0, 3.0}
     assert [(e.lam, e.kappa, e.C) for e in out.witness.entries][:2] == [
         (1.0, 1.0, 1.0), (2.0, 2.0, 1.0)]
