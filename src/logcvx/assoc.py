@@ -24,10 +24,10 @@ import numpy as np
 
 from . import conjugate
 from .core import (EXP, LOG, TIE_REL_TOL, MultiIndex, SequenceGrid, as_log_grid,
-                   index_array, outer_shell_mask, to_exp, validate_grid)
+                   index_array, outer_shell_mask, require_valid, to_exp,
+                   validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
-from .errors import (DimensionMismatch, EmptySGrid, GridValidationError,
-                     NotNormalized)
+from .errors import DimensionMismatch, EmptySGrid, NotNormalized, OutOfRange
 
 GAP_TOL = 1e-9
 Q3_REL_TOL = 0.02
@@ -48,9 +48,7 @@ class AssociatedFunction:
     """omega_M of a validated, normalized grid (EXP or LOG scale accepted)."""
 
     def __init__(self, g: SequenceGrid):
-        violations = validate_grid(g)
-        if violations:
-            raise GridValidationError(violations)
+        require_valid(g)
         if not g.is_normalized():
             want = "M_0 = 1" if g.scale == EXP else "a_0 = 0"
             raise NotNormalized(f"grid must be normalized ({want})")
@@ -77,6 +75,8 @@ class AssociatedFunction:
         t = np.asarray(t, dtype=float)
         if t.shape != (self.dim,):
             raise DimensionMismatch(f"t must have length {self.dim}")
+        if not np.isfinite(t).all():
+            raise OutOfRange(f"t must be finite, got {tuple(t.tolist())}")
         zero = t == 0.0
         with np.errstate(divide="ignore"):
             lt = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1.0, t))))
@@ -95,6 +95,8 @@ class AssociatedFunction:
         k = np.asarray(k, dtype=float)
         if k.shape != (self.dim,):
             raise DimensionMismatch(f"k must have length {self.dim}")
+        if not np.isfinite(k).all():
+            raise OutOfRange(f"k must be finite, got {tuple(k.tolist())}")
         return self._sup(k, None).value
 
 

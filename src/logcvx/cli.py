@@ -30,6 +30,7 @@ _EXIT_PARSE = 3
 _EXIT_NUMERIC = 4
 
 _ORACLE_POINT_CAP = 25
+_SHOWN = 40  # rows of a list that the human report prints
 
 
 def _read_file(path: str) -> bytes:
@@ -76,7 +77,7 @@ def _emit(args, results, warnings: list[str], inputs: list[bytes],
         print(io.write_report({"command": args._echo, "input_digest": _digest(inputs),
                                "results": results, "warnings": warnings}))
         return 0
-    _render(io.to_jsonable(results), indent=0)
+    _render(io.to_jsonable(results, _SHOWN), indent=0)
     for w in warnings:
         print(f"warning: {w}")
     print(f"duration: {1000.0 * (time.monotonic() - started):.1f} ms")
@@ -94,10 +95,10 @@ def _render(obj, indent: int, key: str | None = None) -> None:
     elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
         if key is not None:
             print(f"{pad}{key}:")
-        for v in obj[:40]:
+        for v in obj[:_SHOWN]:
             _render(v, indent + 1)
-        if len(obj) > 40:
-            print(f"{pad}  ... {len(obj) - 40} more")
+        if len(obj) > _SHOWN:
+            print(f"{pad}  ... {len(obj) - _SHOWN} more")
     elif isinstance(obj, float):
         print(f"{label}{io.fmt_float(obj)}")
     else:
@@ -119,11 +120,9 @@ def cmd_minorant(args) -> int:
             raise OutOfRange("--method sweep needs a one-dimensional grid")
         poly = envelope1d.sweep(work)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, poly.minorant, LOG))
-        results["contacts"] = [[int(p)] for p in poly.contacts]
-        results["segments"] = [
-            {"lo": s.lo, "hi": s.hi, "slope": s.slope, "intercept": s.intercept}
-            for s in poly.segments]
-        boundary = [[int(p)] for p in poly.boundary_affected]
+        results["contacts"] = [[p] for p in poly.contacts]
+        results["segments"] = poly.segments
+        boundary = [[p] for p in poly.boundary_affected]
     elif args.method == "lp":
         res = envelope.minorant_lp(work)
         idx = index_array(work.box)
@@ -159,10 +158,7 @@ def cmd_minorant(args) -> int:
         larger_raw = _read_file(args.stability)
         larger = as_log_grid(io.read_grid(larger_raw))
         probe = envelope.stability_probe(work, larger)
-        results["stability"] = {
-            "max_diff": probe.max_diff,
-            "unstable": [list(alpha) for alpha in probe.unstable],
-        }
+        results["stability"] = {"max_diff": probe.max_diff, "unstable": probe.unstable}
         return _emit(args, results, warnings, [raw, larger_raw], started)
     return _emit(args, results, warnings, [raw], started)
 
@@ -186,13 +182,13 @@ def cmd_assoc(args) -> int:
     rows = []
     for t in points:
         ev = af.evaluate(t)
-        rows.append({"t": list(t), "omega": ev.value, "argmax": list(map(int, ev.argmax)),
+        rows.append({"t": t, "omega": ev.value, "argmax": ev.argmax,
                      "on_boundary": ev.sup_on_boundary})
     if rows:
         results["omega"] = rows
     if args.trace_k is not None:
         k = _parse_floats(args.trace_k, "--trace-k")
-        results["trace"] = {"k": list(k), "value": af.trace(k)}
+        results["trace"] = {"k": k, "value": af.trace(k)}
     if not results:
         raise OutOfRange("nothing to do: pass --t, --t-grid or --trace-k")
     if any(r["on_boundary"] for r in rows):
@@ -211,19 +207,17 @@ def cmd_check(args) -> int:
     if report.boundary_caveat:
         warnings.append("verdicts near the outer shell are box-dependent; "
                         "interior flags shown are trustworthy")
+    cw = report.coordinatewise_violation  # (alpha, axis) or None
     results = {
         "coordinatewise_ok": report.coordinatewise_ok,
-        "coordinatewise_violation":
-            {"alpha": list(map(int, report.coordinatewise_violation[0])),
-             "axis": int(report.coordinatewise_violation[1])}
-            if report.coordinatewise_violation is not None else None,
+        "coordinatewise_violation": dict(zip(("alpha", "axis"), cw)) if cw else None,
         "globally_convex": report.globally_convex,
         "max_gap": report.max_gap,
         "interior_max_gap": report.interior_max_gap,
         "q3_holds": report.q3_holds,
         "q3_max_shortfall": report.q3_max_shortfall,
-        "q3_worst": list(map(int, report.q3_worst)) if report.q3_worst is not None else None,
-        "q3_failures": [list(alpha) for alpha in report.q3_failures],
+        "q3_worst": report.q3_worst,
+        "q3_failures": report.q3_failures,
         "boundary_caveat": report.boundary_caveat,
         "minorant": io.grid_to_obj(report.minorant.minorant),
     }
@@ -233,8 +227,7 @@ def cmd_check(args) -> int:
 def cmd_matrix(args) -> int:
     started = time.monotonic()
     if args.matrix_cmd == "counterexample":
-        results: dict = {"margins": [[n, m] for n, m in
-                                     matrices.l37r_counterexample_curve(args.n_max)]}
+        results: dict = {"margins": matrices.l37r_counterexample_curve(args.n_max)}
         inputs: list[bytes] = []
         if args.box is not None:
             box = _parse_ints(args.box, "--box")

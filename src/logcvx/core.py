@@ -25,7 +25,8 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyShell, NonPositiveEntry, ScaleMismatch
+from .errors import (DimensionMismatch, EmptyShell, GridValidationError, NonPositiveEntry,
+                     ScaleMismatch)
 
 LOG = "log"
 EXP = "exp"
@@ -167,6 +168,13 @@ def validate_grid(g: SequenceGrid) -> list[Violation]:
     if "_violations" not in g.__dict__:
         object.__setattr__(g, "_violations", tuple(_violations(g)))
     return list(g._violations)
+
+
+def require_valid(g: SequenceGrid) -> None:
+    """Raise GridValidationError with the violations of g, if it has any."""
+    violations = validate_grid(g)
+    if violations:
+        raise GridValidationError(violations)
 
 
 def _violations(g: SequenceGrid) -> list[Violation]:

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import conjugate, lpsolve
 from .core import (LOG, MultiIndex, SequenceGrid, index_array, outer_shell_mask,
-                   validate_grid)
+                   require_valid, validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (AllInfinite, DimensionMismatch, EmptyKGrid,
-                     GridMismatch, GridValidationError, OutOfRange, ScaleMismatch)
+                     GridMismatch, OutOfRange, ScaleMismatch)
 
 TOUCH_REL_TOL = 1e-12
 CONTACT_TOL = 1e-9
@@ -208,9 +208,7 @@ def minorant_lp(g: SequenceGrid) -> MinorantResult:
     convex-combination LP at every index, solved in one batch
     (:func:`lpsolve.solve_batch`)."""
     _require_log(g, "minorant_lp")
-    violations = validate_grid(g)
-    if violations:
-        raise GridValidationError(violations)
+    require_valid(g)
     a = g.flat
     P = index_array(g.box).astype(float)
     finite = np.isfinite(a)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG, TIE_REL_TOL, SequenceGrid, validate_grid
-from .errors import DimensionMismatch, GridValidationError, OutOfRange, ScaleMismatch
+from .core import LOG, TIE_REL_TOL, SequenceGrid, require_valid
+from .errors import DimensionMismatch, OutOfRange, ScaleMismatch
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ def sweep(g: SequenceGrid) -> NewtonPolygon:
         raise DimensionMismatch("sweep expects a 1-D grid")
     if g.scale != LOG:
         raise ScaleMismatch("sweep expects a LOG-scale grid")
-    violations = validate_grid(g)
-    if violations:
-        raise GridValidationError(violations)
+    require_valid(g)
     a = g.flat
     n_last = g.box[0]
     contacts = [0]

@@ -59,6 +59,8 @@ def random_grid(box: tuple[int, ...], seed: int, scale: str = LOG,
     """Uniform noise on a parabolic ramp: a_alpha = amplitude*u + lift*|alpha|^2,
     shifted so a_0 = 0.  Draws are consumed in row-major index order, one per
     grid point, so output is a pure function of (box, seed)."""
+    if not (math.isfinite(amplitude) and math.isfinite(lift)):
+        raise OutOfRange(f"amplitude and lift must be finite, got {amplitude!r}, {lift!r}")
     rng = SplitMix64(seed)
     orders = order_array(box).astype(float)
     a = amplitude * rng.floats(orders.size) + lift * orders ** 2

@@ -15,7 +15,8 @@ of a relation search) is written in one %-format over n copies of a row
 template with its keys sorted: a float column with at most half its values
 distinct, or with a non-finite one, formats each distinct value once; any
 other float column goes into the format as %.17g.  to_jsonable gives the
-human CLI output its plain data, a column table as its list of row objects.
+human CLI output its plain data, a column table as its list of row objects
+(with rows=k, only the first k converted).
 
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
@@ -36,7 +37,8 @@ from itertools import compress
 
 import numpy as np
 
-from .core import EXP, LOG, SequenceGrid, validate_grid
+from .core import (EXP, LOG, SequenceGrid, require_valid,
+                   validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (DimensionMismatch, GridValidationError, NotNormalized,
                      SchemaError)
 from .matrices import (CandidateTable, ConditionEntry, ConditionWitness,
@@ -69,8 +71,6 @@ def write_report(payload) -> str:
 
 _quote = json.encoder.encode_basestring  # what json.dumps(s, ensure_ascii=False) calls
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
-_KEYS: dict[str, str] = {}  # key -> '"key":' for up to 4096 keys; depends on the key alone
-_FIELDS: dict[type, list[tuple[str, str]]] = {}  # dataclass -> [('"name":', name)], sorted
 # What any other value is read as, in this order; sets only in a report.
 _PLAIN = (((set, frozenset), sorted), (np.ndarray, lambda a: list(a.tolist())),
           ((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
@@ -96,18 +96,20 @@ def _encode(obj, out: list[str], report: bool) -> None:
     elif obj is None:
         out.append("null")
     elif t is list or t is tuple:
-        _encode_list(obj, out, report)
+        out.append("[")
+        for x in obj:
+            _encode(x, out, report)
+            out.append(",")
+        out[-1] = "]" if obj else "[]"
     elif t is dict:
         if report and not all(isinstance(k, str) for k in obj):
             obj = {k if isinstance(k, str) else str(k): v for k, v in obj.items()}
         _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out, report)
     elif report and t in _TABLES:
         out.append(_table_text(*_TABLES[t](obj)))
-    elif report and (t in _FIELDS or (dataclasses.is_dataclass(obj)
-                                       and not isinstance(obj, type))):
-        if t not in _FIELDS:
-            _FIELDS[t] = [(_key(n), n) for n in sorted(f.name for f in dataclasses.fields(t))]
-        _encode_object([(key, getattr(obj, name)) for key, name in _FIELDS[t]], out, True)
+    elif report and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = sorted(f.name for f in dataclasses.fields(t))
+        _encode_object([(_key(n), getattr(obj, n)) for n in names], out, True)
     else:
         for kinds, plain in _PLAIN[not report:]:
             if isinstance(obj, kinds):
@@ -116,14 +118,9 @@ def _encode(obj, out: list[str], report: bool) -> None:
 
 
 def _key(k) -> str:
-    key = _KEYS.get(k)
-    if key is None:
-        if not isinstance(k, str):
-            raise TypeError(f"JSON object keys must be strings, got {k!r}")
-        key = _quote(k) + ":"
-        if len(_KEYS) < 4096:
-            _KEYS[k] = key
-    return key
+    if not isinstance(k, str):
+        raise TypeError(f"JSON object keys must be strings, got {k!r}")
+    return _quote(k) + ":"
 
 
 def _encode_object(items: list[tuple[str, object]], out: list[str], report: bool) -> None:
@@ -133,20 +130,6 @@ def _encode_object(items: list[tuple[str, object]], out: list[str], report: bool
         _encode(value, out, report)
         out.append(",")
     out[-1] = "}" if items else "{}"
-
-
-def _encode_list(seq, out: list[str], report: bool) -> None:
-    t = type(seq[0]) if seq else None
-    if t is float and all(type(x) is float for x in seq):
-        out.append("[" + ",".join(map(_float, seq)) + "]")
-    elif t is int and all(type(x) is int for x in seq):
-        out.append("[" + ",".join(map(str, seq)) + "]")
-    else:
-        out.append("[")
-        for x in seq:
-            _encode(x, out, report)
-            out.append(",")
-        out[-1] = "]" if seq else "[]"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -193,31 +176,35 @@ def _table_text(columns: dict, points) -> str:
     return "[" + ",".join(["{" + ",".join(slots) + "}"] * n) % values + "]"
 
 
-def _table_rows(columns: dict, points) -> list[dict]:
-    """A column table's rows as plain dicts, keys in the order of columns."""
+def _table_rows(columns: dict, points, stop: int | None) -> list[dict]:
+    """A column table's rows as plain dicts, keys in the order of columns; the
+    rows from stop on stay None."""
     n = len(next(col for col in columns.values() if col is not None))
-    plain = [[None] * n if col is None
-             else [points[row].tolist() for row in col] if col.dtype == bool
-             else (points[col] if col.dtype.kind in "iu" else col).tolist()
+    k = n if stop is None else min(n, stop)
+    plain = [[None] * k if col is None
+             else [points[row].tolist() for row in col[:k]] if col.dtype == bool
+             else (points[col[:k]] if col.dtype.kind in "iu" else col[:k]).tolist()
              for col in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*plain)]
+    return [dict(zip(columns, row)) for row in zip(*plain)] + [None] * (n - k)
 
 
-def to_jsonable(obj):
+def to_jsonable(obj, rows: int | None = None):
     """Recursively convert dataclasses, numpy values, tuples and sets into
-    plain JSON data (floats stay floats; canonical_json handles specials)."""
+    plain JSON data (floats stay floats; canonical_json handles specials).
+    With rows=k, a column table converts only its first k rows and keeps its
+    length: the rest of its list is None."""
     if type(obj) in _TABLES:
-        return _table_rows(*_TABLES[type(obj)](obj))
+        return _table_rows(*_TABLES[type(obj)](obj), rows)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
+        return {f.name: to_jsonable(getattr(obj, f.name), rows)
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k) if not isinstance(k, str) else k: to_jsonable(v)
+        return {str(k) if not isinstance(k, str) else k: to_jsonable(v, rows)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return [to_jsonable(v, rows) for v in obj]
     if isinstance(obj, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(obj)]
+        return [to_jsonable(v, rows) for v in sorted(obj)]
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, np.integer):
@@ -279,7 +266,7 @@ def _grid_from_obj(obj, path: str = "") -> SequenceGrid:
         raise SchemaError(f"{path}/box", "list of nonnegative integers", repr(box_raw))
     box = tuple(box_raw)
     dim = _require(obj, "dim", path)
-    if dim != len(box):
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim != len(box):
         raise SchemaError(f"{path}/dim", f"{len(box)} (length of box)", repr(dim))
     scale = _require(obj, "scale", path)
     if scale not in (LOG, EXP):
@@ -325,9 +312,7 @@ def read_grid(source, fmt: str | None = None, validate: bool = True) -> Sequence
 
 def _validated(g: SequenceGrid, validate: bool) -> SequenceGrid:
     if validate:
-        violations = validate_grid(g)
-        if violations:
-            raise GridValidationError(violations)
+        require_valid(g)
     return g
 
 
@@ -439,7 +424,8 @@ def read_matrix(source) -> WeightMatrix:
     grids_raw = _require(obj, "grids", "")
     if not isinstance(grids_raw, list) or len(grids_raw) != len(levels_raw):
         raise SchemaError("/grids", f"list of {len(levels_raw)} grids",
-                          f"{type(grids_raw).__name__}")
+                          f"list of {len(grids_raw)}" if isinstance(grids_raw, list)
+                          else type(grids_raw).__name__)
     grids = [_grid_from_obj(gobj, f"/grids/{i}") for i, gobj in enumerate(grids_raw)]
     try:
         return WeightMatrix(tuple(levels), tuple(grids))

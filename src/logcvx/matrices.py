@@ -40,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EXP, LEVEL_REL_TOL, MultiIndex, SequenceGrid, index_array,
-                   order_array, validate_grid)
-from .errors import (BoxTooSmall, DimensionMismatch, GridValidationError,
-                     LevelNotFound, NotNormalized, WitnessError)
+                   order_array, require_valid,
+                   validate_grid)  # unused: perfbench/tracer.py wraps it here
+from .errors import (BoxTooSmall, DimensionMismatch, LevelNotFound, NotNormalized,
+                     WitnessError)
 
 ROUMIEU = "roumieu"
 BEURLING = "beurling"
@@ -76,9 +77,7 @@ class WeightMatrix:
                 raise DimensionMismatch("all grids must share one box")
             if g.scale != EXP:
                 raise WitnessError("matrix grids must be EXP scale")
-            violations = validate_grid(g)
-            if violations:
-                raise GridValidationError(violations)
+            require_valid(g)
             if not g.is_normalized():
                 raise NotNormalized(f"grid at level {levels[i]} is not normalized")
             logs.append(g.log_flat())
@@ -196,10 +195,10 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
     idx = index_array(M.box)
     acc = _PairChecker()
     for entry in witness.entries:
-        if entry.C <= 0:
-            raise WitnessError("witness constants must be positive")
-        if kind == TRIANGLE and (entry.h is None or entry.h <= 0):
-            raise WitnessError("triangle entries need h > 0")
+        if not 0 < entry.C < math.inf:
+            raise WitnessError("witness constants must be positive and finite")
+        if kind == TRIANGLE and (entry.h is None or not 0 < entry.h < math.inf):
+            raise WitnessError("triangle entries need a finite h > 0")
 
         def rec(i, slack, _e=entry):
             return SlackRecord(_e.lam, _e.kappa, tuple(int(c) for c in idx[i]),
@@ -421,16 +420,16 @@ def verify_condition(M: WeightMatrix, condition: str,
         if not roumieu_side and e.kappa > e.lam + 1e-12:
             raise WitnessError(f"{condition} needs kappa <= lam, got {e.kappa} > {e.lam}")
         if condition in ("L37R", "63B", "L21R", "L21B"):
-            if e.A is None or e.A <= 0:
-                raise WitnessError(f"{condition} entries need A > 0")
+            if e.A is None or not 0 < e.A < math.inf:
+                raise WitnessError(f"{condition} entries need a finite A > 0")
         elif condition == "L12R":
-            if any(x is None or x <= 0 for x in (e.B, e.C, e.H)):
-                raise WitnessError("L12R entries need B, C, H > 0")
+            if any(x is None or not 0 < x < math.inf for x in (e.B, e.C, e.H)):
+                raise WitnessError("L12R entries need finite B, C, H > 0")
         else:
-            if e.H is None or e.H <= 0:
-                raise WitnessError("L12B entries need H > 0")
-            if e.pairs and any(C <= 0 or Bc <= 0 for C, Bc in e.pairs):
-                raise WitnessError("L12B pairs must be positive")
+            if e.H is None or not 0 < e.H < math.inf:
+                raise WitnessError("L12B entries need a finite H > 0")
+            if e.pairs and any(not 0 < x < math.inf for pair in e.pairs for x in pair):
+                raise WitnessError("L12B pairs must be positive and finite")
         # the Beurling side swaps the roles of the two levels
         lo, hi = M.log_flat(e.lam), M.log_flat(e.kappa)
         if not roumieu_side:

@@ -94,6 +94,22 @@ def test_gen_bad_arguments_are_validation_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("flag, value", [("--amplitude", "nan"), ("--amplitude", "-inf"),
+                                         ("--lift", "inf"), ("--lift", "nan")])
+def test_gen_random_non_finite_argument_is_a_validation_error(capsys, flag, value):
+    code, out, err = run(capsys, "gen", "random", "--box", "3,3", f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error:") and "finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"), ("--t", "-inf"),
+                                         ("--trace-k", "nan"), ("--trace-k", "inf")])
+def test_assoc_non_finite_point_is_a_validation_error(tmp_path, capsys, flag, value):
+    code, out, err = run(capsys, "assoc", fact_file(tmp_path), f"{flag}={value}", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error:") and "finite" in err
+
+
 def test_matrix_counterexample_on_a_one_dimensional_box_is_a_validation_error(capsys):
     code, _, err = run(capsys, "matrix", "counterexample", "--box", "4")
     assert code == 2
@@ -489,6 +505,46 @@ def test_matrix_bad_witness_constant_is_a_validation_error(tmp_path, capsys):
                        "--cond", "L21R", "--witness", str(wit))
     assert code == 2
     assert "A > 0" in err
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("roumieu", {"C": "nan"}),
+    ("roumieu", {"C": None}),
+    ("roumieu", {"C": "inf"}),
+    ("beurling", {"C": "-inf"}),
+    ("triangle", {"C": 1.0, "h": "nan"}),
+    ("triangle", {"C": 1.0, "h": "inf"}),
+])
+def test_matrix_non_finite_relation_constant_is_a_validation_error(tmp_path, capsys,
+                                                                   kind, entry):
+    mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps(
+        {"kind": kind, "entries": [{"lambda": 1.0, "kappa": 1.0, **entry}]}))
+    code, out, err = run(capsys, "matrix", "verify-relation", mf, mf,
+                         "--kind", kind, "--witness", str(wit), "--json")
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("cond, entry", [
+    ("L21R", {"A": "nan"}),
+    ("L37R", {"A": "inf"}),
+    ("L12R", {"B": 1.0, "C": "nan", "H": 1.0}),
+    ("L12B", {"H": 1.0, "pairs": [[1.0, "inf"]]}),
+    ("L12B", {"H": 1.0, "pairs": [[2.0, 1.0], ["nan", 1.0]]}),
+    ("L12B", {"H": "inf", "pairs": [[1.0, 1.0]]}),
+])
+def test_matrix_non_finite_condition_constant_is_a_validation_error(tmp_path, capsys,
+                                                                    cond, entry):
+    mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps(
+        {"condition": cond, "entries": [{"lambda": 1.0, "kappa": 1.0, **entry}]}))
+    code, out, err = run(capsys, "matrix", "verify-condition", mf,
+                         "--cond", cond, "--witness", str(wit), "--json")
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_matrix_counterexample_curve_and_file(tmp_path, capsys):

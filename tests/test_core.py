@@ -121,6 +121,16 @@ def test_validate_finds_the_violations_once_and_hands_out_copies():
     assert validate_grid(clean) == []
 
 
+def test_require_valid_raises_the_violations_of_validate_grid():
+    from logcvx.core import require_valid
+    from logcvx.errors import GridValidationError
+    g = SequenceGrid((3,), [INF, -INF, math.nan, 1.0], LOG)
+    with pytest.raises(GridValidationError) as err:
+        require_valid(g)
+    assert list(err.value.violations) == validate_grid(g)
+    assert require_valid(SequenceGrid((2,), [0, 1, 6], LOG)) is None
+
+
 def test_plus_inf_interior_is_legal():
     assert validate_grid(SequenceGrid((2,), [0, INF, 6], LOG)) == []
 

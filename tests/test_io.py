@@ -151,7 +151,8 @@ def _ref_table_rows(table) -> list[dict]:
     return [{key: cell(col, i) for key, col in columns.items()} for i in range(n)]
 
 
-def _ref_to_jsonable(obj):
+def _ref_to_jsonable(obj, rows=None):
+    """to_jsonable of every row of every table (rows is accepted and ignored)."""
     if isinstance(obj, (CandidateTable, Columns)):
         obj = _ref_table_rows(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -419,6 +420,16 @@ def test_column_tables_give_their_rows_as_plain_data(table):
     assert all(type(x) is not np.float64 for row in rows for x in row.values())
 
 
+@pytest.mark.parametrize("table", table_cases())
+def test_column_tables_convert_only_the_rows_asked_for(table):
+    rows = to_jsonable(table)
+    for k in (0, 1, 3, len(rows), len(rows) + 2):
+        head = to_jsonable({"t": [table]}, rows=k)["t"][0]
+        assert len(head) == len(rows)
+        assert canonical_json(head[:k]) == canonical_json(rows[:k])
+        assert head[k:] == [None] * (len(rows) - k)
+
+
 def test_column_tables_take_the_table_path(monkeypatch):
     from logcvx import io
     calls = []
@@ -528,6 +539,17 @@ def test_read_grid_schema_error_paths():
         assert err.value.path == path
 
 
+@pytest.mark.parametrize("dim", [True, 1.0])
+def test_grid_dim_must_be_an_integer(dim):
+    grid = {"box": [2], "dim": dim, "scale": "exp", "values": [1.0, 1.0, 2.0]}
+    with pytest.raises(SchemaError) as err:
+        read_grid(grid)
+    assert err.value.path == "/dim"
+    with pytest.raises(SchemaError) as err:
+        read_matrix({"levels": [1.0], "grids": [grid]})
+    assert err.value.path == "/grids/0/dim"
+
+
 def test_grid_values_are_read_in_bulk_or_one_by_one():
     def values(vals):
         return read_grid({"box": [3], "dim": 1, "scale": "log", "values": vals},
@@ -614,6 +636,15 @@ def test_csv_schema_errors():
 
 
 # ----------------------------------------------------------------- matrix
+
+
+def test_matrix_grid_count_error_states_what_was_found():
+    f1 = {"box": [1], "dim": 1, "scale": "exp", "values": [1.0, 1.0]}
+    for grids, found in (([f1], "list of 1"), ([f1] * 3, "list of 3"), ({"0": f1}, "dict")):
+        with pytest.raises(SchemaError) as err:
+            read_matrix({"levels": [1.0, 2.0], "grids": grids})
+        assert (err.value.path, err.value.found) == ("/grids", found)
+    assert str(err.value) == "at /grids: expected list of 2 grids, found dict"
 
 
 def test_matrix_round_trip():
