@@ -101,22 +101,12 @@ class WeightMatrix:
 
     def level_index(self, lam: float) -> int:
         for i, x in enumerate(self.levels):
-            if _same_level(x, lam):
+            if abs(x - lam) <= LEVEL_REL_TOL * max(1.0, abs(x)):
                 return i
         raise LevelNotFound(f"level {lam!r} not in ladder {self.levels}")
 
     def log_flat(self, lam: float) -> np.ndarray:
         return self._logs[self.level_index(lam)]
-
-
-def _same_level(level: float, lam: float) -> bool:
-    return abs(level - lam) <= LEVEL_REL_TOL * max(1.0, abs(level))
-
-
-def _covers(levels, entries) -> bool:
-    """Whether every level matches the lam of some witness entry."""
-    seen = {e.lam for e in entries}
-    return all(any(_same_level(l, s) for s in seen) for l in levels)
 
 
 def _slack(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -172,6 +162,41 @@ class RelationReport:
     checked: int
 
 
+def _reduce(box, blocks) -> dict:
+    """Fold slack blocks, in order and one at a time, into the report fields.
+
+    A block is (slacks, alpha rows, beta rows or None, axis or None, lam,
+    kappa, C, h), its 1-D slacks one per row.  In block order and then row
+    order, worst is the first strict maximum (None if every slack is -inf) and
+    first_violation the first slack above SLACK_TOL; both are kept as row
+    indices and become SlackRecords at the end."""
+    checked, max_slack, worst, first = 0, -math.inf, None, None
+    for s, alphas, betas, *where in blocks:
+        checked += s.size
+        k = int(np.argmax(s))
+        if s[k] > max_slack:
+            max_slack = float(s[k])
+            worst = (alphas[k], None if betas is None else betas[k], *where, max_slack)
+        if first is None:
+            bad = np.flatnonzero(s > SLACK_TOL)
+            if bad.size:
+                k = int(bad[0])
+                first = (alphas[k], None if betas is None else betas[k], *where, float(s[k]))
+    idx = index_array(box)
+    return {"holds": checked > 0 and max_slack <= SLACK_TOL, "max_slack": max_slack,
+            "worst": _record(idx, worst), "first_violation": _record(idx, first),
+            "checked": checked}
+
+
+def _record(idx: np.ndarray, at) -> SlackRecord | None:
+    """The SlackRecord of (alpha row, beta row or None, axis, lam, kappa, C, h, slack)."""
+    if at is None:
+        return None
+    a, b, axis, lam, kappa, C, h, slack = at
+    return SlackRecord(lam, kappa, tuple(idx[a].tolist()),
+                       None if b is None else tuple(idx[b].tolist()), axis, C, h, slack)
+
+
 def _check_pair(M: WeightMatrix, N: WeightMatrix, kind: str) -> None:
     if M.box != N.box:
         raise DimensionMismatch("matrices must share one box")
@@ -188,35 +213,31 @@ def _scaled_orders(box, log_c, log_h=None) -> np.ndarray:
 
 def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
                     witness: RelationWitness) -> RelationReport:
-    """Check every witness inequality over the full common box."""
+    """Check every witness inequality over the full common box: one slack block
+    per entry, over the box in row-major order."""
     _check_pair(M, N, kind)
     if witness.kind != kind:
         raise WitnessError(f"witness is for a {witness.kind} relation, not {kind}")
-    idx = index_array(M.box)
-    acc = _PairChecker()
-    for entry in witness.entries:
-        if not 0 < entry.C < math.inf:
+    beurling, triangle = kind == BEURLING, kind == TRIANGLE
+    at = []  # each entry's ladder positions: M's level, N's level
+    for e in witness.entries:
+        if not 0 < e.C < math.inf:
             raise WitnessError("witness constants must be positive and finite")
-        if kind == TRIANGLE and (entry.h is None or not 0 < entry.h < math.inf):
+        if triangle and (e.h is None or not 0 < e.h < math.inf):
             raise WitnessError("triangle entries need a finite h > 0")
-
-        def rec(i, slack, _e=entry):
-            return SlackRecord(_e.lam, _e.kappa, tuple(int(c) for c in idx[i]),
-                               C=_e.C, h=_e.h, slack=slack)
-
         # M's level is lam and N's kappa, the other way round for beurling
-        m_level, n_level = ((entry.kappa, entry.lam) if kind == BEURLING
-                            else (entry.lam, entry.kappa))
-        log_h = math.log(entry.h) if kind == TRIANGLE else None
-        acc.feed(_slack(M.log_flat(m_level), _scaled_orders(M.box, math.log(entry.C), log_h)
-                        + N.log_flat(n_level)), rec)
-    covers = _covers(M.levels if kind in (ROUMIEU, TRIANGLE) else N.levels,
-                     witness.entries)
-    if kind == TRIANGLE:
-        pairs = {(e.lam, e.kappa) for e in witness.entries}
-        covers = covers and all((l, k) in pairs for l in M.levels for k in N.levels)
-    return RelationReport(kind, acc.holds(), acc.max_slack,
-                          acc.worst, acc.first, covers, acc.checked)
+        at.append((M.level_index(e.kappa if beurling else e.lam),
+                   N.level_index(e.lam if beurling else e.kappa)))
+    if triangle:  # every (lam, kappa) pair
+        covers = len(set(at)) == len(M.levels) * len(N.levels)
+    else:  # every lam: a level of N for beurling, of M otherwise
+        covers = len({p[beurling] for p in at}) == len((N if beurling else M).levels)
+    rows = range(len(M._logs[0]))
+    blocks = ((_slack(M._logs[m], _scaled_orders(M.box, math.log(e.C),
+                                                 math.log(e.h) if triangle else None)
+                      + N._logs[n]), rows, None, None, e.lam, e.kappa, e.C, e.h)
+              for e, (m, n) in zip(witness.entries, at))
+    return RelationReport(kind, covers_all_levels=covers, **_reduce(M.box, blocks))
 
 
 # The constant grids search_relation scans; logs taken per constant with math.log,
@@ -326,80 +347,39 @@ def _halfpower_log(box) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-class _PairChecker:
-    """Tracks worst slack and first violation over (alpha, beta) enumerations."""
-
-    def __init__(self):
-        self.max_slack = -math.inf
-        self.worst: SlackRecord | None = None
-        self.first: SlackRecord | None = None
-        self.checked = 0
-
-    def feed(self, slacks: np.ndarray, make_record) -> None:
-        self.checked += slacks.size
-        i = int(np.argmax(slacks))
-        if slacks.flat[i] > self.max_slack:
-            self.max_slack = float(slacks.flat[i])
-            self.worst = make_record(i, self.max_slack)
-        if self.first is None:
-            bad = np.flatnonzero(slacks.reshape(-1) > SLACK_TOL)
-            if bad.size:
-                j = int(bad[0])
-                self.first = make_record(j, float(slacks.flat[j]))
-
-    def holds(self) -> bool:
-        """Some inequality was checked and none fails beyond SLACK_TOL."""
-        return self.checked > 0 and self.max_slack <= SLACK_TOL
-
-
-def _check_pairwise(acc: _PairChecker, box, a_lhs_alpha: np.ndarray,
-                    a_lhs_beta: np.ndarray, a_rhs: np.ndarray,
-                    order_coef: float, const: float,
-                    alpha_coef: float, record_base: dict) -> None:
-    """Check lhs_alpha(a) + lhs_beta(b) <= const + alpha_coef|a| + order_coef|a+b| + rhs(a+b)
-    for all a, b with a + b in the box."""
-    shape = tuple(n + 1 for n in box)
-    A_lhs = a_lhs_alpha.reshape(shape)
-    B_lhs = a_lhs_beta.reshape(shape)
-    R = a_rhs.reshape(shape)
-    orders = order_array(box).reshape(shape)
-    idx = index_array(box)
-    for i, alpha in enumerate(idx):
-        sub = tuple(slice(0, n - int(c) + 1) for n, c in zip(box, alpha))
-        shifted = tuple(slice(int(c), n + 1) for n, c in zip(box, alpha))
-        o_alpha = float(alpha.sum())
-        lhs = A_lhs.flat[i] + B_lhs[sub]
-        rhs = const + alpha_coef * o_alpha + order_coef * (o_alpha + orders[sub]) + R[shifted]
-        s = _slack(lhs, rhs)
-
-        def rec(flat_j, slack, _a=tuple(int(c) for c in alpha), _shape=s.shape):
-            beta = tuple(int(c) for c in np.unravel_index(flat_j, _shape))
-            return SlackRecord(record_base["lam"], record_base["kappa"],
-                               _a, beta=beta, C=record_base.get("C"),
-                               h=record_base.get("H"), slack=slack)
-
-        acc.feed(s, rec)
-
-
-def _check_shift(acc: _PairChecker, box, a_top: np.ndarray, a_bot: np.ndarray,
-                 logA: float, record_base: dict) -> None:
-    """Check top(a + e_j) <= A^{|a|+1} bot(a) for every axis j."""
-    shape = tuple(n + 1 for n in box)
-    T = a_top.reshape(shape)
-    B = a_bot.reshape(shape)
-    orders = order_array(box).reshape(shape)
-    for j, n in enumerate(box):
-        if n < 1:
+def _condition_blocks(M: WeightMatrix, condition: str, entries, at):
+    """The slack blocks of each entry in turn.  A pairwise condition gives one
+    block per alpha, in row-major order (per (C, B) pair, then per alpha, for
+    L12B), over every beta with alpha + beta in the box, beta in row-major order:
+        lhs_alpha(a) + lhs_beta(b) <= const + alpha_coef|a| + order_coef|a+b| + rhs(a+b);
+    a shift condition one block per axis j with N_j > 0, checking
+        top(a + e_j) <= A^{|a|+1} bot(a) over the rows with a_j < N_j."""
+    box, idx, o = M.box, index_array(M.box), order_array(M.box)
+    flat = np.arange(len(idx)).reshape([n + 1 for n in box])
+    half = _halfpower_log(box)
+    for e, (l, k) in zip(entries, at):
+        lo, hi = M._logs[l], M._logs[k]
+        if condition.endswith("B"):  # the Beurling side swaps the roles of the two levels
+            lo, hi = hi, lo
+        if condition in ("L21R", "L21B"):
+            for j, n in enumerate(box):
+                if n:  # flat(a + e_j) is flat(a) plus the stride of axis j
+                    rows = np.flatnonzero(idx[:, j] < n)
+                    up = rows + math.prod(m + 1 for m in box[j + 1:])
+                    yield (_slack(lo[up], math.log(e.A) * (o[rows] + 1.0) + hi[rows]),
+                           rows, None, j, e.lam, e.kappa, None, None)
             continue
-        top, bot, o = (np.moveaxis(X, j, 0) for X in (T, B, orders))  # axis j first
-        s = np.moveaxis(_slack(top[1:], logA * (o[:-1] + 1.0) + bot[:-1]), 0, j)
-
-        def rec(flat_j, slack, _j=j, _shape=s.shape):
-            alpha = tuple(int(c) for c in np.unravel_index(flat_j, _shape))
-            return SlackRecord(record_base["lam"], record_base["kappa"], alpha,
-                               axis=_j, slack=slack)
-
-        acc.feed(s, rec)
+        if condition in ("L37R", "63B"):
+            terms = [(lo, 0.0, 0.0, math.log(e.A), None, None)]
+        else:  # L12R with its (C, B), L12B with each of its pairs
+            terms = [(half, math.log(B), math.log(C), math.log(e.H), C, e.H)
+                     for C, B in (e.pairs if condition == "L12B" else [(e.C, e.B)])]
+        for lhs_alpha, const, alpha_coef, order_coef, C, H in terms:
+            for a, alpha in enumerate(idx.tolist()):  # betas: the sub-box up to box - alpha
+                j = flat[tuple(slice(n - c + 1) for n, c in zip(box, alpha))].ravel()
+                rhs = ((const + alpha_coef * o[a]) + order_coef * (o[a] + o[j])) + hi[a + j]
+                yield (_slack(lhs_alpha[a] + lo[j], rhs),  # flat(alpha + beta) = a + j
+                       np.full(j.size, a), j, None, e.lam, e.kappa, C, H)
 
 
 def verify_condition(M: WeightMatrix, condition: str,
@@ -410,14 +390,12 @@ def verify_condition(M: WeightMatrix, condition: str,
     if witness.condition != condition:
         raise WitnessError("witness is for a different condition")
     roumieu_side = condition.endswith("R")
-    acc = _PairChecker()
-    half = _halfpower_log(M.box)
-
+    at = []  # each entry's ladder positions: lam's, kappa's
     for e in witness.entries:
-        M.level_index(e.lam), M.level_index(e.kappa)  # LevelNotFound early
-        if roumieu_side and e.kappa < e.lam - 1e-12:
+        l, k = M.level_index(e.lam), M.level_index(e.kappa)
+        if roumieu_side and k < l:
             raise WitnessError(f"{condition} needs kappa >= lam, got {e.kappa} < {e.lam}")
-        if not roumieu_side and e.kappa > e.lam + 1e-12:
+        if not roumieu_side and k > l:
             raise WitnessError(f"{condition} needs kappa <= lam, got {e.kappa} > {e.lam}")
         if condition in ("L37R", "63B", "L21R", "L21B"):
             if e.A is None or not 0 < e.A < math.inf:
@@ -428,26 +406,14 @@ def verify_condition(M: WeightMatrix, condition: str,
         else:
             if e.H is None or not 0 < e.H < math.inf:
                 raise WitnessError("L12B entries need a finite H > 0")
-            if e.pairs and any(not 0 < x < math.inf for pair in e.pairs for x in pair):
-                raise WitnessError("L12B pairs must be positive and finite")
-        # the Beurling side swaps the roles of the two levels
-        lo, hi = M.log_flat(e.lam), M.log_flat(e.kappa)
-        if not roumieu_side:
-            lo, hi = hi, lo
-        base = {"lam": e.lam, "kappa": e.kappa}
-        if condition in ("L37R", "63B"):
-            _check_pairwise(acc, M.box, lo, lo, hi, math.log(e.A), 0.0, 0.0, base)
-        elif condition in ("L21R", "L21B"):
-            _check_shift(acc, M.box, lo, hi, math.log(e.A), base)
-        else:  # L12R with its (C, B), L12B with each of its pairs
-            if condition == "L12B" and not e.pairs:
+            if not e.pairs:
                 raise WitnessError("L12B entries need explicit (C, B) pairs")
-            for C, Bc in e.pairs if condition == "L12B" else [(e.C, e.B)]:
-                _check_pairwise(acc, M.box, half, lo, hi, math.log(e.H), math.log(Bc),
-                                math.log(C), dict(base, C=C, H=e.H))
-
-    return ConditionReport(condition, acc.holds(), acc.max_slack, acc.worst,
-                           acc.first, _covers(M.levels, witness.entries), acc.checked)
+            if any(not 0 < x < math.inf for pair in e.pairs for x in pair):
+                raise WitnessError("L12B pairs must be positive and finite")
+        at.append((l, k))
+    covers = len({l for l, _ in at}) == len(M.levels)
+    blocks = _condition_blocks(M, condition, witness.entries, at)
+    return ConditionReport(condition, covers_all_levels=covers, **_reduce(M.box, blocks))
 
 
 def _log_counterexample(alpha1: int, alpha2: int) -> float:

@@ -807,3 +807,62 @@ def test_main_runs_a_replaced_command(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.input) or 7)
     assert main(["check", fact]) == 7
     assert seen == [fact]
+
+
+# ------------------------------------------------------ verifier pins
+
+
+# two entries per condition on the single-level 12x12 counterexample
+CONDITION_PIN_ENTRIES = {
+    "L37R": [{"A": 20.0}, {"A": 1.5}],
+    "63B": [{"A": 1.5}, {"A": 20.0}],
+    "L21R": [{"A": 20.0}, {"A": 1.5}],
+    "L21B": [{"A": 20.0}, {"A": 400.0}],
+    "L12R": [{"B": 2.0, "C": 3.0, "H": 20.0}, {"B": 1.0, "C": 1.0, "H": 1.0}],
+    "L12B": [{"H": 20.0, "pairs": [[1.0, 1.0], [3.0, 2.0]]}, {"H": 1.5, "pairs": [[2.0, 5.0]]}],
+}
+# sha256 of the --json stdout
+CONDITION_SHA256 = {
+    "63B": "5131b9d8372fe2f1f709392bb4db6c1e1dfde85162b76f1f00c0be4f223911a6",
+    "L12B": "b1a1af9073c1365603ec4f7b580d508e4bd406e8e87b46a39ed9c87cb8b89c48",
+    "L12R": "c2474e263d1068fdafbedee67a26f790b59eb307196619cb1c73ee59c49d594e",
+    "L21B": "67c3f9eb9a531305a5d0be9e7a10dc65f54e58b57d8388c5d05e5518fa2d1507",
+    "L21R": "d0acefe9d200626d3b21fb4b2dec3da5f0a751877869071efc8549017b9b362a",
+    "L37R": "3c33908d1fa00e5366f4688f4ba6720a3575aa4bff3d00f79880effd4628a40a",
+}
+
+
+@pytest.mark.parametrize("condition", sorted(CONDITION_PIN_ENTRIES))
+def test_verify_condition_json_bytes_are_pinned(condition, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "gen", "l37r-counterexample", "--box", "12,12", "--out", "m.json")[0] == 0
+    (tmp_path / "w.json").write_text(json.dumps({"condition": condition, "entries": [
+        dict({"lambda": 1.0, "kappa": 1.0}, **kw) for kw in CONDITION_PIN_ENTRIES[condition]]}))
+    code, out, _ = run(capsys, "matrix", "verify-condition", "m.json", "--cond", condition,
+                       "--witness", "w.json", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONDITION_SHA256[condition]
+
+
+# sha256 of the --json stdout on the holed ladders of test_matrices
+VERIFY_RELATION_SHA256 = {
+    "beurling": "50f129b181a10714a9d6d0ec7111f08164bcde696714e9dc1ffa0bfab9c13a9e",
+    "roumieu": "a1ed919863eb367368609774f23ba4975061df23d6c1e84974f8779f2e0866e4",
+    "triangle": "21b99648b54e5c06b14a421440e432e0dac78c211deabce42e4241fd63ecbe04",
+}
+
+
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+def test_verify_relation_json_bytes_are_pinned(kind, tmp_path, monkeypatch, capsys):
+    import test_matrices
+    from logcvx import write_matrix, write_relation_witness
+    M, N = test_matrices.HOLED_LOW, test_matrices.HOLED_HIGH
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(write_matrix(M))
+    (tmp_path / "n.json").write_text(write_matrix(N))
+    (tmp_path / "w.json").write_text(write_relation_witness(
+        test_matrices.scan_relation_witness(M, N, kind, False)))
+    code, out, _ = run(capsys, "matrix", "verify-relation", "m.json", "n.json",
+                       "--kind", kind, "--witness", "w.json", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RELATION_SHA256[kind]

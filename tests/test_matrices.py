@@ -2,6 +2,10 @@
 search, structural conditions, and the sequence that separates the shifted
 condition from the pairwise one."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from logcvx import (BoxTooSmall, ConditionEntry, ConditionWitness,
                     factorial_grid, l37r_counterexample_curve,
                     l37r_counterexample_matrix, search_relation,
                     verify_condition, verify_relation, write_report)
-from logcvx.core import EXP, LOG, order_array
-from logcvx.matrices import C_GRID, H_GRID, _slack
+from logcvx.core import EXP, LOG, index_array, order_array
+from logcvx.matrices import C_GRID, H_GRID, SlackRecord, _halfpower_log, _slack
 
 
 def exp_line(n, f):
@@ -158,6 +162,24 @@ def test_relation_coverage_flags_missing_levels():
     partial = RelationWitness("roumieu", (RelationEntry(1.0, 1.0, 1.0),))
     report = verify_relation(two, two, "roumieu", partial)
     assert not report.covers_all_levels
+
+
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+def test_relation_coverage_matches_levels_within_the_lookup_tolerance(kind):
+    # 1 + 4e-13 is level 1.0 to level_index, so it verifies and covers it
+    witness = RelationWitness(kind, (RelationEntry(1.0 + 4e-13, 1.0 + 4e-13, 64.0, 0.5),))
+    report = verify_relation(FACT, FACT, kind, witness)
+    assert report.holds
+    assert report.covers_all_levels
+
+
+def test_triangle_coverage_needs_every_level_pair():
+    two = ladder(BASE, (0.0, 0.3))
+    entries = [RelationEntry(l, k, 1e3, 1.0) for l in two.levels for k in two.levels]
+    assert verify_relation(two, two, "triangle",
+                           RelationWitness("triangle", tuple(entries))).covers_all_levels
+    partial = RelationWitness("triangle", tuple(entries[:-1]) + (entries[0],))
+    assert not verify_relation(two, two, "triangle", partial).covers_all_levels
 
 
 def test_relation_input_guards():
@@ -401,6 +423,20 @@ def test_condition_side_guards():
                          ConditionWitness("L37R", (ConditionEntry(5.0, 5.0, A=1.0),)))
 
 
+def test_condition_sides_compare_ladder_positions():
+    # 3 - 2e-12 is level 3 to level_index, so it is on the right side of lam = 3
+    M = WeightMatrix((1.0, 3.0), ladder(BASE, (0.0, 0.3)).grids)
+    near = 3.0 - 2e-12
+    for condition, lam, kappa in (("L37R", 3.0, near), ("63B", near, 3.0),
+                                  ("L21R", 3.0, near), ("L21B", near, 3.0)):
+        report = verify_condition(M, condition, ConditionWitness(
+            condition, (ConditionEntry(lam, kappa, A=1e3),)))
+        assert report.holds
+    with pytest.raises(ValueError, match="kappa >= lam"):
+        verify_condition(M, "L37R", ConditionWitness(
+            "L37R", (ConditionEntry(near, 1.0, A=1.0),)))
+
+
 def test_condition_constant_guards():
     with pytest.raises(ValueError, match="A > 0"):
         verify_condition(FACT, "L37R", cond_witness("L37R"))
@@ -414,6 +450,33 @@ def test_condition_constant_guards():
         verify_condition(FACT, "L37R", cond_witness("63B", A=1.0))
 
 
+_PEAK_RSS = """
+import math, resource, sys
+import numpy as np
+from logcvx import (ConditionEntry, ConditionWitness, SequenceGrid, WeightMatrix,
+                    verify_condition)
+from logcvx.core import order_array
+o = order_array((40, 40))
+M = WeightMatrix((1.0,), (SequenceGrid((40, 40), np.exp(0.1 * o + 0.01 * o ** 2), "exp"),))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+witness = ConditionWitness("L37R", (ConditionEntry(1.0, 1.0, A=2.0),))
+report = verify_condition(M, "L37R", witness)
+print(report.checked, report.holds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_pairwise_condition_memory_does_not_grow_with_the_pairs():
+    # 741,321 pairs at (40, 40): the peak must stay below one float64 per
+    # pair, so no block or table spans all of them (ru_maxrss is in KiB)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS], capture_output=True, text=True,
+                         check=True, env=env)
+    checked, holds, grown_kib = out.stdout.split()
+    assert (int(checked), holds) == (741321, "True")
+    assert int(grown_kib) * 1024 < 8 * int(checked)
+
+
 def test_condition_coverage_flags_missing_levels():
     two = WeightMatrix((1.0, 2.0),
                        (factorial_grid(4), exp_line(4, lambda p: math.factorial(p) * 2.0 ** p)))
@@ -421,6 +484,148 @@ def test_condition_coverage_flags_missing_levels():
                               ConditionWitness("L37R", (ConditionEntry(1.0, 2.0, A=1.0),)))
     assert report.holds
     assert not report.covers_all_levels
+
+
+# ------------------------------------------------- verifiers, pair by pair
+
+
+def scalar_slack(lhs, rhs):
+    """_slack of one inequality: an infinite rhs satisfies anything, an
+    infinite lhs against a finite rhs violates everything."""
+    if rhs == math.inf:
+        return -math.inf
+    return math.inf if lhs == math.inf else lhs - rhs
+
+
+def reference_fold(checks):
+    """The report fields of a scan of (slack, record fields) in scan order: the
+    first strict maximum and the first slack above 1e-9."""
+    top, worst, first, checked = -math.inf, None, None, 0
+    for s, fields in checks:
+        checked += 1
+        s = float(s)
+        if s > top:
+            top, worst = s, SlackRecord(**fields, slack=s)
+        if first is None and s > 1e-9:
+            first = SlackRecord(**fields, slack=s)
+    return {"holds": checked > 0 and top <= 1e-9, "max_slack": top, "worst": worst,
+            "first_violation": first, "checked": checked}
+
+
+def relation_checks(M, N, kind, witness):
+    """One inequality per entry and index, entry by entry, indices row-major."""
+    points = [tuple(a) for a in index_array(M.box).tolist()]
+    for e in witness.entries:
+        m, n = (e.kappa, e.lam) if kind == "beurling" else (e.lam, e.kappa)
+        lhs, rhs = M.log_flat(m), N.log_flat(n)
+        for i, a in enumerate(points):
+            o = float(sum(a))
+            scaled = (math.log(e.C) + o * math.log(e.h) if kind == "triangle"
+                      else o * math.log(e.C))
+            yield (scalar_slack(lhs[i], scaled + rhs[i]),
+                   {"lam": e.lam, "kappa": e.kappa, "alpha": a, "C": e.C, "h": e.h})
+
+
+def condition_checks(M, condition, witness):
+    """One inequality per entry, constant and (alpha, beta) pair, alpha-major
+    and beta row-major (per axis j and alpha row-major for the shift ones)."""
+    points = [tuple(a) for a in index_array(M.box).tolist()]
+    flat = {a: i for i, a in enumerate(points)}
+    half = _halfpower_log(M.box)
+    for e in witness.entries:
+        lo, hi = M.log_flat(e.lam), M.log_flat(e.kappa)
+        if condition.endswith("B"):
+            lo, hi = hi, lo
+        base = {"lam": e.lam, "kappa": e.kappa}
+        if condition in ("L21R", "L21B"):
+            for j, n in enumerate(M.box):
+                for a in points:
+                    if a[j] < n:
+                        up = flat[a[:j] + (a[j] + 1,) + a[j + 1:]]
+                        rhs = math.log(e.A) * (float(sum(a)) + 1.0) + hi[flat[a]]
+                        yield scalar_slack(lo[up], rhs), dict(base, alpha=a, axis=j)
+            continue
+        if condition in ("L37R", "63B"):
+            terms = [(lo, 0.0, 0.0, math.log(e.A), {})]
+        else:
+            terms = [(half, math.log(B), math.log(C), math.log(e.H), {"C": C, "h": e.H})
+                     for C, B in (e.pairs if condition == "L12B" else [(e.C, e.B)])]
+        for left, const, alpha_coef, order_coef, extra in terms:
+            for a in points:
+                for b in points:
+                    s = tuple(x + y for x, y in zip(a, b))
+                    if s not in flat:
+                        continue
+                    oa, ob = float(sum(a)), float(sum(b))
+                    rhs = ((const + alpha_coef * oa) + order_coef * (oa + ob)) + hi[flat[s]]
+                    yield (scalar_slack(left[flat[a]] + lo[flat[b]], rhs),
+                           dict(base, alpha=a, beta=b, **extra))
+
+
+def report_fields(report):
+    return {f: getattr(report, f)
+            for f in ("holds", "max_slack", "worst", "first_violation", "checked")}
+
+
+SCAN_LADDERS = {
+    "holed_2d": HOLED_LOW,
+    "holed_2d_high": HOLED_HIGH,
+    "holed_1d": with_holes(ladder(convex_random_grid((7,), 4), (0.0, 0.5)), ([7], [3])),
+    "holed_3d": with_holes(ladder(convex_random_grid((3, 2, 2), 6), (0.0, 0.4, 0.8)),
+                           ([35], [20, 9], [14])),
+    "zero_extent": with_holes(ladder(convex_random_grid((4, 0), 2), (0.0, 0.3)), ([4], [2])),
+    "zero_extent_3d": ladder(convex_random_grid((3, 0, 2), 8), (0.0, 0.6), (0.0, 0.2)),
+    "finite_2d": QUAD,
+    "counterexample": l37r_counterexample_matrix((6, 6)),
+}
+
+
+def scan_relation_witness(M, N, kind, loose):
+    lams, kappas = (N.levels, M.levels) if kind == "beurling" else (M.levels, N.levels)
+    cs, hs = ((20.0, 400.0), (2.5, 4.0)) if loose else ((1.0, 2.5), (0.5, 1.5))
+    return RelationWitness(kind, tuple(
+        RelationEntry(lam, kappa, C, h) for lam in lams for kappa in kappas
+        for C in cs for h in (hs if kind == "triangle" else (None,))))
+
+
+@pytest.mark.parametrize("loose", [False, True])
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+@pytest.mark.parametrize("name", sorted(SCAN_LADDERS))
+def test_verify_relation_matches_the_per_index_scan(kind, name, loose):
+    M = SCAN_LADDERS[name]
+    N = {"holed_2d": HOLED_HIGH, "holed_2d_high": LOW}.get(name, M)
+    witness = scan_relation_witness(M, N, kind, loose)
+    report = verify_relation(M, N, kind, witness)
+    ref = reference_fold(relation_checks(M, N, kind, witness))
+    assert report_fields(report) == ref
+    assert write_report(report_fields(report)) == write_report(ref)
+
+
+def scan_condition_witness(M, condition, loose):
+    roumieu = condition.endswith("R")
+    a = [{"A": 20.0}, {"A": 400.0}] if loose else [{"A": 1.0}, {"A": 1.7}]
+    constants = {
+        "L37R": a, "63B": a, "L21R": a, "L21B": a,
+        "L12R": [{"B": 20.0, "C": 3.0, "H": 20.0}] if loose else
+                [{"B": 1.0, "C": 1.0, "H": 1.0}, {"B": 2.0, "C": 0.5, "H": 1.3}],
+        "L12B": [{"H": 20.0, "pairs": ((20.0, 20.0), (5.0, 400.0))}] if loose else
+                [{"H": 1.2, "pairs": ((1.0, 1.0), (0.7, 2.0), (1.5, 0.5))}],
+    }[condition]
+    return ConditionWitness(condition, tuple(
+        ConditionEntry(lam, kappa, **kw) for lam in M.levels for kappa in M.levels
+        if (kappa >= lam if roumieu else kappa <= lam) for kw in constants))
+
+
+@pytest.mark.parametrize("loose", [False, True])
+@pytest.mark.parametrize("condition", ["L12R", "L21R", "L37R", "L12B", "L21B", "63B"])
+@pytest.mark.parametrize("name", sorted(SCAN_LADDERS))
+def test_verify_condition_matches_the_per_pair_scan(condition, name, loose):
+    M = SCAN_LADDERS[name]
+    witness = scan_condition_witness(M, condition, loose)
+    report = verify_condition(M, condition, witness)
+    ref = reference_fold(condition_checks(M, condition, witness))
+    assert report_fields(report) == ref
+    assert write_report(report_fields(report)) == write_report(ref)
 
 
 # --------------------------------------------------------- counterexample
