@@ -52,7 +52,6 @@ class AssociatedFunction:
         if not g.is_normalized():
             want = "M_0 = 1" if g.scale == EXP else "a_0 = 0"
             raise NotNormalized(f"grid must be normalized ({want})")
-        self.source = g
         self.box = g.box
         self.dim = g.dim
         self._a = g.log_flat()
@@ -209,9 +208,9 @@ class LogConvexityReport:
     ``max_gap`` is max(a - a^c) over finite entries; ``interior_max_gap``
     restricts to indices whose certificate stays off the truncation faces and
     is what ``globally_convex`` is decided on.  ``q3_holds`` compares the
-    sampled supremum against the data on the same interior indices within a
-    relative sampling slack.  When nothing is interior the convexity verdicts
-    are vacuous and ``boundary_caveat`` is set.
+    sampled supremum against the data on the same interior indices within
+    Q3_REL_TOL * max(1, |a_alpha|).  When nothing is interior the convexity
+    verdicts are vacuous and ``boundary_caveat`` is set.
     """
 
     coordinatewise_ok: bool
@@ -251,13 +250,13 @@ def _coordinatewise(a: np.ndarray, box) -> tuple[MultiIndex, int] | None:
     return alpha, best[1]
 
 
-def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
-                        q3_rel_tol: float = Q3_REL_TOL) -> LogConvexityReport:
+def check_log_convexity(g: SequenceGrid,
+                        s_grid: SGridSpec | None = None) -> LogConvexityReport:
     """Coordinatewise, global (LP-exact), and sampled-supremum convexity checks.
 
     The grid must be normalized; EXP input is logged internally.  The three
-    verdicts agree on log-convex data; the sampled one carries the stated
-    relative slack because its supremum over continuous s is only sampled.
+    verdicts agree on log-convex data; the sampled one carries the relative
+    slack Q3_REL_TOL because its supremum over continuous s is only sampled.
     """
     af = AssociatedFunction(g)  # validation + normalization
     lg = as_log_grid(g)
@@ -281,7 +280,7 @@ def check_log_convexity(g: SequenceGrid, s_grid: SGridSpec | None = None,
 
     q3_log, q3_flags = _q3_all(af, spec)
     shortfall = flat_a - q3_log
-    slack = q3_rel_tol * np.maximum(1.0, np.abs(flat_a))
+    slack = Q3_REL_TOL * np.maximum(1.0, np.abs(flat_a))
     q3_bad = interior & (shortfall > slack)
     q3_holds = not bool(q3_bad.any())
     q3_failures = tuple(tuple(int(c) for c in np.unravel_index(i, shape))

@@ -31,20 +31,18 @@ _EXIT_NUMERIC = 4
 
 _ORACLE_POINT_CAP = 25
 _SHOWN = 40  # rows of a list that the human report prints
+# gen kinds whose output has one scale; the others default to EXP
+_GEN_FIXED_SCALE = {"convex": LOG, "log-convex-1d": EXP, "l37r-counterexample": EXP}
 
 
-def _read_file(path: str) -> bytes:
+def _read_file(args, path: str) -> bytes:
+    """The bytes of an input file, also appended to args._inputs for the digest."""
     try:
-        return Path(path).read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as e:
         raise SchemaError(path, "readable file", str(e)) from None
-
-
-def _digest(chunks: list[bytes]) -> str:
-    h = hashlib.sha256()
-    for c in chunks:
-        h.update(c)
-    return "sha256:" + h.hexdigest()
+    args._inputs.append(raw)
+    return raw
 
 
 def _parse_floats(text: str, flag: str, kind=float, what: str = "numbers") -> tuple:
@@ -69,18 +67,19 @@ def _growth_warnings(g: SequenceGrid) -> list[str]:
     return []
 
 
-def _emit(args, results, warnings: list[str], inputs: list[bytes],
-          started: float) -> int:
+def _emit(args, results, warnings: list[str]) -> int:
     """Print the JSON payload (--json) or the human report; results may hold
-    dataclasses."""
+    dataclasses.  The input digest is the sha256 of the bytes of every file
+    the command read, in the order read."""
     if args.json:
-        print(io.write_report({"command": args._echo, "input_digest": _digest(inputs),
+        digest = "sha256:" + hashlib.sha256(b"".join(args._inputs)).hexdigest()
+        print(io.write_report({"command": args._echo, "input_digest": digest,
                                "results": results, "warnings": warnings}))
         return 0
     _render(io.to_jsonable(results, _SHOWN), indent=0)
     for w in warnings:
         print(f"warning: {w}")
-    print(f"duration: {1000.0 * (time.monotonic() - started):.1f} ms")
+    print(f"duration: {1000.0 * (time.monotonic() - args._started):.1f} ms")
     return 0
 
 
@@ -106,9 +105,7 @@ def _render(obj, indent: int, key: str | None = None) -> None:
 
 
 def cmd_minorant(args) -> int:
-    started = time.monotonic()
-    raw = _read_file(args.input)
-    g = io.read_grid(raw)
+    g = io.read_grid(_read_file(args, args.input))
     work = as_log_grid(g)
     warnings = _growth_warnings(work)
     if g.scale == EXP:
@@ -155,18 +152,14 @@ def cmd_minorant(args) -> int:
             "values there are upper bounds for any enclosing box")
 
     if args.stability is not None:
-        larger_raw = _read_file(args.stability)
-        larger = as_log_grid(io.read_grid(larger_raw))
+        larger = as_log_grid(io.read_grid(_read_file(args, args.stability)))
         probe = envelope.stability_probe(work, larger)
         results["stability"] = {"max_diff": probe.max_diff, "unstable": probe.unstable}
-        return _emit(args, results, warnings, [raw, larger_raw], started)
-    return _emit(args, results, warnings, [raw], started)
+    return _emit(args, results, warnings)
 
 
 def cmd_assoc(args) -> int:
-    started = time.monotonic()
-    raw = _read_file(args.input)
-    g = io.read_grid(raw)
+    g = io.read_grid(_read_file(args, args.input))
     af = _assoc.AssociatedFunction(g)
     warnings = _growth_warnings(g)
     results: dict = {}
@@ -176,8 +169,9 @@ def cmd_assoc(args) -> int:
         if len(bounds) != 3:
             raise SchemaError("--t-grid", "LO,HI,N", repr(args.t_grid))
         lo, hi, n = bounds
-        if not (0 < lo < hi < math.inf and 2 <= n < math.inf):
-            raise OutOfRange("--t-grid needs 0 < LO < HI and N >= 2")
+        if not (0 < lo < hi < math.inf and 2 <= n <= conjugate.MAX_SAMPLES and n == int(n)):
+            raise OutOfRange(f"--t-grid needs 0 < LO < HI and a whole N from 2 to "
+                             f"{conjugate.MAX_SAMPLES}")
         points += [(float(t),) * g.dim for t in np.geomspace(lo, hi, int(n))]
     rows = []
     for t in points:
@@ -194,13 +188,11 @@ def cmd_assoc(args) -> int:
     if any(r["on_boundary"] for r in rows):
         warnings.append("some suprema are attained on the outer shell; "
                         "enlarge the box to certify those values")
-    return _emit(args, results, warnings, [raw], started)
+    return _emit(args, results, warnings)
 
 
 def cmd_check(args) -> int:
-    started = time.monotonic()
-    raw = _read_file(args.input)
-    g = io.read_grid(raw)
+    g = io.read_grid(_read_file(args, args.input))
     s_grid = _assoc.SGridSpec.from_grid(g, points=args.s_points)
     report = _assoc.check_log_convexity(g, s_grid=s_grid)
     warnings = _growth_warnings(g)
@@ -221,14 +213,12 @@ def cmd_check(args) -> int:
         "boundary_caveat": report.boundary_caveat,
         "minorant": io.grid_to_obj(report.minorant.minorant),
     }
-    return _emit(args, results, warnings, [raw], started)
+    return _emit(args, results, warnings)
 
 
 def cmd_matrix(args) -> int:
-    started = time.monotonic()
     if args.matrix_cmd == "counterexample":
         results: dict = {"margins": matrices.l37r_counterexample_curve(args.n_max)}
-        inputs: list[bytes] = []
         if args.box is not None:
             box = _parse_ints(args.box, "--box")
             M = matrices.l37r_counterexample_matrix(box)
@@ -238,22 +228,16 @@ def cmd_matrix(args) -> int:
                 results["written"] = args.out
             else:
                 results["matrix"] = io.read_report(text)
-        return _emit(args, results, [], inputs, started)
+        return _emit(args, results, [])
 
-    raw_m = _read_file(args.M)
-    M = io.read_matrix(raw_m)
-    inputs = [raw_m]
+    M = io.read_matrix(_read_file(args, args.M))
     if args.matrix_cmd == "verify-relation":
-        raw_n = _read_file(args.N)
-        raw_w = _read_file(args.witness)
-        inputs += [raw_n, raw_w]
+        raw_n, raw_w = _read_file(args, args.N), _read_file(args, args.witness)
         N = io.read_matrix(raw_n)
         witness = io.read_relation_witness(raw_w)
         results = matrices.verify_relation(M, N, args.kind, witness)
     elif args.matrix_cmd == "search-relation":
-        raw_n = _read_file(args.N)
-        inputs.append(raw_n)
-        N = io.read_matrix(raw_n)
+        N = io.read_matrix(_read_file(args, args.N))
         out = matrices.search_relation(M, N, args.kind)
         results = {
             "found": out.witness is not None,
@@ -262,16 +246,19 @@ def cmd_matrix(args) -> int:
             "table": out.table,
         }
     else:  # verify-condition
-        raw_w = _read_file(args.witness)
-        inputs.append(raw_w)
-        witness = io.read_condition_witness(raw_w)
+        witness = io.read_condition_witness(_read_file(args, args.witness))
         results = matrices.verify_condition(M, args.cond, witness)
-    return _emit(args, results, [], inputs, started)
+    return _emit(args, results, [])
 
 
 def cmd_gen(args) -> int:
     kind = args.kind
     fmt = args.format
+    fixed = _GEN_FIXED_SCALE.get(kind)
+    if fixed is not None and args.scale not in (None, fixed):
+        raise OutOfRange(f"gen {kind} writes {fixed}-scale values; "
+                         f"--scale {args.scale} does not apply")
+    scale = args.scale or EXP
     if kind == "l37r-counterexample":
         M = matrices.l37r_counterexample_matrix(_parse_ints(args.box, "--box"))
         if fmt == "csv":
@@ -279,14 +266,14 @@ def cmd_gen(args) -> int:
         text = io.write_matrix(M)
     else:
         if kind == "notconvex":
-            g = generators.notconvex_grid(_parse_ints(args.box, "--box"), scale=args.scale)
+            g = generators.notconvex_grid(_parse_ints(args.box, "--box"), scale=scale)
         elif kind == "factorial":
-            g = generators.factorial_grid(args.n, scale=args.scale)
+            g = generators.factorial_grid(args.n, scale=scale)
         elif kind == "random":
             box = _parse_ints(args.box, "--box")
             if args.dim is not None and args.dim != len(box):
                 raise OutOfRange(f"--dim {args.dim} does not match --box {args.box}")
-            g = generators.random_grid(box, args.seed, scale=args.scale,
+            g = generators.random_grid(box, args.seed, scale=scale,
                                        amplitude=args.amplitude, lift=args.lift)
         elif kind == "convex":
             g = generators.convex_random_grid(_parse_ints(args.box, "--box"), args.seed)
@@ -316,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="lp")
     m.add_argument("--stability", metavar="LARGER_GRID", default=None,
                    help="recompute on an enclosing grid and compare")
-    m.add_argument("--k-step", type=float, default=0.25)
+    m.add_argument("--k-step", type=float, default=envelope.K_STEP)
     m.add_argument("--json", action="store_true")
 
     a = sub.add_parser("assoc", help="weight function omega and its trace")
@@ -367,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--dim", type=int, default=None)
     gn.add_argument("--n", type=int, default=12)
     gn.add_argument("--seed", type=int, default=0)
-    gn.add_argument("--scale", choices=(LOG, EXP), default=EXP)
+    gn.add_argument("--scale", choices=(LOG, EXP), default=None,
+                    help="notconvex, factorial and random default to exp; "
+                         "the other kinds have one scale")
     gn.add_argument("--amplitude", type=float, default=4.0)
     gn.add_argument("--lift", type=float, default=1.0)
     gn.add_argument("--format", choices=("json", "csv"), default="json")
@@ -386,6 +375,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parser().parse_args(argv)
     args._echo = argv
+    args._started = time.monotonic()
+    args._inputs = []  # filled by _read_file
     try:
         # looked up by name at each call, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.cmd}"](args)
@@ -405,9 +396,5 @@ def main(argv=None) -> int:
         return _EXIT_VALIDATION
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

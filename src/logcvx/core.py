@@ -32,23 +32,17 @@ LOG = "log"
 EXP = "exp"
 
 # Two values v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|): slopes in
-# the 1-D sweep, suprema of omega and q3 over indices and samples.
+# the 1-D sweep, suprema of omega and q3 over indices and samples, and the
+# gaps of the points touching h_of_k's plane.
 TIE_REL_TOL = 1e-12
 # A weight-matrix level l matches a requested s when |l - s| <= LEVEL_REL_TOL * max(1, |l|).
 LEVEL_REL_TOL = 1e-12
+# A grid is normalized when its origin value is within NORM_TOL of 0 (LOG) or 1 (EXP).
+NORM_TOL = 1e-12
+# The largest log value that still fits a double after exp().
+EXP_LIMIT = 709.0
 
 MultiIndex = tuple[int, ...]
-
-
-def order(alpha) -> int:
-    """|alpha| = alpha_1 + ... + alpha_d."""
-    return int(sum(alpha))
-
-
-def unit(dim: int, axis: int) -> MultiIndex:
-    e = [0] * dim
-    e[axis] = 1
-    return tuple(e)
 
 
 @lru_cache(maxsize=256)
@@ -124,10 +118,10 @@ class SequenceGrid:
     def indices(self) -> Iterator[MultiIndex]:
         return iter(map(tuple, index_array(self.box).tolist()))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
+    def is_normalized(self) -> bool:
         origin = self.value((0,) * self.dim)
         target = 0.0 if self.scale == LOG else 1.0
-        return abs(origin - target) <= tol
+        return abs(origin - target) <= NORM_TOL
 
     def log_flat(self) -> np.ndarray:
         """a_alpha flat and row-major, whichever scale the grid is stored in."""

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate, lpsolve
-from .core import (LOG, MultiIndex, SequenceGrid, index_array, outer_shell_mask,
+from .core import (LOG, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array, outer_shell_mask,
                    require_valid, validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (AllInfinite, DimensionMismatch, EmptyKGrid,
                      GridMismatch, OutOfRange, ScaleMismatch)
 
-TOUCH_REL_TOL = 1e-12
+K_STEP = 0.25  # default slope step of the sampled dual grid
 CONTACT_TOL = 1e-9
 STABLE_TOL = 1e-9
 
@@ -39,7 +39,7 @@ class SupportPlane:
     """An affine minorant <k, x> + h touching the data on ``touching``.
 
     :func:`h_of_k` returns one: ``touching`` lists the finite points within
-    TOUCH_REL_TOL * max(1, |h|) of the lowest gap.  A certificate of
+    TIE_REL_TOL * max(1, |h|) of the lowest gap.  A certificate of
     :func:`minorant_lp` is a row of ``MinorantResult.planes`` instead, and its
     touching set is the points within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|).
     """
@@ -67,7 +67,7 @@ def h_of_k(g: SequenceGrid, k) -> SupportPlane:
     idx = index_array(g.box)
     diffs = a[finite] - idx[finite].astype(float) @ k
     h = float(diffs.min())
-    touch = diffs <= h + TOUCH_REL_TOL * max(1.0, abs(h))
+    touch = diffs <= h + TIE_REL_TOL * max(1.0, abs(h))
     touching = tuple(tuple(r.tolist()) for r in idx[finite][touch])
     return SupportPlane(tuple(float(c) for c in k), h, touching)
 
@@ -105,10 +105,10 @@ class KGridSpec:
 
     lo: float
     hi: float
-    step: float = 0.25
+    step: float
 
     @classmethod
-    def from_grid(cls, g: SequenceGrid, step: float = 0.25) -> "KGridSpec":
+    def from_grid(cls, g: SequenceGrid, step: float = K_STEP) -> "KGridSpec":
         lo, hi = axis_slope_range(g)
         return cls(lo, hi, step)
 
@@ -160,7 +160,7 @@ class MinorantResult:
     abscissae (the minorant is +inf there).  ``touching[i]`` marks the finite
     points tight at that plane within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|);
     this is wider than :func:`h_of_k`'s touching set, which uses
-    TOUCH_REL_TOL * max(1, |h|).  ``contact`` marks the indices where the
+    TIE_REL_TOL * max(1, |h|).  ``contact`` marks the indices where the
     minorant meets the data within CONTACT_TOL.  ``boundary`` marks the
     indices where every optimal plane touches the truncation faces
     (equivalently, some optimal convex combination weighs a face point), i.e.

@@ -18,16 +18,13 @@ import math
 
 import numpy as np
 
-from .core import EXP, LOG, SequenceGrid, index_array, order_array, to_exp
+from .core import EXP, EXP_LIMIT, LOG, SequenceGrid, index_array, order_array, to_exp
 from .errors import DimensionMismatch, OutOfRange
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# largest log value that still fits a double after exp()
-_EXP_LIMIT = 709.0
 
 
 class SplitMix64:
@@ -67,10 +64,10 @@ def random_grid(box: tuple[int, ...], seed: int, scale: str = LOG,
     a -= a[0]
     g = SequenceGrid(box, a, LOG)
     if scale == EXP:
-        if float(a.max()) > _EXP_LIMIT:
+        if float(a.max()) > EXP_LIMIT:
             raise OverflowError(
                 f"log values reach {a.max():.1f}; EXP scale overflows above "
-                f"{_EXP_LIMIT:.0f}, request LOG instead")
+                f"{EXP_LIMIT:.0f}, request LOG instead")
         return to_exp(g)
     return g
 
@@ -88,7 +85,7 @@ def notconvex_grid(box: tuple[int, int] = (4, 4), scale: str = EXP) -> SequenceG
     a = ((idx[:, 0] + 1.0) * (idx[:, 1] + 1.0)) ** 2 - 1.0
     g = SequenceGrid(box, a, LOG)
     if scale == EXP:
-        if float(a.max()) > _EXP_LIMIT:
+        if float(a.max()) > EXP_LIMIT:
             raise OverflowError(
                 f"box {box} overflows the EXP scale (log max {a.max():.0f}); "
                 f"request LOG instead")
@@ -97,45 +94,43 @@ def notconvex_grid(box: tuple[int, int] = (4, 4), scale: str = EXP) -> SequenceG
 
 
 def factorial_grid(n: int, scale: str = EXP) -> SequenceGrid:
-    """One-dimensional M_p = p! for p = 0..n."""
+    """One-dimensional M_p = p! for p = 0..n; on the LOG scale a_p = lgamma(p + 1),
+    which has no cap on n."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
+    if scale != EXP:
+        return SequenceGrid((n,), [math.lgamma(p + 1) for p in range(n + 1)], LOG)
     if n > 170:
         raise OverflowError("p! exceeds double precision beyond p = 170")
-    vals = [float(math.factorial(p)) for p in range(n + 1)]
-    g = SequenceGrid((n,), vals, EXP)
-    return g if scale == EXP else SequenceGrid((n,), [math.lgamma(p + 1) for p in range(n + 1)], LOG)
+    return SequenceGrid((n,), [float(math.factorial(p)) for p in range(n + 1)], EXP)
 
 
-def convex_random_grid(box: tuple[int, ...], seed: int, n_terms: int = 3,
-                       n_pieces: int = 4, slope_lo: float = -1.0,
-                       slope_hi: float = 2.0, offset_scale: float = 2.0) -> SequenceGrid:
-    """Sample of a sum of random piecewise-affine maxima, hence of a convex
-    function, so the grid equals its own convex minorant.  LOG scale, a_0 = 0."""
+def convex_random_grid(box: tuple[int, ...], seed: int) -> SequenceGrid:
+    """Sample of a sum of three maxima of four random affine pieces, hence of
+    a convex function, so the grid equals its own convex minorant.  Each piece
+    draws its d slopes from [-1, 2) and then its offset from [-2, 2).  LOG
+    scale, a_0 = 0."""
     rng = SplitMix64(seed)
     d = len(box)
     idx = index_array(box).astype(float)
     total = np.zeros(idx.shape[0])
-    for _ in range(n_terms):
-        slopes = np.array([[rng.uniform(slope_lo, slope_hi) for _ in range(d)]
-                           for _ in range(n_pieces)])
-        offsets = np.array([rng.uniform(-offset_scale, offset_scale)
-                            for _ in range(n_pieces)])
+    for _ in range(3):
+        slopes = np.array([[rng.uniform(-1.0, 2.0) for _ in range(d)] for _ in range(4)])
+        offsets = np.array([rng.uniform(-2.0, 2.0) for _ in range(4)])
         total += (idx @ slopes.T + offsets).max(axis=1)
     total -= total[0]
     return SequenceGrid(box, total, LOG)
 
 
-def log_convex_random_1d(n: int, seed: int, step_scale: float = 0.5) -> SequenceGrid:
+def log_convex_random_1d(n: int, seed: int) -> SequenceGrid:
     """One-dimensional EXP grid, log-convex by construction: the log values
-    are cumulative sums of nondecreasing increments, with a_0 = 0 (so M_0 = 1
-    and M_p M_q <= M_{p+q})."""
+    are cumulative sums of nondecreasing increments, each increment adding a
+    draw from [0, 0.5), with a_0 = 0 (so M_0 = 1 and M_p M_q <= M_{p+q})."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
     rng = SplitMix64(seed)
-    draws = step_scale * rng.floats(n)
-    increments = np.cumsum(draws)
+    increments = np.cumsum(0.5 * rng.floats(n))
     a = np.concatenate(([0.0], np.cumsum(increments)))
-    if float(a[-1]) > _EXP_LIMIT:
-        raise OverflowError("log values overflow the EXP scale; shrink n or step_scale")
+    if float(a[-1]) > EXP_LIMIT:
+        raise OverflowError("log values overflow the EXP scale; shrink n")
     return SequenceGrid((n,), np.exp(a), EXP)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP, LEVEL_REL_TOL, MultiIndex, SequenceGrid, index_array,
+from .core import (EXP, EXP_LIMIT, LEVEL_REL_TOL, MultiIndex, SequenceGrid, index_array,
                    order_array, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (BoxTooSmall, DimensionMismatch, LevelNotFound, NotNormalized,
@@ -434,7 +434,7 @@ def l37r_counterexample_matrix(box: tuple[int, int] = (12, 12)) -> WeightMatrix:
     if len(box) != 2:
         raise DimensionMismatch("the counterexample is two-dimensional")
     top = _log_counterexample(box[0], box[1])
-    if top > 709.0:
+    if top > EXP_LIMIT:
         raise BoxTooSmall(f"box {box} overflows the EXP scale (log max {top:.1f})")
     g = SequenceGrid.from_function(
         box, lambda a: math.exp(_log_counterexample(a[0], a[1])), EXP)

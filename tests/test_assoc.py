@@ -242,12 +242,6 @@ def test_check_reports_first_coordinatewise_violation():
     assert report.coordinatewise_violation == ((1,), 0)
 
 
-def test_check_q3_tolerance_is_adjustable():
-    report = check_log_convexity(notconvex_grid(), q3_rel_tol=10.0)
-    assert report.q3_holds
-    assert report.q3_failures == ()
-
-
 def test_check_accepts_explicit_s_grid():
     spec = SGridSpec(0.0, 3.0, 50)
     report = check_log_convexity(FACT, s_grid=spec)

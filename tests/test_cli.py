@@ -86,12 +86,26 @@ def test_grid_integer_too_large_for_a_float_exits_numeric(tmp_path, capsys):
     (["random", "--box", "2,2,2", "--format", "csv"], "CSV"),
     (["log-convex-1d", "--n", "-1"], "nonnegative"),
     (["factorial", "--n", "-3"], "nonnegative"),
+    (["convex", "--scale", "exp"], "gen convex writes log-scale values; --scale exp"),
+    (["log-convex-1d", "--scale", "log"], "gen log-convex-1d writes exp-scale values"),
+    (["l37r-counterexample", "--scale", "log"], "--scale log does not apply"),
 ])
 def test_gen_bad_arguments_are_validation_errors(capsys, argv, message):
     code, out, err = run(capsys, "gen", *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_gen_factorial_on_the_log_scale_has_no_double_cap(capsys):
+    code, out, _ = run(capsys, "gen", "factorial", "--n", "200", "--scale", "log")
+    assert code == 0
+    g = read_grid(out)
+    assert (g.box, g.scale) == ((200,), "log")
+    assert g.flat.tolist() == [math.lgamma(p + 1) for p in range(201)]
+    code, out, err = run(capsys, "gen", "factorial", "--n", "171")
+    assert (code, out) == (4, "")
+    assert "170" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--amplitude", "nan"), ("--amplitude", "-inf"),
@@ -362,7 +376,9 @@ def test_assoc_t_grid_needs_three_numbers(tmp_path, capsys):
         code, _, err = run(capsys, "assoc", path, "--t-grid", text)
         assert code == 3, text
         assert "LO,HI,N" in err
-    for text in ["1,2,nan", "1,2,inf", "nan,2,3", "1,inf,3"]:
+    # N is a whole number from 2 to conjugate.MAX_SAMPLES = 2**22
+    for text in ["1,2,nan", "1,2,inf", "nan,2,3", "1,inf,3", "1,2,1e12", "1,2,4194305",
+                 "1,2,2.5"]:
         code, _, _ = run(capsys, "assoc", path, "--t-grid", text)
         assert code == 2, text
 

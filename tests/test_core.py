@@ -5,17 +5,12 @@ import pytest
 
 from logcvx.core import (EXP, LOG, SequenceGrid, as_log_grid,
                          boundary_infinities, growth_check, index_array,
-                         order, order_array, outer_shell_mask, to_exp, to_log,
-                         unit, validate_grid)
+                         order_array, outer_shell_mask, to_exp, to_log,
+                         validate_grid)
 from logcvx.errors import (DimensionMismatch, EmptyShell, NonPositiveEntry,
                            ScaleMismatch)
 
 INF = math.inf
-
-
-def test_order_and_unit():
-    assert order((2, 0, 3)) == 5
-    assert unit(3, 1) == (0, 1, 0)
 
 
 def test_index_array_row_major():
