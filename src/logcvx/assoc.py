@@ -23,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate
-from .core import (EXP, LOG, TIE_REL_TOL, MultiIndex, SequenceGrid, as_log_grid,
-                   index_array, outer_shell_mask, require_valid, to_exp,
+from .core import (EXP, LOG, Q3_REL_TOL, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid,
+                   as_log_grid, index_array, outer_shell_mask, require_valid, to_exp,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
 from .errors import DimensionMismatch, EmptySGrid, NotNormalized, OutOfRange
-
-GAP_TOL = 1e-9
-Q3_REL_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ def _coordinatewise(a: np.ndarray, box) -> tuple[MultiIndex, int] | None:
             continue
         aj = np.moveaxis(a, j, 0)  # axis j first
         with np.errstate(invalid="ignore"):
-            bad = 2.0 * aj[1:n] > aj[:n - 1] + aj[2:] + GAP_TOL
+            bad = 2.0 * aj[1:n] > aj[:n - 1] + aj[2:] + SLACK_TOL
         if not bad.any():
             continue
         full = np.zeros(shape, dtype=bool)
@@ -276,7 +273,7 @@ def check_log_convexity(g: SequenceGrid,
     shape = tuple(n + 1 for n in lg.box)
     interior = finite & ~result.boundary
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
-    globally_convex = bool(interior_max_gap <= GAP_TOL)
+    globally_convex = bool(interior_max_gap <= SLACK_TOL)
 
     q3_log, q3_flags = _q3_all(af, spec)
     shortfall = flat_a - q3_log

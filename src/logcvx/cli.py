@@ -270,10 +270,7 @@ def cmd_gen(args) -> int:
         elif kind == "factorial":
             g = generators.factorial_grid(args.n, scale=scale)
         elif kind == "random":
-            box = _parse_ints(args.box, "--box")
-            if args.dim is not None and args.dim != len(box):
-                raise OutOfRange(f"--dim {args.dim} does not match --box {args.box}")
-            g = generators.random_grid(box, args.seed, scale=scale,
+            g = generators.random_grid(_parse_ints(args.box, "--box"), args.seed, scale=scale,
                                        amplitude=args.amplitude, lift=args.lift)
         elif kind == "convex":
             g = generators.convex_random_grid(_parse_ints(args.box, "--box"), args.seed)
@@ -351,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "convex", "log-convex-1d",
                                      "l37r-counterexample"))
     gn.add_argument("--box", default="4,4")
-    gn.add_argument("--dim", type=int, default=None)
     gn.add_argument("--n", type=int, default=12)
     gn.add_argument("--seed", type=int, default=0)
     gn.add_argument("--scale", choices=(LOG, EXP), default=None,
@@ -361,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--lift", type=float, default=1.0)
     gn.add_argument("--format", choices=("json", "csv"), default="json")
     gn.add_argument("--out", default=None)
-    gn.add_argument("--json", action="store_true")
     return p
 
 

@@ -31,14 +31,19 @@ from .errors import (DimensionMismatch, EmptyShell, GridValidationError, NonPosi
 LOG = "log"
 EXP = "exp"
 
-# Two values v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|): slopes in
-# the 1-D sweep, suprema of omega and q3 over indices and samples, and the
-# gaps of the points touching h_of_k's plane.
-TIE_REL_TOL = 1e-12
-# A weight-matrix level l matches a requested s when |l - s| <= LEVEL_REL_TOL * max(1, |l|).
-LEVEL_REL_TOL = 1e-12
-# A grid is normalized when its origin value is within NORM_TOL of 0 (LOG) or 1 (EXP).
-NORM_TOL = 1e-12
+# Every tolerance of the package, each defined once and named for the rule it
+# decides (README's tolerance table lists the users of each).
+TIE_REL_TOL = 1e-12  # two floats v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|)
+FEAS_TOL = 1e-9  # v meets data a (a point is tight) when |a - v| <= FEAS_TOL * max(1, |a|)
+SLACK_TOL = 1e-9  # a log-scale inequality lhs <= rhs holds when lhs <= rhs + SLACK_TOL
+Q3_REL_TOL = 0.02  # sampled q3 may fall short of a_alpha by Q3_REL_TOL * max(1, |a_alpha|)
+RED_TOL = 1e-9  # a simplex column enters when its reduced cost < -RED_TOL * max(1, |a_beta|)
+PIVOT_TOL = 1e-11  # the smallest direction entry the simplex ratio test accepts as a pivot
+WEIGHT_TOL = 1e-9  # a simplex weight above this is positive (phase-1 residue, shell weight)
+ORACLE_DET_TOL = 1e-8  # the oracle keeps a (d+1)-point subset when |det [1; P_S^T]| > this
+ORACLE_WEIGHT_TOL = 1e-12  # the oracle accepts barycentric weights lam >= -this
+ORACLE_FIT_TOL = 1e-9  # the oracle's least-squares weights rebuild the target within this
+
 # The largest log value that still fits a double after exp().
 EXP_LIMIT = 709.0
 
@@ -47,7 +52,10 @@ MultiIndex = tuple[int, ...]
 
 @lru_cache(maxsize=256)
 def index_array(box: tuple[int, ...]) -> np.ndarray:
-    """All multi-indices of the box as an (n_points, d) int array, row-major."""
+    """All multi-indices of the box as an (n_points, d) int array, row-major.
+    Every generator indexes its box through here, so a negative extent stops here."""
+    if any(n < 0 for n in box):
+        raise DimensionMismatch(f"bad box {box!r}")
     shape = tuple(n + 1 for n in box)
     idx = np.indices(shape).reshape(len(box), -1).T.astype(np.int64)
     idx = np.ascontiguousarray(idx)
@@ -121,7 +129,7 @@ class SequenceGrid:
     def is_normalized(self) -> bool:
         origin = self.value((0,) * self.dim)
         target = 0.0 if self.scale == LOG else 1.0
-        return abs(origin - target) <= NORM_TOL
+        return abs(origin - target) <= TIE_REL_TOL  # max(1, |target|) = 1
 
     def log_flat(self) -> np.ndarray:
         """a_alpha flat and row-major, whichever scale the grid is stored in."""

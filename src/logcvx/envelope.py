@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate, lpsolve
-from .core import (LOG, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array, outer_shell_mask,
-                   require_valid, validate_grid)  # unused: perfbench/tracer.py wraps it here
+from .core import (FEAS_TOL, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array,
+                   outer_shell_mask, require_valid,
+                   validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (AllInfinite, DimensionMismatch, EmptyKGrid,
                      GridMismatch, OutOfRange, ScaleMismatch)
 
 K_STEP = 0.25  # default slope step of the sampled dual grid
-CONTACT_TOL = 1e-9
-STABLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class SupportPlane:
     :func:`h_of_k` returns one: ``touching`` lists the finite points within
     TIE_REL_TOL * max(1, |h|) of the lowest gap.  A certificate of
     :func:`minorant_lp` is a row of ``MinorantResult.planes`` instead, and its
-    touching set is the points within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|).
+    touching set is the points within ``core.FEAS_TOL`` * max(1, |a_beta|).
     """
 
     k: tuple[float, ...]
@@ -115,7 +114,7 @@ class KGridSpec:
     def axis_samples(self) -> np.ndarray:
         if not (0 < self.step < math.inf and -math.inf < self.lo <= self.hi < math.inf):
             raise EmptyKGrid(f"bad k-grid [{self.lo}, {self.hi}] step {self.step}")
-        span = (self.hi - self.lo) / self.step + 1e-12
+        span = (self.hi - self.lo) / self.step + TIE_REL_TOL
         conjugate.check_samples(span + 1, 1)
         return self.lo + self.step * np.arange(int(math.floor(span)) + 1)
 
@@ -158,10 +157,10 @@ class MinorantResult:
     ``planes[i]`` is an optimal supporting plane (k_1, ..., k_d, h) at index
     i, a NaN row where +inf entries leave i outside the hull of the finite
     abscissae (the minorant is +inf there).  ``touching[i]`` marks the finite
-    points tight at that plane within ``lpsolve.FEAS_TOL`` * max(1, |a_beta|);
+    points tight at that plane within ``core.FEAS_TOL`` * max(1, |a_beta|);
     this is wider than :func:`h_of_k`'s touching set, which uses
     TIE_REL_TOL * max(1, |h|).  ``contact`` marks the indices where the
-    minorant meets the data within CONTACT_TOL.  ``boundary`` marks the
+    minorant meets the data within FEAS_TOL.  ``boundary`` marks the
     indices where every optimal plane touches the truncation faces
     (equivalently, some optimal convex combination weighs a face point), i.e.
     whose value could move if the box grew; exactly their planes touch the
@@ -215,7 +214,7 @@ def minorant_lp(g: SequenceGrid) -> MinorantResult:
     shell = outer_shell_mask(g.box)
     lp = lpsolve.solve_batch(P, a, P, shell, _start_bases(finite, g.box))
     with np.errstate(invalid="ignore"):
-        meets = finite & (np.abs(a - lp.optimum) <= CONTACT_TOL * np.maximum(1.0, np.abs(a)))
+        meets = finite & (np.abs(a - lp.optimum) <= FEAS_TOL * np.maximum(1.0, np.abs(a)))
     return MinorantResult(SequenceGrid(g.box, lp.optimum, LOG), lp.point, lp.tight, meets,
                           lp.unbounded | (lp.tight & shell).any(axis=1))
 
@@ -224,14 +223,14 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     """Re-check a minorant result against the data alone; returns the failures,
     an empty tuple when it passes.
 
-    Nothing from the solver is trusted.  With the tolerance FEAS_TOL of
-    :mod:`lpsolve` relative to max(1, |a_beta|), for all planes at once:
+    Nothing from the solver is trusted.  With the tolerance FEAS_TOL
+    relative to max(1, |a_beta|), for all planes at once:
     the value is +inf exactly where the plane row is not finite; each plane
     lies under every finite data point (relative also to the plane's terms
     |h| + sum_j |k_j| (alpha_j + beta_j) there) and meets the value at its own alpha;
     ``touching`` is exactly the set of finite points tight at the plane;
     ``contact`` is the finite indices whose value meets the data within
-    CONTACT_TOL; ``boundary`` is the indices without a plane or whose plane
+    FEAS_TOL; ``boundary`` is the indices without a plane or whose plane
     touches the outer shell.
     """
     _require_log(g, "audit_minorant")
@@ -251,15 +250,15 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
         V += K[:, j, None] * P[None, :, j]
     gap = a[None, :] - V
     size = np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
-    tol = lpsolve.FEAS_TOL * size
+    tol = FEAS_TOL * size
     # the plane's value at beta is h + <k, beta> with h = y_0 - <k, alpha>, whose
     # rounding grows with |h| + sum_j |k_j| (alpha_j + beta_j), not with |a_beta|
     terms = (np.abs(h) + (np.abs(K) * P).sum(axis=1))[:, None] + np.abs(K) @ P.T
-    above = gap < -lpsolve.FEAS_TOL * np.maximum(size, terms)
+    above = gap < -FEAS_TOL * np.maximum(size, terms)
     with np.errstate(invalid="ignore"):
-        meets = finite & (np.abs(a - values) <= CONTACT_TOL * np.maximum(1.0, np.abs(a)))
+        meets = finite & (np.abs(a - values) <= FEAS_TOL * np.maximum(1.0, np.abs(a)))
         at_alpha = (np.abs(np.diagonal(V) - values)
-                    <= lpsolve.FEAS_TOL * np.maximum(1.0, np.abs(values)))
+                    <= FEAS_TOL * np.maximum(1.0, np.abs(values)))
     checks = [
         (has != np.isposinf(values), "the value is +inf with a plane, or finite without"),
         (~has | ~above.any(axis=1), "the plane rises above the data"),
@@ -290,7 +289,7 @@ class StabilityReport:
 
     The enlarged minorant can only be lower (more supporting-plane
     constraints); ``unstable`` lists small-box indices whose value moved by
-    more than 1e-9, i.e. values the truncation did not certify.
+    more than SLACK_TOL, i.e. values the truncation did not certify.
     """
 
     diff: np.ndarray
@@ -317,5 +316,5 @@ def stability_probe(g_small: SequenceGrid, g_large: SequenceGrid) -> StabilityRe
     both_inf = np.isposinf(vs) & np.isposinf(vl)
     diff = np.where(both_inf, 0.0, np.abs(vs - vl))
     idx = index_array(g_small.box)
-    unstable = tuple(tuple(r.tolist()) for r in idx[diff.reshape(-1) > STABLE_TOL])
+    unstable = tuple(tuple(r.tolist()) for r in idx[diff.reshape(-1) > SLACK_TOL])
     return StabilityReport(diff, unstable, float(np.nanmax(diff)), small, large)

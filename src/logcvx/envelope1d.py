@@ -1,10 +1,11 @@
 """Lower convex envelope of a one-dimensional sequence by slope sweep.
 
-Starting at p = 0, each step picks the smallest difference quotient
+Starting at p = 0, each step picks the smallest difference quotient k =
 (a_q - a_p)/(q - p) over q > p and jumps to the largest q attaining it
-(ties within relative 1e-12 are deemed equal, so collinear runs collapse
-into one maximal segment).  The chosen q's are the contacts; consecutive
-contacts span the polygon segments and the minorant interpolates along them.
+(quotients within TIE_REL_TOL * max(1, |k|) of k tie with it, so collinear
+runs collapse into one maximal segment).  The chosen q's are the contacts;
+consecutive contacts span the polygon segments and the minorant interpolates
+along them.
 
 +inf entries are skipped as candidates.  If the trailing entries are all
 +inf the sweep stops early and the minorant is +inf beyond the last contact

@@ -125,12 +125,16 @@ def convex_random_grid(box: tuple[int, ...], seed: int) -> SequenceGrid:
 def log_convex_random_1d(n: int, seed: int) -> SequenceGrid:
     """One-dimensional EXP grid, log-convex by construction: the log values
     are cumulative sums of nondecreasing increments, each increment adding a
-    draw from [0, 0.5), with a_0 = 0 (so M_0 = 1 and M_p M_q <= M_{p+q})."""
+    draw from [0, 0.5), with a_0 = 0 (so M_0 = 1 and M_p M_q <= M_{p+q}).
+    Both sums run left to right, as np.cumsum adds, and the draws stop at the
+    first log value past EXP_LIMIT."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
     rng = SplitMix64(seed)
-    increments = np.cumsum(0.5 * rng.floats(n))
-    a = np.concatenate(([0.0], np.cumsum(increments)))
-    if float(a[-1]) > EXP_LIMIT:
-        raise OverflowError("log values overflow the EXP scale; shrink n")
+    a, step = [0.0], 0.0
+    for _ in range(n):
+        step += 0.5 * rng.random()
+        a.append(a[-1] + step)
+        if a[-1] > EXP_LIMIT:
+            raise OverflowError("log values overflow the EXP scale; shrink n")
     return SequenceGrid((n,), np.exp(a), EXP)

@@ -34,18 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import (FEAS_TOL, ORACLE_DET_TOL, ORACLE_FIT_TOL, ORACLE_WEIGHT_TOL, PIVOT_TOL,
+                   RED_TOL, TIE_REL_TOL, WEIGHT_TOL)
 from .errors import NumericBreakdown
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"  # target outside the hull: the plane LP is unbounded
 
-# Tolerances of the solver.  The scale of a point is max(1, |a_beta|).
-FEAS_TOL = 1e-9    # a point is tight when |a_beta - plane(beta)| <= FEAS_TOL * scale
-RED_TOL = 1e-9     # a column enters only when its reduced cost is below -RED_TOL * scale
-PIVOT_TOL = 1e-11  # smallest direction entry the ratio test accepts as a pivot
-TIE_TOL = 1e-12    # step lengths within TIE_TOL * max(1, step) of the shortest tie
-WEIGHT_TOL = 1e-9  # a weight above this is positive (phase-1 residue, shell weight)
-BLAND_AFTER = 50     # degenerate pivots in a row before Bland's rule takes over
+BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 # Largest (targets x columns) working array: solve_batch works through the
 # targets in blocks of at most this many entries, as does the oracle.
 BLOCK_ENTRIES = 1 << 22
@@ -177,7 +173,7 @@ def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
         step = steps.min(axis=1)
         if np.isinf(step).any():
             raise NumericBreakdown(f"no pivot row for column {j[np.isinf(step)][0]}")
-        cutoff = step + TIE_TOL * np.maximum(1.0, step)
+        cutoff = step + TIE_REL_TOL * np.maximum(1.0, step)
         r = np.where(steps <= cutoff[:, None], bas, n + m).argmin(axis=1)
         t = np.arange(len(live))
         degenerate = np.where(step <= 0.0, degenerate + 1, 0)
@@ -368,12 +364,12 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
     best = np.full(rhs.shape[1], math.inf)
     if n >= d + 1:
         combos, M = _subsets(P, d + 1)
-        good = np.abs(np.linalg.det(M)) > 1e-8
+        good = np.abs(np.linalg.det(M)) > ORACLE_DET_TOL
         M, combos = M[good], combos[good]
         size = max(1, BLOCK_ENTRIES // ((d + 1) * max(len(best), 1)))
         for s in range(0, len(combos), size):
             lam = np.linalg.solve(M[s:s + size], rhs)
-            cand = np.where((lam >= -1e-12).all(axis=1),
+            cand = np.where((lam >= -ORACLE_WEIGHT_TOL).all(axis=1),
                             (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
             best = np.minimum(best, cand.min(axis=0))
     miss = np.flatnonzero(np.isinf(best))
@@ -386,8 +382,8 @@ def brute_force_batch(points, values, targets) -> np.ndarray:
             size = max(1, BLOCK_ENTRIES // (k * miss.size))
             for s in range(0, len(combos), size):
                 lam = Qinv[s:s + size] @ R
-                ok = ((lam >= -1e-12).all(axis=1)
-                      & np.isclose(Q[s:s + size] @ lam, R, atol=1e-9).all(axis=1))
+                ok = ((lam >= -ORACLE_WEIGHT_TOL).all(axis=1)
+                      & np.isclose(Q[s:s + size] @ lam, R, atol=ORACLE_FIT_TOL).all(axis=1))
                 cand = np.where(ok, (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
                 best[miss] = np.minimum(best[miss], cand.min(axis=0))
     return best

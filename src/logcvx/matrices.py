@@ -7,7 +7,7 @@ matrix are universally quantified statements over all indices (and levels);
 here they become finite-truncation checks:
 
 * a verifier takes an explicit witness (levels and constants) and confirms
-  every stored inequality on the full box within a 1e-9 log-scale slack,
+  every stored inequality on the full box within the log-scale slack SLACK_TOL,
 * a search scans fixed constant grids for the smallest workable witness.
 
 A failed search at a truncation is evidence, not proof, that the relation
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP, EXP_LIMIT, LEVEL_REL_TOL, MultiIndex, SequenceGrid, index_array,
-                   order_array, require_valid,
+from .core import (EXP, EXP_LIMIT, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid,
+                   index_array, order_array, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (BoxTooSmall, DimensionMismatch, LevelNotFound, NotNormalized,
                      WitnessError)
@@ -51,7 +51,6 @@ TRIANGLE = "triangle"
 RELATION_KINDS = (ROUMIEU, BEURLING, TRIANGLE)
 
 CONDITIONS = ("L12R", "L21R", "L37R", "L12B", "L21B", "63B")
-SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +100,7 @@ class WeightMatrix:
 
     def level_index(self, lam: float) -> int:
         for i, x in enumerate(self.levels):
-            if abs(x - lam) <= LEVEL_REL_TOL * max(1.0, abs(x)):
+            if abs(x - lam) <= TIE_REL_TOL * max(1.0, abs(x)):
                 return i
         raise LevelNotFound(f"level {lam!r} not in ladder {self.levels}")
 

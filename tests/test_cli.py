@@ -108,6 +108,29 @@ def test_gen_factorial_on_the_log_scale_has_no_double_cap(capsys):
     assert "170" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--box", "2,-1"],
+    ["gen", "random", "--box", "-1"],
+    ["gen", "convex", "--box", "2,-1"],
+    ["gen", "convex", "--box", "-3"],
+    ["gen", "notconvex", "--box", "2,-1"],
+    ["gen", "l37r-counterexample", "--box", "3,-2"],
+    ["matrix", "counterexample", "--box", "3,-2"],
+])
+def test_a_negative_box_entry_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: bad box (")
+
+
+@pytest.mark.parametrize("flag", [["--json"], ["--dim", "2"]])
+def test_gen_rejects_the_flags_no_kind_reads(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "notconvex", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--amplitude", "nan"), ("--amplitude", "-inf"),
                                          ("--lift", "inf"), ("--lift", "nan")])
 def test_gen_random_non_finite_argument_is_a_validation_error(capsys, flag, value):
@@ -882,3 +905,63 @@ def test_verify_relation_json_bytes_are_pinned(kind, tmp_path, monkeypatch, caps
                        "--kind", kind, "--witness", "w.json", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_RELATION_SHA256[kind]
+
+
+# ------------------------------------------- pins of the tolerance-bound outputs
+
+
+def tolerance_pin_grids():
+    """Inputs whose --json outputs every tolerance of the package reaches: the
+    three families of the benchmark's check workload on (6, 6), a random grid
+    whose window is unstable inside it, and small grids for the other routes."""
+    from logcvx import convex_random_grid
+    notjoint = notconvex_grid((6, 6), scale="log").flat + convex_random_grid((6, 6), 4).flat
+    large = random_grid((6, 6), seed=2, scale="log")
+    return {
+        "convex": convex_random_grid((6, 6), 3),
+        "notjoint": SequenceGrid((6, 6), notjoint, "log"),
+        "linebreak": random_grid((6, 6), seed=7, scale="log"),
+        "small": SequenceGrid((4, 4), large.values[:5, :5], "log"),
+        "large": large,
+        "line": random_grid((12,), seed=3, scale="log"),
+        "oracle": random_grid((3, 3), seed=1, scale="log"),
+    }
+
+
+TOLERANCE_PIN_COMMANDS = {
+    "check_convex": ["check", "convex.json", "--s-points", "600"],
+    "check_notjoint": ["check", "notjoint.json", "--s-points", "600"],
+    "check_linebreak": ["check", "linebreak.json", "--s-points", "600"],
+    "assoc": ["assoc", "convex.json", "--t", "1.5,2", "--t", "40,0.5",
+              "--t-grid", "0.5,30,9", "--trace-k", "0.5,1.25"],
+    "assoc_notjoint": ["assoc", "notjoint.json", "--t", "3,3", "--t-grid", "0.1,1e3,6",
+                       "--trace-k", "2,-1"],
+    "stability": ["minorant", "small.json", "--stability", "large.json"],
+    "sweep": ["minorant", "line.json", "--method", "sweep"],
+    "oracle": ["minorant", "oracle.json", "--method", "oracle"],
+    "dual_grid": ["minorant", "oracle.json", "--method", "dual-grid"],
+    "dual_grid_line": ["minorant", "line.json", "--method", "dual-grid", "--k-step", "0.1"],
+}
+# sha256 of the --json stdout
+TOLERANCE_PIN_SHA256 = {
+    "assoc": "192e032cf4a0f0f0b9270524563996c462df2d43c97472fa52bec5e60017e7a3",
+    "assoc_notjoint": "b1287f28a542275cb3db4fc2935dd39c5957d80cf8c9e6fbea459448f9778181",
+    "check_convex": "9895ad881f6bd72d5e765bca558b8043374851bc374eb155f7326ce865b290da",
+    "check_linebreak": "00ef62684195305a64aae2a82a0dac12b2821723e967b9366babb5692473908e",
+    "check_notjoint": "6eaa983680ac01cece977b991f684f30b0195d7bfb6db57ef8f80e45098ae6c8",
+    "dual_grid": "aa6d9cbe01a7f2190f0e3ef63712350981089994ba328bba0d319732039abec1",
+    "dual_grid_line": "f80cb70c2b5a383b8e4db099916ab62adaeb3437aa85d6ff084f606d633e59b9",
+    "oracle": "d6b8a464af954ad4cf5886ea086a85c9ae8e464a822cae1b8d559ae221738672",
+    "stability": "3e8d5503d6b3de552117d9b08087cf5b66a79b7fa101b881b81798be37193f48",
+    "sweep": "bfeea80dea329d565fb235c766bcb448deb0e3625f00d01fc95d3e133ac34fdf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_PIN_COMMANDS))
+def test_tolerance_bound_outputs_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for stem, g in tolerance_pin_grids().items():
+        (tmp_path / f"{stem}.json").write_text(write_grid(g))
+    code, out, _ = run(capsys, *TOLERANCE_PIN_COMMANDS[name], "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TOLERANCE_PIN_SHA256[name]

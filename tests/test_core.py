@@ -13,6 +13,12 @@ from logcvx.errors import (DimensionMismatch, EmptyShell, NonPositiveEntry,
 INF = math.inf
 
 
+@pytest.mark.parametrize("box", [(-1,), (2, -1), (-3, 4, 0)])
+def test_index_array_rejects_a_negative_extent(box):
+    with pytest.raises(DimensionMismatch, match="bad box"):
+        index_array(box)
+
+
 def test_index_array_row_major():
     idx = index_array((1, 2))
     assert idx.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]

@@ -7,9 +7,11 @@ that build the benchmark inputs are pinned by sha256.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
-from logcvx import convex_random_grid, notconvex_grid, random_grid
+from logcvx import (SplitMix64, convex_random_grid, log_convex_random_1d, notconvex_grid,
+                    random_grid)
 from logcvx.cli import main
 
 # sha256 of the stdout of ``logcvx gen`` with these arguments
@@ -119,3 +121,34 @@ def test_convex_random_grid_arrays_are_pinned(box):
 @pytest.mark.parametrize("box", sorted(NOTCONVEX_SHA256))
 def test_notconvex_grid_arrays_are_pinned(box):
     assert _digest(notconvex_grid(box, scale="log"), box) == NOTCONVEX_SHA256[box]
+
+
+def _cumsum_log_convex_1d(n, seed):
+    """The log values of log_convex_random_1d as two np.cumsum passes over all n draws."""
+    steps = np.cumsum(0.5 * SplitMix64(seed).floats(n))
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1234567, 2**31 - 2])
+def test_log_convex_random_1d_keeps_the_cumsum_bytes(seed):
+    fits = 0
+    for n in range(0, 160, 3):
+        a = _cumsum_log_convex_1d(n, seed)
+        if a[-1] > 709.0:
+            with pytest.raises(OverflowError):
+                log_convex_random_1d(n, seed)
+            continue
+        fits += 1
+        g = log_convex_random_1d(n, seed)
+        assert g.flat.tobytes() == np.exp(a).tobytes()
+    assert 10 < fits < 50
+
+
+def test_log_convex_random_1d_stops_drawing_past_the_exp_limit(monkeypatch):
+    draws = []
+    random = SplitMix64.random
+    monkeypatch.setattr(SplitMix64, "random", lambda self: draws.append(1) or random(self))
+    # at seed 0 the log values pass 709 at the 74th draw
+    with pytest.raises(OverflowError):
+        log_convex_random_1d(100_000, 0)
+    assert len(draws) == 74
