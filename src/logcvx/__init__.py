@@ -12,17 +12,15 @@ import types
 
 from .assoc import (AssociatedFunction, LogConvexityReport, LogConvexMinorant,
                     OmegaEval, SGridSpec, check_log_convexity,
-                    log_convex_minorant, omega, q3_supremum, q3_supremum_log,
-                    trace_function)
+                    log_convex_minorant, omega, q3_supremum, q3_supremum_log)
 from .core import (EXP, LOG, GrowthDiagnostic, SequenceGrid, Violation,
                    as_log_grid, boundary_infinities, growth_check, to_exp,
                    to_log, validate_grid)
-from .envelope import (DualValue, KGridSpec, MinorantResult, StabilityReport,
-                       SupportPlane, audit_minorant, axis_slope_range,
-                       boundary_restriction, dual_value, h_of_k, minorant_lp,
+from .envelope import (KGridSpec, MinorantResult, StabilityReport, audit_minorant,
+                       axis_slope_range, boundary_restriction, minorant_lp,
                        stability_probe)
 from .envelope1d import NewtonPolygon, PolygonSegment, evaluate, sweep
-from .errors import (AllInfinite, BoxTooSmall, DimensionMismatch, EmptyKGrid,
+from .errors import (BoxTooSmall, DimensionMismatch, EmptyKGrid,
                      EmptySGrid, EmptyShell, GridMismatch,
                      GridValidationError, LevelNotFound, LogcvxError,
                      NonPositiveEntry, NotNormalized, NumericBreakdown,

@@ -100,14 +100,14 @@ def omega(g: SequenceGrid, t) -> OmegaEval:
     return AssociatedFunction(g).evaluate(t)
 
 
-def trace_function(g: SequenceGrid, k) -> float:
-    return AssociatedFunction(g).trace(k)
-
-
 @dataclass(frozen=True)
 class SGridSpec:
     """Log-uniform sampling grid for s > 0: ``points`` samples per axis with
-    log s ranging over [lo, hi] (the same range on every axis)."""
+    log s ranging over [lo, hi] (the same range on every axis).
+
+    By default ``points`` is 200 for d <= 2 and 50 beyond, lowered to the
+    largest count whose product grid fits ``conjugate.MAX_SAMPLES`` (45 for
+    d = 4, 21 for d = 5)."""
 
     lo: float
     hi: float
@@ -118,6 +118,8 @@ class SGridSpec:
         lo, hi = axis_slope_range(as_log_grid(g))
         if points is None:
             points = 200 if g.dim <= 2 else 50
+            while points ** g.dim > conjugate.MAX_SAMPLES:
+                points -= 1
         return cls(lo, hi, points)
 
     def axis_samples(self) -> np.ndarray:

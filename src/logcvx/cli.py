@@ -4,8 +4,8 @@ One binary with subcommands; every command prints a human-readable report by
 default and a canonical JSON payload with --json.  The JSON payload is a pure
 function of the input bytes and flags (no timestamps, no durations), so two
 runs on identical inputs are byte-identical.  Exit codes: 0 success,
-2 validation failure, 3 parse/usage failure on input files, 4 numeric
-breakdown inside a solver.
+1 stdout closed by its reader, 2 validation failure, 3 parse/usage failure on
+input files, 4 numeric breakdown inside a solver.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from .core import EXP, LOG, SequenceGrid, as_log_grid, growth_check, index_array
 from .errors import (GridValidationError, LogcvxError, NumericBreakdown, OutOfRange,
                      SchemaError)
 
+_EXIT_PIPE = 1
 _EXIT_VALIDATION = 2
 _EXIT_PARSE = 3
 _EXIT_NUMERIC = 4
@@ -33,6 +35,11 @@ _ORACLE_POINT_CAP = 25
 _SHOWN = 40  # rows of a list that the human report prints
 # gen kinds whose output has one scale; the others default to EXP
 _GEN_FIXED_SCALE = {"convex": LOG, "log-convex-1d": EXP, "l37r-counterexample": EXP}
+# the options each gen kind reads; giving another is an error
+_GEN_READS = {"notconvex": {"box"}, "factorial": {"n"},
+              "random": {"box", "seed", "amplitude", "lift"}, "convex": {"box", "seed"},
+              "log-convex-1d": {"n", "seed"}, "l37r-counterexample": {"box"}}
+_GEN_DEFAULTS = {"box": "4,4", "n": 12, "seed": 0, "amplitude": 4.0, "lift": 1.0}
 
 
 def _read_file(args, path: str) -> bytes:
@@ -259,6 +266,11 @@ def cmd_gen(args) -> int:
         raise OutOfRange(f"gen {kind} writes {fixed}-scale values; "
                          f"--scale {args.scale} does not apply")
     scale = args.scale or EXP
+    for opt, default in _GEN_DEFAULTS.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)
+        elif opt not in _GEN_READS[kind]:
+            raise OutOfRange(f"gen {kind} does not read --{opt}")
     if kind == "l37r-counterexample":
         M = matrices.l37r_counterexample_matrix(_parse_ints(args.box, "--box"))
         if fmt == "csv":
@@ -347,14 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("kind", choices=("notconvex", "factorial", "random",
                                      "convex", "log-convex-1d",
                                      "l37r-counterexample"))
-    gn.add_argument("--box", default="4,4")
-    gn.add_argument("--n", type=int, default=12)
-    gn.add_argument("--seed", type=int, default=0)
+    # None marks an option not given: each kind reads only its own (_GEN_READS)
+    for opt, default in _GEN_DEFAULTS.items():
+        gn.add_argument(f"--{opt}", type=type(default), default=None, help=f"default {default}")
     gn.add_argument("--scale", choices=(LOG, EXP), default=None,
                     help="notconvex, factorial and random default to exp; "
                          "the other kinds have one scale")
-    gn.add_argument("--amplitude", type=float, default=4.0)
-    gn.add_argument("--lift", type=float, default=1.0)
     gn.add_argument("--format", choices=("json", "csv"), default="json")
     gn.add_argument("--out", default=None)
     return p
@@ -374,7 +384,14 @@ def main(argv=None) -> int:
     args._inputs = []  # filled by _read_file
     try:
         # looked up by name at each call, so a replaced cmd_* function is the one run
-        return globals()[f"cmd_{args.cmd}"](args)
+        code = globals()[f"cmd_{args.cmd}"](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest of the output, and the flush
+        # at exit, to devnull (the recipe in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_PIPE
     except SchemaError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return _EXIT_PARSE

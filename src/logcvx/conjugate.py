@@ -1,13 +1,13 @@
 """Sampled discrete Legendre conjugates on product grids, one axis at a time.
 
 For f on the lattice box [0, N_1] x ... x [0, N_d] (+inf imposes nothing) and
-the same m axis samples x on every axis, ``forward`` gives A(s) = max_beta
-(<s, beta> - f_beta) at every s in x^d, ``forward_at`` gives A at chosen
-samples only, and ``biconjugate`` gives max_s (<alpha, s> - A(s)) at every
-lattice alpha.  Each splits into nested 1-D max-plus passes, O(d m^d max_j
-(N_j + 1)) for the whole sample grid (Lucet 1997, "Faster than the fast
-Legendre transform", Numer. Algorithms 16:171-185).  ``forward`` returns
-the m^d array; ``biconjugate`` never forms it.
+the same m axis samples x on every axis, the conjugate is A(s) = max_beta
+(<s, beta> - f_beta) on x^d.  ``forward_at`` gives A at chosen samples, and
+``biconjugate`` gives max_s (<alpha, s> - A(s)) at every lattice alpha.  Each
+splits into nested 1-D max-plus passes, O(d m^d max_j (N_j + 1)) for the
+whole sample grid (Lucet 1997, "Faster than the fast Legendre transform",
+Numer. Algorithms 16:171-185); ``biconjugate`` never forms the m^d array
+of A.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import OutOfRange
 
-# Most samples one product grid may hold (m**d): ``forward`` returns 32 MiB
-# there, and the time of ``biconjugate`` grows as m**d too.  The default grids
-# (200**2 and 50**3, and 600**2 in the benchmark) fit.
+# Most samples one product grid may hold (m**d): the time of ``biconjugate``
+# grows as m**d.  The default grids (200**2 and 50**3, at most 45**4 beyond,
+# and 600**2 in the benchmark) fit.
 MAX_SAMPLES = 2**22
 
 # Samples per block of ``biconjugate``: 512 KiB per float array, so the few
@@ -44,21 +44,12 @@ def _max_plus(F: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def forward(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A(s) at every s in x^d, of shape (m,) * d; f has the shape of the box."""
-    check_samples(x.size, f.ndim)
-    F = -np.asarray(f, dtype=float)
-    for _ in range(f.ndim):
-        # a running maximum over the leading lattice axis makes a trailing sample axis
-        F = _max_plus(F[..., None], x)
-    return F
-
-
 def forward_at(x: np.ndarray, f: np.ndarray, samples) -> np.ndarray:
     """A(s) at the rows of ``samples``, a (k, d) array of indices into x.
 
-    The sums run in the order of ``forward``, ((-f + beta_1 x_{s_1}) +
-    beta_2 x_{s_2}) + ..., so the values are ``forward``'s bit for bit.
+    The sums run axis by axis, ((-f + beta_1 x_{s_1}) + beta_2 x_{s_2}) +
+    ..., the order of a full forward pass over x^d, so the values are that
+    pass's bit for bit.
     """
     F = -np.asarray(f, dtype=float)[..., None]
     for s in np.asarray(samples).T:
@@ -83,7 +74,7 @@ def _reduce_last(V: np.ndarray, P, x: np.ndarray, n: int):
 
 def biconjugate(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max_s (<alpha, s> - A(s)) at every alpha of the box, with A the
-    ``forward`` conjugate of f, and the row-major flat index into x^d of its
+    conjugate of f on x^d, and the row-major flat index into x^d of its
     maximising sample, both of the shape of f.
 
     Sample axes are reduced last to first, each to its first maximum, so the

@@ -5,11 +5,10 @@ For a LOG-scale grid a the minorant at alpha is
     a^c_alpha = sup { <k, alpha> + c : <k, beta> + c <= a_beta for all beta }
 
 i.e. the highest supporting hyperplane below the data, evaluated at alpha.
-Three routes are offered:
-
-* ``minorant_lp``     exact LP at every index, one batch (the reference route, certified),
-* ``dual_value``      sampled slope grid, lower bound, cheap at a single real x,
-* the 1-D sweep in :mod:`logcvx.envelope1d`.
+``minorant_lp`` solves the exact LP at every index, one batch (the reference
+route, certified); the 1-D sweep is in :mod:`logcvx.envelope1d`, and
+``KGridSpec`` samples the slopes of the dual route that ``minorant --method
+dual-grid`` runs through :func:`conjugate.biconjugate`.
 
 A +inf data entry imposes no constraint.  Values are exact for the truncated
 point set; they upper-bound the untruncated minorant, and indices where every
@@ -27,48 +26,14 @@ from . import conjugate, lpsolve
 from .core import (FEAS_TOL, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array,
                    outer_shell_mask, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
-from .errors import (AllInfinite, DimensionMismatch, EmptyKGrid,
-                     GridMismatch, OutOfRange, ScaleMismatch)
+from .errors import DimensionMismatch, EmptyKGrid, GridMismatch, OutOfRange, ScaleMismatch
 
 K_STEP = 0.25  # default slope step of the sampled dual grid
-
-
-@dataclass(frozen=True)
-class SupportPlane:
-    """An affine minorant <k, x> + h touching the data on ``touching``.
-
-    :func:`h_of_k` returns one: ``touching`` lists the finite points within
-    TIE_REL_TOL * max(1, |h|) of the lowest gap.  A certificate of
-    :func:`minorant_lp` is a row of ``MinorantResult.planes`` instead, and its
-    touching set is the points within ``core.FEAS_TOL`` * max(1, |a_beta|).
-    """
-
-    k: tuple[float, ...]
-    h: float
-    touching: tuple[MultiIndex, ...]
 
 
 def _require_log(g: SequenceGrid, who: str) -> None:
     if g.scale != LOG:
         raise ScaleMismatch(f"{who} expects a LOG-scale grid")
-
-
-def h_of_k(g: SequenceGrid, k) -> SupportPlane:
-    """Best intercept h_k = min_alpha (a_alpha - <k, alpha>) for a fixed slope."""
-    _require_log(g, "h_of_k")
-    k = np.asarray(k, dtype=float)
-    if k.shape != (g.dim,):
-        raise DimensionMismatch(f"k must have length {g.dim}")
-    a = g.flat
-    finite = np.isfinite(a)
-    if not finite.any():
-        raise AllInfinite("grid has no finite entries")
-    idx = index_array(g.box)
-    diffs = a[finite] - idx[finite].astype(float) @ k
-    h = float(diffs.min())
-    touch = diffs <= h + TIE_REL_TOL * max(1.0, abs(h))
-    touching = tuple(tuple(r.tolist()) for r in idx[finite][touch])
-    return SupportPlane(tuple(float(c) for c in k), h, touching)
 
 
 def axis_slope_range(g: SequenceGrid) -> tuple[float, float]:
@@ -119,36 +84,6 @@ class KGridSpec:
         return self.lo + self.step * np.arange(int(math.floor(span)) + 1)
 
 
-@dataclass(frozen=True)
-class DualValue:
-    value: float
-    k: tuple[float, ...]
-    spec: KGridSpec
-
-
-def dual_value(g: SequenceGrid, x, k_grid: KGridSpec | None = None) -> DualValue:
-    """sup over the sampled slopes of <k, x> + h_k; a lower bound on the envelope.
-
-    x is a real point inside the box (componentwise 0 <= x_j <= N_j).
-    """
-    _require_log(g, "dual_value")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim,):
-        raise DimensionMismatch(f"x must have length {g.dim}")
-    if np.any(x < 0) or np.any(x > np.asarray(g.box)):
-        raise OutOfRange(f"x={x.tolist()} outside the box {g.box}")
-    spec = k_grid if k_grid is not None else KGridSpec.from_grid(g)
-    if not np.isfinite(g.flat).any():
-        raise AllInfinite("grid has no finite entries")
-    ax = spec.axis_samples()
-    vals = -conjugate.forward(ax, g.values)  # h_k at every sampled slope k
-    for j, xj in enumerate(x):
-        vals += np.expand_dims(ax * xj, tuple(l for l in range(g.dim) if l != j))
-    i = int(np.argmax(vals))
-    k = ax[list(np.unravel_index(i, vals.shape))]
-    return DualValue(float(vals.flat[i]), tuple(float(c) for c in k), spec)
-
-
 @dataclass(frozen=True, eq=False)
 class MinorantResult:
     """LP minorant with per-index certificates, as arrays over the box's
@@ -157,9 +92,8 @@ class MinorantResult:
     ``planes[i]`` is an optimal supporting plane (k_1, ..., k_d, h) at index
     i, a NaN row where +inf entries leave i outside the hull of the finite
     abscissae (the minorant is +inf there).  ``touching[i]`` marks the finite
-    points tight at that plane within ``core.FEAS_TOL`` * max(1, |a_beta|);
-    this is wider than :func:`h_of_k`'s touching set, which uses
-    TIE_REL_TOL * max(1, |h|).  ``contact`` marks the indices where the
+    points tight at that plane within ``core.FEAS_TOL`` * max(1, |a_beta|).
+    ``contact`` marks the indices where the
     minorant meets the data within FEAS_TOL.  ``boundary`` marks the
     indices where every optimal plane touches the truncation faces
     (equivalently, some optimal convex combination weighs a face point), i.e.
@@ -226,8 +160,9 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     Nothing from the solver is trusted.  With the tolerance FEAS_TOL
     relative to max(1, |a_beta|), for all planes at once:
     the value is +inf exactly where the plane row is not finite; each plane
-    lies under every finite data point (relative also to the plane's terms
-    |h| + sum_j |k_j| (alpha_j + beta_j) there) and meets the value at its own alpha;
+    lies under every finite data point and meets the value at its own alpha,
+    both relative also to the plane's terms |h| + sum_j |k_j| (alpha_j + beta_j)
+    at that point;
     ``touching`` is exactly the set of finite points tight at the plane;
     ``contact`` is the finite indices whose value meets the data within
     FEAS_TOL; ``boundary`` is the indices without a plane or whose plane
@@ -258,7 +193,8 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     with np.errstate(invalid="ignore"):
         meets = finite & (np.abs(a - values) <= FEAS_TOL * np.maximum(1.0, np.abs(a)))
         at_alpha = (np.abs(np.diagonal(V) - values)
-                    <= FEAS_TOL * np.maximum(1.0, np.abs(values)))
+                    <= FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(values),
+                                                             np.diagonal(terms))))
     checks = [
         (has != np.isposinf(values), "the value is +inf with a plane, or finite without"),
         (~has | ~above.any(axis=1), "the plane rises above the data"),

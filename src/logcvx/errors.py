@@ -26,10 +26,6 @@ class NonPositiveEntry(LogcvxError):
     pass
 
 
-class AllInfinite(LogcvxError):
-    pass
-
-
 class EmptyKGrid(LogcvxError):
     pass
 

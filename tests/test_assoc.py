@@ -10,8 +10,7 @@ from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     EmptySGrid, GridValidationError, NotNormalized, OutOfRange,
                     SGridSpec, SequenceGrid, SplitMix64, check_log_convexity,
                     factorial_grid, log_convex_minorant, notconvex_grid,
-                    omega, q3_supremum, q3_supremum_log, random_grid, to_exp,
-                    trace_function)
+                    omega, q3_supremum, q3_supremum_log, random_grid, to_exp)
 from logcvx import assoc
 from logcvx.assoc import _omega_at
 from logcvx.envelope import boundary_restriction
@@ -103,7 +102,7 @@ def test_trace_equals_omega_of_exponentiated_slopes():
 
 
 def test_trace_at_zero_is_zero_for_normalized_grids():
-    assert trace_function(FACT, [0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert AssociatedFunction(FACT).trace([0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trace_is_convex_along_lines():

@@ -3,6 +3,10 @@ payload shapes, determinism, input digests, exit codes."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,34 @@ def test_gen_random_non_finite_argument_is_a_validation_error(capsys, flag, valu
     assert err.startswith("validation error:") and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["notconvex", "--seed", "5"], ["notconvex", "--amplitude", "9"], ["notconvex", "--n", "2"],
+    ["factorial", "--box", "3"], ["factorial", "--seed", "1"],
+    ["random", "--n", "3"], ["convex", "--lift", "2"], ["convex", "--amplitude", "1"],
+    ["log-convex-1d", "--box", "3"], ["log-convex-1d", "--lift", "0.5"],
+    ["l37r-counterexample", "--seed", "1"], ["l37r-counterexample", "--n", "4"],
+])
+def test_gen_rejects_an_option_its_kind_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"validation error: gen {argv[0]} does not read {argv[1]}\n"
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # 20001 values fill more than a pipe buffer, so a write meets the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "logcvx.cli", "gen", "factorial", "--n", "20000",
+         "--scale", "log"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.read(10) == b'{"box":[20'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 @pytest.mark.parametrize("flag, value", [("--t", "nan"), ("--t", "inf"), ("--t", "-inf"),
                                          ("--trace-k", "nan"), ("--trace-k", "inf")])
 def test_assoc_non_finite_point_is_a_validation_error(tmp_path, capsys, flag, value):
@@ -229,7 +261,9 @@ def test_minorant_dual_grid_lower_bounds_lp(line_file, capsys):
 
 
 def test_minorant_dual_grid_equals_per_index_dual_value(tmp_path, capsys):
-    from logcvx import KGridSpec, dual_value
+    # against the dense conjugate and its reduction over every slope sample
+    from test_conjugate import ref_backward, ref_forward
+    from logcvx import KGridSpec
     for seed, box in enumerate([(5,), (3, 4), (2, 2, 2)]):
         g = random_grid(box, seed=seed + 60)
         path = tmp_path / f"g{seed}.json"
@@ -238,9 +272,9 @@ def test_minorant_dual_grid_equals_per_index_dual_value(tmp_path, capsys):
                            "--k-step", "0.5", "--json")
         assert code == 0
         got = read_report(out)["results"]["minorant"]["values"]
-        spec = KGridSpec.from_grid(g, step=0.5)
-        for alpha, v in zip(g.indices(), got):
-            assert v == pytest.approx(dual_value(g, alpha, spec).value, rel=1e-12, abs=1e-12)
+        x = KGridSpec.from_grid(g, step=0.5).axis_samples()
+        want, _ = ref_backward(x, ref_forward(x, g.values), g.box)
+        assert got == pytest.approx(want.reshape(-1).tolist(), rel=1e-12, abs=1e-12)
 
 
 def test_minorant_dual_grid_bad_or_tiny_k_step_is_a_validation_error(line_file, capsys):
@@ -447,6 +481,15 @@ def test_check_caps_the_sample_count(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path), "--s-points", "100000")
     assert code == 2
     assert "MAX_SAMPLES" in err
+
+
+def test_check_defaults_fit_the_sample_cap_in_four_dimensions(tmp_path, capsys):
+    # 50**4 samples exceed MAX_SAMPLES; the default drops to 45 per axis
+    path = tmp_path / "c4.json"
+    assert run(capsys, "gen", "convex", "--box", "1,1,1,1", "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert code == 0
+    assert read_report(out)["results"]["globally_convex"] is True
 
 
 def test_check_reports_a_line_violation(tmp_path, capsys):

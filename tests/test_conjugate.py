@@ -11,9 +11,9 @@ import pytest
 
 from logcvx import (AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
                     SequenceGrid, SplitMix64, conjugate, convex_random_grid,
-                    dual_value, random_grid)
+                    random_grid)
 from logcvx.assoc import TIE_REL_TOL, _omega_at, _q3_all
-from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples, forward, forward_at
+from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples, forward_at
 from logcvx.core import index_array, outer_shell_mask
 
 
@@ -71,7 +71,6 @@ def test_kernel_matches_the_dense_scan():
         k_om, k_flags = _omega_at(af, x, every_sample(m, g.dim))
         k_q3, k_q3_flags = _q3_all(af, SGridSpec.from_grid(g, points=m))
         assert k_om.shape == k_flags.shape == (m ** g.dim,)
-        assert close(forward(x, g.values).reshape(-1), om), g.box
         assert close(k_om, om), g.box
         assert np.array_equal(k_flags, flags), g.box
         assert close(k_q3, q3), g.box
@@ -173,8 +172,7 @@ def test_forward_at_is_forward_at_every_sample():
             continue
         x = SGridSpec.from_grid(g, points=m).axis_samples()
         at = forward_at(x, g.values, every_sample(m, g.dim))
-        assert same_bits(at, forward(x, g.values).reshape(-1)), g.box
-        assert same_bits(forward(x, g.values), ref_forward(x, g.values)), g.box
+        assert same_bits(at, ref_forward(x, g.values).reshape(-1)), g.box
 
 
 def test_q3_holds_no_sample_grid_in_memory():
@@ -204,14 +202,14 @@ def test_backward_returns_the_first_maximising_sample():
 def test_forward_with_infinite_data_imposes_nothing():
     x = np.array([-1.0, 0.0, 2.0])
     f = np.array([0.0, math.inf, 1.0])
-    assert np.array_equal(forward(x, f), np.maximum(0.0, 2.0 * x - 1.0))
+    assert np.array_equal(forward_at(x, f, every_sample(3, 1)), np.maximum(0.0, 2.0 * x - 1.0))
 
 
 def test_sample_cap_fits_the_defaults_and_allocates_nothing_beyond_it():
     for m, d in [(600, 2), (200, 2), (50, 3), (MAX_SAMPLES, 1)]:
         check_samples(m, d)
     with pytest.raises(OutOfRange):
-        forward(np.zeros(2049), np.zeros((1, 1)))  # 2049**2 > 2**22
+        biconjugate(np.zeros(2049), np.zeros((1, 1)))  # 2049**2 > 2**22
     with pytest.raises(OutOfRange):
         check_samples(1e300, 3)
     with pytest.raises(OutOfRange):
@@ -221,6 +219,8 @@ def test_sample_cap_fits_the_defaults_and_allocates_nothing_beyond_it():
 
 
 def test_dual_value_matches_a_dense_slope_scan():
+    # the dual-grid route: max over sampled slopes k of <k, alpha> + h_k, with
+    # h_k the lowest gap min_beta (a_beta - <k, beta>) over finite points
     for seed in range(6):
         g = holed((3, 3), seed + 50) if seed % 2 else random_grid((2, 3), seed=seed)
         spec = KGridSpec.from_grid(g, step=0.5)
@@ -228,11 +228,8 @@ def test_dual_value_matches_a_dense_slope_scan():
         finite = np.isfinite(g.flat)
         P = index_array(g.box)[finite].astype(float)
         h = (g.flat[finite][None, :] - K @ P.T).min(axis=1)
-        rng = SplitMix64(seed)
-        for _ in range(5):
-            x = np.array([rng.uniform(0.0, float(n)) for n in g.box])
-            want = K @ x + h
-            dv = dual_value(g, x, spec)
-            assert dv.value == pytest.approx(want.max(), rel=1e-12, abs=1e-12)
-            row = np.flatnonzero((K == dv.k).all(axis=1))[0]
+        vals, arg = biconjugate(spec.axis_samples(), g.values)
+        for alpha, v, row in zip(index_array(g.box), vals.reshape(-1), arg.reshape(-1)):
+            want = K @ alpha + h
+            assert v == pytest.approx(want.max(), rel=1e-12, abs=1e-12)
             assert want[row] == pytest.approx(want.max(), rel=1e-12, abs=1e-12)

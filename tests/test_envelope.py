@@ -1,19 +1,20 @@
-"""Supporting-hyperplane minorant in d dimensions: LP route, dual sampling,
-slope ranges, face restriction and the truncation stability probe."""
+"""Supporting-hyperplane minorant in d dimensions: LP route, the intercepts
+h_k = -A(k) of the lowest planes of slope k, the sampled dual route, slope
+ranges, face restriction and the truncation stability probe."""
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from logcvx import (EXP, LOG, AllInfinite, DimensionMismatch, EmptyKGrid,
-                    GridMismatch, GridValidationError, KGridSpec, OutOfRange,
-                    ScaleMismatch, SequenceGrid, as_log_grid, audit_minorant,
-                    axis_slope_range, boundary_restriction, convex_random_grid,
-                    dual_value, envelope1d, factorial_grid, h_of_k,
-                    minorant_lp, notconvex_grid, random_grid, stability_probe)
+from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
+                    EmptyKGrid, GridMismatch, GridValidationError, KGridSpec,
+                    OutOfRange, ScaleMismatch, SequenceGrid, as_log_grid,
+                    audit_minorant, axis_slope_range, boundary_restriction,
+                    convex_random_grid, envelope1d, factorial_grid, minorant_lp,
+                    notconvex_grid, random_grid, stability_probe)
 from logcvx import conjugate, lpsolve
-from logcvx.core import index_array, outer_shell_mask
+from logcvx.core import FEAS_TOL, index_array, outer_shell_mask
 from logcvx.envelope import _start_bases
 
 REF = SequenceGrid((3,), [0.0, 2.0, 1.0, 6.0], LOG)
@@ -23,33 +24,35 @@ def lattice(box):
     return [tuple(r.tolist()) for r in index_array(box)]
 
 
-# ---------------------------------------------------------------- h_of_k
+# ------------------------------------------------------- h_k = -A(k)
+
+
+def touching(g, k, h):
+    """The points where the plane of slope k and intercept h meets the data."""
+    gaps = g.flat - index_array(g.box) @ np.asarray(k, dtype=float)
+    return [tuple(r.tolist()) for r in index_array(g.box)[gaps == h]]
 
 
 def test_h_of_k_picks_lowest_gap_and_reports_touching():
-    plane = h_of_k(REF, [0.5])
-    assert plane.h == pytest.approx(0.0)
-    assert plane.touching == ((0,), (2,))
-    steep = h_of_k(REF, [5.0])
-    assert steep.h == pytest.approx(-9.0)
-    assert steep.touching == ((2,), (3,))
+    af = AssociatedFunction(REF)
+    assert -af.trace([0.5]) == 0.0
+    assert touching(REF, [0.5], 0.0) == [(0,), (2,)]
+    assert -af.trace([5.0]) == -9.0
+    assert touching(REF, [5.0], -9.0) == [(2,), (3,)]
 
 
 def test_h_of_k_ignores_infinite_entries():
     g = SequenceGrid((2,), [0.0, math.inf, 4.0], LOG)
-    plane = h_of_k(g, [1.0])
-    assert plane.h == pytest.approx(0.0)
-    assert plane.touching == ((0,),)
+    assert -AssociatedFunction(g).trace([1.0]) == 0.0
+    assert touching(g, [1.0], 0.0) == [(0,)]
 
 
 def test_h_of_k_input_guards():
+    af = AssociatedFunction(REF)
     with pytest.raises(DimensionMismatch):
-        h_of_k(REF, [1.0, 2.0])
-    with pytest.raises(ScaleMismatch):
-        h_of_k(SequenceGrid((1,), [1.0, 2.0], EXP), [1.0])
-    all_inf = SequenceGrid((1,), [math.inf, math.inf], LOG)
-    with pytest.raises(AllInfinite):
-        h_of_k(all_inf, [0.0])
+        af.trace([1.0, 2.0])
+    with pytest.raises(OutOfRange):
+        af.trace([math.nan])
 
 
 # ------------------------------------------------------------ slope ranges
@@ -85,17 +88,21 @@ def test_axis_slope_range_contains_1d_segment_slopes():
             assert lo - 1e-12 <= seg.slope <= hi + 1e-12
 
 
+def dual_grid(g, spec=None):
+    """The sampled dual route at every index: the values and the flat index
+    of the first maximising slope, as ``minorant --method dual-grid`` runs it."""
+    spec = KGridSpec.from_grid(g) if spec is None else spec
+    return conjugate.biconjugate(spec.axis_samples(), g.values)
+
+
 def test_dual_on_default_range_is_step_accurate_in_1d():
     # optimal slopes live inside axis_slope_range, so a step-s grid loses at
     # most s * N against the exact minorant
     for seed in range(15):
         g = random_grid((6,), seed=seed + 300)
         res = minorant_lp(g)
-        spec = KGridSpec.from_grid(g, step=0.25)
-        for alpha in lattice(g.box):
-            dv = dual_value(g, [float(alpha[0])], spec)
-            exact = res.minorant.value(alpha)
-            assert dv.value >= exact - 0.25 * g.box[0] - 1e-9
+        vals, _ = dual_grid(g, KGridSpec.from_grid(g, step=0.25))
+        assert np.all(vals >= res.minorant.values - 0.25 * g.box[0] - 1e-9)
 
 
 # ---------------------------------------------------------------- k grids
@@ -106,8 +113,8 @@ def test_kgrid_axis_samples_and_product():
     assert np.allclose(spec.axis_samples(), [0.0, 0.25, 0.5, 0.75, 1.0])
     # the product grid lives inside the kernel: A(k) = max(0, k_1, k_2, k_1 + k_2)
     # over the unit square, at every k of the 5 x 5 product
-    A = conjugate.forward(spec.axis_samples(), np.zeros((2, 2)))
-    assert A.shape == (5, 5)
+    every = np.stack(np.unravel_index(np.arange(25), (5, 5)), axis=1)
+    A = conjugate.forward_at(spec.axis_samples(), np.zeros((2, 2)), every).reshape(5, 5)
     assert (A[0, 0], A[-1, 0], A[-1, -1]) == (0.0, 1.0, 2.0)
 
 
@@ -134,33 +141,31 @@ def test_kgrid_from_grid_uses_axis_slopes():
 def test_dual_value_at_origin_recovers_origin_value():
     for seed in range(10):
         g = random_grid((4,), seed=seed)
-        dv = dual_value(g, [0.0])
-        assert dv.value == pytest.approx(g.flat[0], abs=1e-12)
+        vals, _ = dual_grid(g)
+        assert vals[0] == pytest.approx(g.flat[0], abs=1e-12)
 
 
 def test_dual_value_notconvex_center():
     g = as_log_grid(notconvex_grid((2, 2)))
-    dv = dual_value(g, [1.0, 1.0], KGridSpec(0.0, 8.0, 0.5))
-    assert dv.value == pytest.approx(8.0, abs=1e-12)
-    assert dv.k == (5.0, 5.0)
+    spec = KGridSpec(0.0, 8.0, 0.5)
+    vals, arg = dual_grid(g, spec)
+    assert vals[1, 1] == pytest.approx(8.0, abs=1e-12)
+    k = spec.axis_samples()[list(np.unravel_index(arg[1, 1], (17, 17)))]
+    assert k.tolist() == [5.0, 5.0]
 
 
 def test_dual_value_never_exceeds_lp_minorant():
     for seed in range(15):
         g = random_grid((3, 3), seed=seed + 100)
-        res = minorant_lp(g)
-        for alpha in lattice(g.box):
-            dv = dual_value(g, [float(c) for c in alpha])
-            assert dv.value <= res.minorant.value(alpha) + 1e-9
+        vals, _ = dual_grid(g)
+        assert np.all(vals <= minorant_lp(g).minorant.values + 1e-9)
 
 
 def test_dual_value_input_guards():
-    with pytest.raises(OutOfRange):
-        dual_value(REF, [4.0])
-    with pytest.raises(OutOfRange):
-        dual_value(REF, [-0.5])
-    with pytest.raises(DimensionMismatch):
-        dual_value(REF, [1.0, 1.0])
+    with pytest.raises(ScaleMismatch):
+        KGridSpec.from_grid(SequenceGrid((1,), [1.0, 2.0], EXP))
+    with pytest.raises(OutOfRange):  # 2049**2 slopes exceed MAX_SAMPLES
+        dual_grid(as_log_grid(notconvex_grid((2, 2))), KGridSpec(0.0, 2048.0, 1.0))
 
 
 # ---------------------------------------------------------------- LP route
@@ -306,6 +311,24 @@ def test_audit_rejects_a_plane_lifted_by_1e_6_relative_at_large_scale():
         planes[np.ravel_multi_index(alpha, SCALED.values.shape), -1] += lift
         failures = audit_minorant(SCALED, replace(res, planes=planes))
         assert f"the plane rises above the data, at {alpha}" in failures
+
+
+@pytest.mark.parametrize("m", [1e16, 1e20])
+def test_audit_scales_the_at_alpha_check_by_the_plane_terms(m):
+    # h = y_0 - <k, alpha> cancels terms near m, so the plane may miss its own
+    # value by rounding far beyond FEAS_TOL * max(1, |value|)
+    g = SequenceGrid((2, 2), [0.0, 1.0, -m, 2.0, 3.0, 4.0, m, 5.0, 6.0], LOG)
+    res = minorant_lp(g)
+    assert audit_minorant(g, res) == ()
+    idx = index_array(g.box).astype(float)
+    K, h = res.planes[:, :-1], res.planes[:, -1]
+    terms = np.abs(h) + 2.0 * (np.abs(K) * idx).sum(axis=1)
+    bound = FEAS_TOL * np.maximum(1.0, np.maximum(np.abs(res.minorant.flat), terms))
+    for i, alpha in enumerate(lattice(g.box)):
+        moved = res.minorant.flat.copy()
+        moved[i] += 10.0 * bound[i]
+        failures = audit_minorant(g, replace(res, minorant=SequenceGrid(g.box, moved, LOG)))
+        assert f"the plane misses the value, at {alpha}" in failures
 
 
 def test_minorant_lp_rejects_invalid_grids():
