@@ -27,8 +27,8 @@ from .errors import (BoxTooSmall, DimensionMismatch, EmptyKGrid,
                      OutOfRange, ScaleMismatch, SchemaError, WitnessError)
 from .generators import (SplitMix64, convex_random_grid, factorial_grid,
                          log_convex_random_1d, notconvex_grid, random_grid)
-from .io import (canonical_json, fmt_float, read_condition_witness, read_grid,
-                 read_matrix, read_relation_witness, read_report, to_jsonable,
+from .io import (fmt_float, read_condition_witness, read_grid, read_matrix,
+                 read_relation_witness, read_report, to_jsonable,
                  write_condition_witness, write_grid, write_matrix,
                  write_relation_witness, write_report)
 from .lpsolve import LPSolution

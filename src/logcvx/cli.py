@@ -5,7 +5,8 @@ default and a canonical JSON payload with --json.  The JSON payload is a pure
 function of the input bytes and flags (no timestamps, no durations), so two
 runs on identical inputs are byte-identical.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 validation failure, 3 parse/usage failure on
-input files, 4 numeric breakdown inside a solver.
+input files (unreadable, not UTF-8, malformed) or an --out path that cannot be
+written, 4 numeric breakdown inside a solver.
 """
 from __future__ import annotations
 
@@ -42,14 +43,26 @@ _GEN_READS = {"notconvex": {"box"}, "factorial": {"n"},
 _GEN_DEFAULTS = {"box": "4,4", "n": 12, "seed": 0, "amplitude": 4.0, "lift": 1.0}
 
 
-def _read_file(args, path: str) -> bytes:
-    """The bytes of an input file, also appended to args._inputs for the digest."""
+def _read_file(args, path: str) -> str:
+    """The text of an input file; its bytes are appended to args._inputs for
+    the digest."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise SchemaError(path, "readable file", str(e)) from None
     args._inputs.append(raw)
-    return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(path, "UTF-8 text", str(e)) from None
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to an --out file, ending in one newline."""
+    try:
+        Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    except OSError as e:
+        raise SchemaError(path, "writable file", str(e)) from None
 
 
 def _parse_floats(text: str, flag: str, kind=float, what: str = "numbers") -> tuple:
@@ -231,7 +244,7 @@ def cmd_matrix(args) -> int:
             M = matrices.l37r_counterexample_matrix(box)
             text = io.write_matrix(M)
             if args.out:
-                Path(args.out).write_text(text + "\n", encoding="utf-8")
+                _write_file(args.out, text)
                 results["written"] = args.out
             else:
                 results["matrix"] = io.read_report(text)
@@ -292,14 +305,15 @@ def cmd_gen(args) -> int:
             raise OutOfRange("CSV output only covers grids of dimension <= 2")
         text = io.write_grid(g, fmt=fmt)
     if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n",
-                                  encoding="utf-8")
+        _write_file(args.out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="logcvx",
         description="Convex minorants of multi-index sequences, associated "
@@ -368,12 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--format", choices=("json", "csv"), default="json")
     gn.add_argument("--out", default=None)
     return p
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state between calls."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

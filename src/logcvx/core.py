@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -123,9 +123,6 @@ class SequenceGrid:
     def value(self, alpha) -> float:
         return float(self.values[tuple(alpha)])
 
-    def indices(self) -> Iterator[MultiIndex]:
-        return iter(map(tuple, index_array(self.box).tolist()))
-
     def is_normalized(self) -> bool:
         origin = self.value((0,) * self.dim)
         target = 0.0 if self.scale == LOG else 1.0
@@ -137,16 +134,6 @@ class SequenceGrid:
             return self.flat
         with np.errstate(divide="ignore"):
             return np.log(self.flat)
-
-    @classmethod
-    def from_mapping(cls, box, mapping: Mapping, scale: str = LOG) -> "SequenceGrid":
-        """Build a grid from an index -> value map; missing entries become NaN."""
-        box = tuple(int(n) for n in box)
-        shape = tuple(n + 1 for n in box)
-        arr = np.full(shape, np.nan)
-        for alpha, v in mapping.items():
-            arr[tuple(alpha)] = v
-        return cls(box, arr, scale)
 
     @classmethod
     def from_function(cls, box, fn: Callable[[MultiIndex], float], scale: str = LOG) -> "SequenceGrid":
@@ -227,13 +214,11 @@ def boundary_infinities(g: SequenceGrid) -> list[MultiIndex]:
 class GrowthDiagnostic:
     """Heuristic check that a_alpha/|alpha| grows toward the box boundary.
 
-    ``ratios`` holds a_alpha/|alpha| on the outermost two order shells;
-    ``passes`` is True iff the minimum ratio on the outer shell strictly
-    exceeds the maximum ratio over all interior shells (+inf entries are
+    ``passes`` is True iff the minimum of a_alpha/|alpha| on the outer shell
+    strictly exceeds its maximum over all interior shells (+inf entries are
     excluded from the ratios).
     """
 
-    ratios: dict[MultiIndex, float]
     passes: bool
     min_boundary_ratio: float
 
@@ -252,19 +237,13 @@ def growth_check(g: SequenceGrid) -> GrowthDiagnostic:
     flat = g.flat
     orders = order_array(g.box)
     finite = np.isfinite(flat) & (orders > 0)
-    ratios_all = np.where(finite, flat / np.where(orders > 0, orders, 1.0), np.nan)
+    ratios = np.where(finite, flat / np.where(orders > 0, orders, 1.0), np.nan)
 
     outer = finite & (orders == total)
-    second = finite & (orders == total - 1)
     interior = finite & (orders < total)
-
-    idx = index_array(g.box)
-    ratios = {tuple(idx[i].tolist()): float(ratios_all[i])
-              for i in np.flatnonzero(outer | second)}
-
-    min_boundary = float(ratios_all[outer].min()) if outer.any() else math.inf
-    max_interior = float(ratios_all[interior].max()) if interior.any() else -math.inf
-    return GrowthDiagnostic(ratios=ratios, passes=bool(min_boundary > max_interior),
+    min_boundary = float(ratios[outer].min()) if outer.any() else math.inf
+    max_interior = float(ratios[interior].max()) if interior.any() else -math.inf
+    return GrowthDiagnostic(passes=bool(min_boundary > max_interior),
                             min_boundary_ratio=min_boundary)
 
 

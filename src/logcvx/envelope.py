@@ -231,8 +231,6 @@ class StabilityReport:
     diff: np.ndarray
     unstable: tuple[MultiIndex, ...]
     max_diff: float
-    small: MinorantResult
-    large: MinorantResult
 
 
 def stability_probe(g_small: SequenceGrid, g_large: SequenceGrid) -> StabilityReport:
@@ -245,12 +243,10 @@ def stability_probe(g_small: SequenceGrid, g_large: SequenceGrid) -> StabilityRe
     window = tuple(slice(0, n + 1) for n in g_small.box)
     if not np.array_equal(g_large.values[window], g_small.values):
         raise GridMismatch("values disagree on the common box")
-    small = minorant_lp(g_small)
-    large = minorant_lp(g_large)
-    vs = small.minorant.values
-    vl = large.minorant.values[window]
+    vs = minorant_lp(g_small).minorant.values
+    vl = minorant_lp(g_large).minorant.values[window]
     both_inf = np.isposinf(vs) & np.isposinf(vl)
     diff = np.where(both_inf, 0.0, np.abs(vs - vl))
     idx = index_array(g_small.box)
     unstable = tuple(tuple(r.tolist()) for r in idx[diff.reshape(-1) > SLACK_TOL])
-    return StabilityReport(diff, unstable, float(np.nanmax(diff)), small, large)
+    return StabilityReport(diff, unstable, float(np.nanmax(diff)))

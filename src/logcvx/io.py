@@ -8,15 +8,15 @@ serializes to identical bytes:
 * +inf, -inf and NaN as the quoted strings "inf", "-inf", "nan",
 * negative zero normalized to "0".
 
-One encoder, a single recursive walk appending strings to a list, writes it:
-canonical_json for plain data, write_report for reports (dataclasses, sets and
-non-str keys too).  A report's column table (a Columns, or the CandidateTable
-of a relation search) is written in one %-format over n copies of a row
-template with its keys sorted: a float column with at most half its values
-distinct, or with a non-finite one, formats each distinct value once; any
-other float column goes into the format as %.17g.  to_jsonable gives the
-human CLI output its plain data, a column table as its list of row objects
-(with rows=k, only the first k converted).
+One encoder, write_report, writes it in a single recursive walk appending
+strings to a list: plain data, dataclasses, sets and non-str keys alike.  A
+column table (a Columns, or the CandidateTable of a relation search) is
+written in one %-format over n copies of a row template with its keys
+sorted: a float column with at most half its values distinct, or with a
+non-finite one, formats each distinct value once; any other float column
+goes into the format as %.17g.  to_jsonable gives the human CLI output its
+plain data, a column table as its list of row objects (with rows=k, only the
+first k converted).
 
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
@@ -24,8 +24,9 @@ self-describing through leading "# dim:" and "# scale:" comment lines;
 two-dimensional files have a header row of alpha_2 values and one row per
 alpha_1.  Matrix files: {"levels": [...], "grids": [grid objects]}.
 
-Readers raise SchemaError with a JSON-pointer style path to the offending
-element and never partially construct a value.
+Readers take the text of one file (str; the CLI decodes each file as UTF-8),
+raise SchemaError with a JSON-pointer style path to the offending element
+and never partially construct a value.
 """
 from __future__ import annotations
 
@@ -53,25 +54,18 @@ def fmt_float(x: float) -> str:
     return f"{float(x) + 0.0:.17g}"  # + 0.0 turns -0.0 into 0.0
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON text of plain data: dict (str keys), list, tuple, str,
-    int, float, bool, None, numpy arrays and numbers; TypeError on anything else."""
-    out: list[str] = []
-    _encode(obj, out, False)
-    return "".join(out)
-
-
 def write_report(payload) -> str:
-    """canonical_json of a report: plain data plus dataclasses (objects of their
-    fields), sets (sorted) and non-str keys (str(k)), in the same one walk."""
+    """Canonical JSON text of dict, list, tuple, str, int, float, bool, None,
+    numpy arrays and numbers, dataclasses (objects of their fields), sets
+    (sorted) and non-str keys (str(k)); TypeError on anything else."""
     out: list[str] = []
-    _encode(payload, out, True)
+    _encode(payload, out)
     return "".join(out)
 
 
 _quote = json.encoder.encode_basestring  # what json.dumps(s, ensure_ascii=False) calls
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
-# What any other value is read as, in this order; sets only in a report.
+# What any other value is read as, in this order.
 _PLAIN = (((set, frozenset), sorted), (np.ndarray, lambda a: list(a.tolist())),
           ((int, np.integer), int), ((float, np.floating), float), (str, str.__str__),
           (dict, dict), ((list, tuple), list))
@@ -82,7 +76,7 @@ def _float(x: float) -> str:
     return _QUOTED.get(s, s)
 
 
-def _encode(obj, out: list[str], report: bool) -> None:
+def _encode(obj, out: list[str]) -> None:
     """Append the JSON text of obj to out; exact plain types are tried first."""
     t = type(obj)
     if t is float:
@@ -98,36 +92,34 @@ def _encode(obj, out: list[str], report: bool) -> None:
     elif t is list or t is tuple:
         out.append("[")
         for x in obj:
-            _encode(x, out, report)
+            _encode(x, out)
             out.append(",")
         out[-1] = "]" if obj else "[]"
     elif t is dict:
-        if report and not all(isinstance(k, str) for k in obj):
+        if not all(isinstance(k, str) for k in obj):
             obj = {k if isinstance(k, str) else str(k): v for k, v in obj.items()}
-        _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out, report)
-    elif report and t in _TABLES:
+        _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out)
+    elif t in _TABLES:
         out.append(_table_text(*_TABLES[t](obj)))
-    elif report and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         names = sorted(f.name for f in dataclasses.fields(t))
-        _encode_object([(_key(n), getattr(obj, n)) for n in names], out, True)
+        _encode_object([(_key(n), getattr(obj, n)) for n in names], out)
     else:
-        for kinds, plain in _PLAIN[not report:]:
+        for kinds, plain in _PLAIN:
             if isinstance(obj, kinds):
-                return _encode(plain(obj), out, report)
+                return _encode(plain(obj), out)
         raise TypeError(f"cannot serialize {t.__name__}")
 
 
-def _key(k) -> str:
-    if not isinstance(k, str):
-        raise TypeError(f"JSON object keys must be strings, got {k!r}")
+def _key(k: str) -> str:
     return _quote(k) + ":"
 
 
-def _encode_object(items: list[tuple[str, object]], out: list[str], report: bool) -> None:
+def _encode_object(items: list[tuple[str, object]], out: list[str]) -> None:
     out.append("{")
     for key, value in items:
         out.append(key)
-        _encode(value, out, report)
+        _encode(value, out)
         out.append(",")
     out[-1] = "}" if items else "{}"
 
@@ -190,7 +182,7 @@ def _table_rows(columns: dict, points, stop: int | None) -> list[dict]:
 
 def to_jsonable(obj, rows: int | None = None):
     """Recursively convert dataclasses, numpy values, tuples and sets into
-    plain JSON data (floats stay floats; canonical_json handles specials).
+    plain JSON data (floats stay floats; write_report handles specials).
     With rows=k, a column table converts only its first k rows and keeps its
     length: the rest of its list is None."""
     if type(obj) in _TABLES:
@@ -288,37 +280,22 @@ def grid_to_obj(g: SequenceGrid) -> dict:
     return {"box": list(g.box), "dim": g.dim, "scale": g.scale, "values": vals}
 
 
-def read_grid(source, fmt: str | None = None, validate: bool = True) -> SequenceGrid:
-    """Parse a grid from JSON text, CSV text, or an already-decoded dict.
-
-    With fmt None the format is sniffed: text starting with "{" is JSON.
-    Semantic violations (incomplete data, bad origin, nonpositive EXP values)
-    raise GridValidationError after a syntactically clean parse; pass
-    validate=False to obtain the raw grid anyway.
-    """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        kind = fmt if fmt is not None else "json" if source.lstrip()[:1] == "{" else "csv"
-        if kind == "csv":
-            return _validated(_grid_from_csv(source), validate)
-        if kind != "json":
-            raise ValueError(f"unknown format {fmt!r}")
-        source = _parse(source)
-    elif not isinstance(source, dict):
-        raise SchemaError("/", "str, bytes or dict", type(source).__name__)
-    return _validated(_grid_from_obj(source), validate)
-
-
-def _validated(g: SequenceGrid, validate: bool) -> SequenceGrid:
-    if validate:
-        require_valid(g)
+def read_grid(source: str) -> SequenceGrid:
+    """Parse and validate a grid from the text of a file: JSON when it starts
+    with "{", CSV otherwise.  Semantic violations (incomplete data, bad origin,
+    nonpositive EXP values) raise GridValidationError after a syntactically
+    clean parse."""
+    if isinstance(source, str) and source.lstrip()[:1] != "{":
+        g = _grid_from_csv(source)
+    else:
+        g = _grid_from_obj(_load_obj(source))
+    require_valid(g)
     return g
 
 
 def write_grid(g: SequenceGrid, fmt: str = "json") -> str:
     if fmt == "json":
-        return canonical_json(grid_to_obj(g))
+        return write_report(grid_to_obj(g))
     if fmt == "csv":
         return _grid_to_csv(g)
     raise ValueError(f"unknown format {fmt!r}")
@@ -415,7 +392,7 @@ def _grid_to_csv(g: SequenceGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_matrix(source) -> WeightMatrix:
+def read_matrix(source: str) -> WeightMatrix:
     obj = _load_obj(source)
     levels_raw = _require(obj, "levels", "")
     if not isinstance(levels_raw, list) or not levels_raw:
@@ -434,11 +411,11 @@ def read_matrix(source) -> WeightMatrix:
 
 
 def write_matrix(m: WeightMatrix) -> str:
-    return canonical_json({"levels": list(m.levels),
+    return write_report({"levels": list(m.levels),
                            "grids": [grid_to_obj(g) for g in m.grids]})
 
 
-def read_relation_witness(source) -> RelationWitness:
+def read_relation_witness(source: str) -> RelationWitness:
     obj = _load_obj(source)
     kind = _require(obj, "kind", "")
     if kind not in RELATION_KINDS:
@@ -467,7 +444,7 @@ def _witness_entries(obj: dict):
 def _write_witness(head: dict, entries, fields: tuple[str, ...]) -> str:
     """A witness document: each entry's lambda, kappa and those of ``fields``
     that are not None."""
-    return canonical_json(dict(head, entries=[
+    return write_report(dict(head, entries=[
         {"lambda": e.lam, "kappa": e.kappa,
          **{n: getattr(e, n) for n in fields if getattr(e, n) is not None}}
         for e in entries]))
@@ -477,7 +454,7 @@ def write_relation_witness(w: RelationWitness) -> str:
     return _write_witness({"kind": w.kind}, w.entries, ("C", "h"))
 
 
-def read_condition_witness(source) -> ConditionWitness:
+def read_condition_witness(source: str) -> ConditionWitness:
     obj = _load_obj(source)
     cond = _require(obj, "condition", "")
     if cond not in CONDITIONS:
@@ -504,10 +481,10 @@ def write_condition_witness(w: ConditionWitness) -> str:
     return _write_witness({"condition": w.condition}, w.entries, ("A", "B", "C", "H", "pairs"))
 
 
-def _load_obj(source) -> dict:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    obj = _parse(source) if isinstance(source, str) else source
+def _load_obj(source: str) -> dict:
+    if not isinstance(source, str):
+        raise SchemaError("/", "str", type(source).__name__)
+    obj = _parse(source)
     if not isinstance(obj, dict):
         raise SchemaError("/", "object", type(obj).__name__)
     return obj

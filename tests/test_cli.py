@@ -32,8 +32,8 @@ def notconvex_file(tmp_path):
 @pytest.fixture()
 def line_file(tmp_path):
     path = tmp_path / "line.json"
-    path.write_text(write_grid(read_grid(
-        {"box": [3], "dim": 1, "scale": "log", "values": [0.0, 2.0, 1.0, 6.0]})))
+    path.write_text(write_grid(read_grid(json.dumps(
+        {"box": [3], "dim": 1, "scale": "log", "values": [0.0, 2.0, 1.0, 6.0]}))))
     return str(path)
 
 
@@ -287,9 +287,9 @@ def test_minorant_dual_grid_bad_or_tiny_k_step_is_a_validation_error(line_file, 
 
 def test_minorant_stability_payload(tmp_path, line_file, capsys):
     larger = tmp_path / "larger.json"
-    larger.write_text(write_grid(read_grid(
+    larger.write_text(write_grid(read_grid(json.dumps(
         {"box": [4], "dim": 1, "scale": "log",
-         "values": [0.0, 2.0, 1.0, 6.0, 2.0]})))
+         "values": [0.0, 2.0, 1.0, 6.0, 2.0]}))))
     code, out, _ = run(capsys, "minorant", line_file,
                        "--stability", str(larger), "--json")
     assert code == 0
@@ -352,6 +352,27 @@ def test_minorant_missing_file_is_a_parse_error(capsys):
     code, _, err = run(capsys, "minorant", "/no/such/file.json")
     assert code == 3
     assert "parse error" in err
+
+
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    mf = write_fact_matrix(tmp_path, "m.json", math.factorial)
+    for argv in (("minorant", str(bad)),
+                 ("matrix", "search-relation", str(bad), str(bad), "--kind", "roumieu"),
+                 ("matrix", "verify-condition", mf, "--cond", "L37R", "--witness", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"parse error: at {bad}: expected UTF-8 text"), argv
+
+
+@pytest.mark.parametrize("argv", [("gen", "notconvex"),
+                                  ("matrix", "counterexample", "--box", "3,3")])
+def test_an_unwritable_out_path_is_a_parse_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (3, ""), target
+        assert err.startswith(f"parse error: at {target}: expected writable file"), target
 
 
 def test_minorant_invalid_grid_lists_violations(tmp_path, capsys):

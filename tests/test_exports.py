@@ -32,7 +32,6 @@ KEEP = {
     "audit_minorant": "the solver-free check of a minorant result against the data",
     "boundary_infinities": "the +inf entries on the outer shell, where the minorant is +inf",
     "boundary_restriction": "the face alpha_j = 0 of a grid as a (d-1)-dimensional grid",
-    "canonical_json": "the deterministic encoder for plain data, under write_report",
     "to_log": "the inverse of to_exp",
     "write_condition_witness": "the writer paired with read_condition_witness",
     "SplitMix64": "the seeded PRNG whose update formula the generators document",

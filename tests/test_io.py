@@ -13,12 +13,12 @@ import pytest
 
 from logcvx import (EXP, LOG, ConditionEntry, ConditionWitness,
                     GridValidationError, RelationEntry, RelationWitness,
-                    SchemaError, SequenceGrid, WeightMatrix, canonical_json,
-                    factorial_grid, fmt_float, notconvex_grid,
+                    SchemaError, SequenceGrid, WeightMatrix, factorial_grid, fmt_float, notconvex_grid,
                     read_condition_witness, read_grid, read_matrix,
                     read_relation_witness, read_report, to_jsonable,
                     write_condition_witness, write_grid, write_matrix,
                     write_relation_witness, write_report)
+from logcvx import io
 from logcvx.io import Columns
 from logcvx.matrices import CandidateTable
 
@@ -47,21 +47,19 @@ def test_fmt_float_specials_and_signed_zero():
 def test_canonical_json_sorts_keys_and_stays_compact():
     a = {"b": 1, "a": [True, None, "x"]}
     b = {"a": [True, None, "x"], "b": 1}
-    text = canonical_json(a)
-    assert text == canonical_json(b)
+    text = write_report(a)
+    assert text == write_report(b)
     assert text == '{"a":[true,null,"x"],"b":1}'
 
 
 def test_canonical_json_quotes_special_floats():
-    text = canonical_json({"v": [math.inf, -math.inf, math.nan, 2.5]})
+    text = write_report({"v": [math.inf, -math.inf, math.nan, 2.5]})
     assert text == '{"v":["inf","-inf","nan",2.5]}'
 
 
 def test_canonical_json_rejects_non_plain_data():
     with pytest.raises(TypeError):
-        canonical_json({1: "non-string key"})
-    with pytest.raises(TypeError):
-        canonical_json({"x": object()})
+        write_report({"x": object()})
 
 
 def test_to_jsonable_unpacks_dataclasses_and_numpy():
@@ -245,7 +243,7 @@ REPORT_CASES = PLAIN_CASES + [
 
 @pytest.mark.parametrize("obj", PLAIN_CASES)
 def test_canonical_json_matches_the_two_pass_walk(obj):
-    assert canonical_json(obj) == reference_canonical_json(obj)
+    assert write_report(obj) == reference_canonical_json(obj)
 
 
 @pytest.mark.parametrize("obj", REPORT_CASES)
@@ -254,7 +252,7 @@ def test_write_report_matches_the_two_pass_walk(obj):
 
 
 def test_encoder_keeps_the_float_rules():
-    assert canonical_json(EDGE_FLOATS[:7]) == \
+    assert write_report(EDGE_FLOATS[:7]) == \
         '["inf","-inf","nan",0,0,4.9406564584124654e-324,1e+308]'
     assert write_report({(1, 2): -0.0}) == '{"(1, 2)":0}'
 
@@ -267,8 +265,13 @@ def test_encoder_keeps_the_float_rules():
 def test_canonical_json_raises_type_error_where_the_two_pass_walk_did(obj):
     with pytest.raises(TypeError):
         reference_canonical_json(obj)
-    with pytest.raises(TypeError):
-        canonical_json(obj)
+    try:
+        expected = reference_write_report(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            write_report(obj)
+    else:  # a dataclass, a set or a non-str key: written as the report walk writes it
+        assert write_report(obj) == expected
 
 
 @pytest.mark.parametrize("obj", [object(), {"x": np.bool_(False)}, np.array(0.0), [b"b"], Leaf])
@@ -312,7 +315,7 @@ def test_encoder_matches_the_two_pass_walk_on_random_payloads():
     @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hyp.given(plain, report)
     def check(p, r):
-        assert canonical_json(p) == reference_canonical_json(p)
+        assert write_report(p) == reference_canonical_json(p)
         assert write_report(p) == reference_write_report(p)
         assert write_report(r) == reference_write_report(r)
 
@@ -369,11 +372,6 @@ def test_rows_of_mixed_types_or_none_fall_back_to_the_walk(obj):
     assert write_report(obj) == reference_write_report(obj)
 
 
-def test_rows_are_no_report_data():
-    with pytest.raises(TypeError):
-        canonical_json([Row(1.0, 2.0), Row(3.0, 4.0)])
-
-
 # ------------------------------------------------------- column tables
 
 EDGE_COLUMN = np.array([-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e6, 0.1, -2.5])
@@ -413,7 +411,7 @@ def test_column_tables_match_the_two_pass_walk(table):
 @pytest.mark.parametrize("table", table_cases())
 def test_column_tables_give_their_rows_as_plain_data(table):
     rows = to_jsonable(table)
-    assert canonical_json(rows) == canonical_json(_ref_table_rows(table))
+    assert write_report(rows) == write_report(_ref_table_rows(table))
     columns = ["lam", "kappa", "C", "h", "max_slack"] if isinstance(table, CandidateTable) \
         else list(table.columns)
     assert all(list(row) == columns for row in rows)
@@ -426,7 +424,7 @@ def test_column_tables_convert_only_the_rows_asked_for(table):
     for k in (0, 1, 3, len(rows), len(rows) + 2):
         head = to_jsonable({"t": [table]}, rows=k)["t"][0]
         assert len(head) == len(rows)
-        assert canonical_json(head[:k]) == canonical_json(rows[:k])
+        assert write_report(head[:k]) == write_report(rows[:k])
         assert head[k:] == [None] * (len(rows) - k)
 
 
@@ -439,9 +437,6 @@ def test_column_tables_take_the_table_path(monkeypatch):
     for table in cases:
         write_report({"table": table})
     assert len(calls) == len(cases)
-    for table in cases:
-        with pytest.raises(TypeError):
-            canonical_json(table)
 
 
 def test_column_tables_match_the_two_pass_walk_on_random_columns():
@@ -477,7 +472,7 @@ def test_column_tables_match_the_two_pass_walk_on_random_columns():
     def check(table):
         rows = _ref_table_rows(table)
         assert write_report(table) == reference_write_report(table) == write_report(rows)
-        assert canonical_json(to_jsonable(table)) == canonical_json(rows)
+        assert write_report(to_jsonable(table)) == write_report(rows)
 
     check()
 
@@ -510,15 +505,14 @@ def test_grid_json_write_is_byte_stable():
 def test_read_grid_accepts_dict_bytes_and_sniffs_csv():
     g = factorial_grid(3)
     text = write_grid(g)
-    assert np.array_equal(read_grid(text.encode()).values, g.values)
-    import json
-    assert np.array_equal(read_grid(json.loads(text)).values, g.values)
+    assert np.array_equal(read_grid(text).values, g.values)
+    spaced = " \n" + json.dumps(json.loads(text), indent=1)
+    assert np.array_equal(read_grid(spaced).values, g.values)
     csv_text = write_grid(g, fmt="csv")
     assert np.array_equal(read_grid(csv_text).values, g.values)
-    with pytest.raises(SchemaError):
-        read_grid(42)
-    with pytest.raises(ValueError):
-        read_grid(text, fmt="yaml")
+    for source in (42, text.encode(), json.loads(text)):  # text only
+        with pytest.raises(SchemaError):
+            read_grid(source)
     with pytest.raises(ValueError):
         write_grid(g, fmt="yaml")
 
@@ -535,7 +529,7 @@ def test_read_grid_schema_error_paths():
     ]
     for obj, path in cases:
         with pytest.raises(SchemaError) as err:
-            read_grid(obj)
+            read_grid(json.dumps(obj))
         assert err.value.path == path
 
 
@@ -543,17 +537,17 @@ def test_read_grid_schema_error_paths():
 def test_grid_dim_must_be_an_integer(dim):
     grid = {"box": [2], "dim": dim, "scale": "exp", "values": [1.0, 1.0, 2.0]}
     with pytest.raises(SchemaError) as err:
-        read_grid(grid)
+        read_grid(json.dumps(grid))
     assert err.value.path == "/dim"
     with pytest.raises(SchemaError) as err:
-        read_matrix({"levels": [1.0], "grids": [grid]})
+        read_matrix(json.dumps({"levels": [1.0], "grids": [grid]}))
     assert err.value.path == "/grids/0/dim"
 
 
 def test_grid_values_are_read_in_bulk_or_one_by_one():
     def values(vals):
-        return read_grid({"box": [3], "dim": 1, "scale": "log", "values": vals},
-                         validate=False).flat.tolist()
+        return io._grid_from_obj({"box": [3], "dim": 1, "scale": "log",
+                                  "values": vals}).flat.tolist()
 
     big = [2 ** 53 + 1, 2 ** 70 + 2 ** 17 + 1, -(2 ** 1023), 10 ** 308]
     assert values([0, 1.5, *big[:2]]) == [0.0, 1.5] + [float(x) for x in big[:2]]
@@ -574,8 +568,8 @@ def test_grid_values_are_read_in_bulk_or_one_by_one():
 def test_read_grid_validates_semantics_unless_told_not_to():
     bad = {"box": [1], "dim": 1, "scale": "exp", "values": [1.0, -2.0]}
     with pytest.raises(GridValidationError):
-        read_grid(bad)
-    raw = read_grid(bad, validate=False)
+        read_grid(json.dumps(bad))
+    raw = io._grid_from_obj(bad)
     assert raw.value((1,)) == -2.0
 
 
@@ -617,22 +611,22 @@ def test_csv_rejects_higher_dimensions():
 
 def test_csv_schema_errors():
     with pytest.raises(SchemaError) as e1:
-        read_grid("alpha,value\n0,1\n", fmt="csv")
+        read_grid("alpha,value\n0,1\n")
     assert "scale" in e1.value.path
     with pytest.raises(SchemaError):
-        read_grid("# scale: log\nalpha,value\n0,0\n", fmt="csv")  # no dim
+        read_grid("# scale: log\nalpha,value\n0,0\n")  # no dim
     with pytest.raises(SchemaError):
-        read_grid("# dim: 3\n# scale: log\n", fmt="csv")
+        read_grid("# dim: 3\n# scale: log\n")
     with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nwrong,header\n0,0\n", fmt="csv")
+        read_grid("# dim: 1\n# scale: log\nwrong,header\n0,0\n")
     with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,0\n2,5\n", fmt="csv")
+        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,0\n2,5\n")
     with pytest.raises(SchemaError):
-        read_grid("# dim: 2\n# scale: log\nx,0,1\n0,0,1\n", fmt="csv")
+        read_grid("# dim: 2\n# scale: log\nx,0,1\n0,0,1\n")
     with pytest.raises(SchemaError):
-        read_grid("# dim: 2\n# scale: log\n,0,1\n1,0,1\n", fmt="csv")
+        read_grid("# dim: 2\n# scale: log\n,0,1\n1,0,1\n")
     with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,zero\n", fmt="csv")
+        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,zero\n")
 
 
 # ----------------------------------------------------------------- matrix
@@ -642,7 +636,7 @@ def test_matrix_grid_count_error_states_what_was_found():
     f1 = {"box": [1], "dim": 1, "scale": "exp", "values": [1.0, 1.0]}
     for grids, found in (([f1], "list of 1"), ([f1] * 3, "list of 3"), ({"0": f1}, "dict")):
         with pytest.raises(SchemaError) as err:
-            read_matrix({"levels": [1.0, 2.0], "grids": grids})
+            read_matrix(json.dumps({"levels": [1.0, 2.0], "grids": grids}))
         assert (err.value.path, err.value.found) == ("/grids", found)
     assert str(err.value) == "at /grids: expected list of 2 grids, found dict"
 
@@ -663,15 +657,15 @@ def test_matrix_reader_wraps_semantic_failures():
           "values": [1.0, 1.0, 2.0, 6.0]}
     halved = {**f3, "values": [1.0, 0.5, 1.0, 3.0]}
     with pytest.raises(SchemaError) as err:
-        read_matrix({"levels": [1.0, 2.0], "grids": [f3, halved]})
+        read_matrix(json.dumps({"levels": [1.0, 2.0], "grids": [f3, halved]}))
     assert err.value.path == "/grids"
     assert "monotone" in err.value.found
     with pytest.raises(SchemaError):
-        read_matrix({"levels": [1.0], "grids": []})
+        read_matrix('{"levels": [1.0], "grids": []}')
     with pytest.raises(SchemaError):
-        read_matrix({"levels": [], "grids": []})
+        read_matrix('{"levels": [], "grids": []}')
     with pytest.raises(SchemaError):
-        read_matrix({"grids": []})
+        read_matrix('{"grids": []}')
     with pytest.raises(SchemaError):
         read_matrix("[1,2]")
 
@@ -692,12 +686,12 @@ def test_relation_witness_round_trip():
 
 def test_relation_witness_schema_errors():
     with pytest.raises(SchemaError) as err:
-        read_relation_witness({"kind": "sideways", "entries": []})
+        read_relation_witness('{"kind": "sideways", "entries": []}')
     assert err.value.path == "/kind"
     with pytest.raises(SchemaError):
-        read_relation_witness({"kind": "roumieu", "entries": [{"lambda": 1.0}]})
+        read_relation_witness('{"kind": "roumieu", "entries": [{"lambda": 1.0}]}')
     with pytest.raises(SchemaError):
-        read_relation_witness({"kind": "roumieu", "entries": "nope"})
+        read_relation_witness('{"kind": "roumieu", "entries": "nope"}')
 
 
 def test_condition_witness_round_trips_every_shape():
@@ -713,9 +707,21 @@ def test_condition_witness_round_trips_every_shape():
 
 def test_condition_witness_schema_errors():
     with pytest.raises(SchemaError) as err:
-        read_condition_witness({"condition": "L99X", "entries": []})
+        read_condition_witness('{"condition": "L99X", "entries": []}')
     assert err.value.path == "/condition"
     with pytest.raises(SchemaError):
-        read_condition_witness({"condition": "L12B",
-                                "entries": [{"lambda": 1.0, "kappa": 1.0,
-                                             "H": 1.0, "pairs": [[1.0]]}]})
+        read_condition_witness(json.dumps({"condition": "L12B",
+                                           "entries": [{"lambda": 1.0, "kappa": 1.0,
+                                                        "H": 1.0, "pairs": [[1.0]]}]}))
+
+
+def test_matrix_and_witness_readers_take_only_text():
+    texts = {read_matrix: write_matrix(WeightMatrix((1.0,), (factorial_grid(2),))),
+             read_relation_witness: '{"kind": "roumieu", "entries": []}',
+             read_condition_witness: '{"condition": "L37R", "entries": []}'}
+    for reader, text in texts.items():
+        reader(text)
+        for source in (text.encode(), json.loads(text), 42):
+            with pytest.raises(SchemaError) as err:
+                reader(source)
+            assert (err.value.path, err.value.expected) == ("/", "str")
