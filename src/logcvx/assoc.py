@@ -55,45 +55,61 @@ class AssociatedFunction:
         self._idx = index_array(g.box).astype(float)
         self._shell = outer_shell_mask(g.box)
 
-    def _sup(self, weights: np.ndarray, excluded: np.ndarray | None) -> OmegaEval:
-        with np.errstate(invalid="ignore"):
-            score = self._idx @ weights - self._a
-        if excluded is not None:
-            score = np.where(excluded, -math.inf, score)
-        val = float(score.max())
-        tol = TIE_REL_TOL * max(1.0, abs(val))
-        ties = score >= val - tol
-        argmax = tuple(int(c) for c in self._idx[int(np.argmax(score))])
-        on_boundary = not bool((ties & ~self._shell).any())
-        return OmegaEval(val, argmax, on_boundary)
+    def _scan(self, W: np.ndarray, zero: np.ndarray | None = None):
+        """The sup over the box of ((-a_alpha + alpha_1 w_1) + alpha_2 w_2) + ...
+        at each row w of W, summed in that order, the order of a forward pass
+        of ``conjugate``, in blocks of at most ``conjugate._BLOCK_SAMPLES``
+        scores.  A true zero[r, j] leaves out of row r every index with
+        alpha_j > 0.  Per row: the value, the row-major flat index of its first
+        maximiser, and the boundary flag (see OmegaEval)."""
+        value, argmax, flag = np.empty(len(W)), np.empty(len(W), int), np.empty(len(W), bool)
+        step = max(1, conjugate._BLOCK_SAMPLES // self._a.size)
+        for r in range(0, len(W), step):
+            w = W[r:r + step]
+            s = w[:, :1] * self._idx[:, 0] - self._a
+            for j in range(1, self.dim):
+                s += w[:, j:j + 1] * self._idx[:, j]
+            if zero is not None:
+                s[(zero[r:r + step, None, :] & (self._idx > 0)).any(axis=2)] = -math.inf
+            v = value[r:r + step] = s.max(axis=1)
+            argmax[r:r + step] = s.argmax(axis=1)
+            inner = s.max(axis=1, where=~self._shell[None, :], initial=-math.inf)
+            flag[r:r + step] = inner < v - TIE_REL_TOL * np.maximum(1.0, np.abs(v))
+        return value, argmax, flag
+
+    def _rows(self, T, name: str) -> np.ndarray:
+        try:
+            T = np.array(T, dtype=float)
+        except ValueError:  # rows of unequal length
+            T = np.empty(0)
+        if T.ndim != 2 or T.shape[1] != self.dim:
+            raise DimensionMismatch(f"{name} must have length {self.dim}")
+        bad = ~np.isfinite(T).all(axis=1)
+        if bad.any():
+            raise OutOfRange(f"{name} must be finite, got {tuple(T[bad][0].tolist())}")
+        return T
+
+    def evaluate_many(self, T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """omega at each row t of T, (N, d): its values, the row-major flat
+        index into the box of an attaining index, and the boundary flags (see
+        OmegaEval).  A zero t_j leaves out every index with alpha_j > 0."""
+        T = self._rows(T, "t")
+        zero = T == 0.0
+        with np.errstate(divide="ignore"):
+            W = np.where(zero, 0.0, np.log(np.abs(T)))
+        return self._scan(W, zero if zero.any() else None)
 
     def evaluate(self, t) -> OmegaEval:
-        t = np.asarray(t, dtype=float)
-        if t.shape != (self.dim,):
-            raise DimensionMismatch(f"t must have length {self.dim}")
-        if not np.isfinite(t).all():
-            raise OutOfRange(f"t must be finite, got {tuple(t.tolist())}")
-        zero = t == 0.0
-        with np.errstate(divide="ignore"):
-            lt = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1.0, t))))
-        excluded = None
-        if zero.any():
-            # only indices supported off the zero coordinates participate
-            excluded = (self._idx[:, zero] > 0).any(axis=1)
-        weights = np.where(zero, 0.0, lt)
-        return self._sup(weights, excluded)
+        value, argmax, flag = self.evaluate_many([t])
+        alpha = tuple(int(c) for c in self._idx[argmax[0]])
+        return OmegaEval(float(value[0]), alpha, bool(flag[0]))
 
     def __call__(self, t) -> float:
         return self.evaluate(t).value
 
     def trace(self, k) -> float:
         """A(k) = sup_alpha (<k, alpha> - a_alpha)."""
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.dim,):
-            raise DimensionMismatch(f"k must have length {self.dim}")
-        if not np.isfinite(k).all():
-            raise OutOfRange(f"k must be finite, got {tuple(k.tolist())}")
-        return self._sup(k, None).value
+        return float(self._scan(self._rows([k], "k"))[0][0])
 
 
 def omega(g: SequenceGrid, t) -> OmegaEval:
@@ -129,31 +145,19 @@ class SGridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def _omega_at(af: AssociatedFunction, x: np.ndarray, samples) -> tuple[np.ndarray, np.ndarray]:
-    """omega(e^s) at the rows of ``samples``, a (k, d) array of indices into
-    x, and its boundary flags (see OmegaEval): off the outer shell (some
-    alpha_j = N_j) lies the sub-box [0, N_j - 1]^d, and a box with a zero
-    extent has none, so it is flagged everywhere."""
-    a = af._a.reshape(tuple(n + 1 for n in af.box))
-    om = conjugate.forward_at(x, a, samples)
-    if 0 in af.box:
-        return om, np.ones(om.shape, dtype=bool)
-    oi = conjugate.forward_at(x, a[tuple(slice(0, n) for n in af.box)], samples)
-    return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
-
-
 def _q3_all(af: AssociatedFunction, spec: SGridSpec) -> tuple[np.ndarray, np.ndarray]:
     """log q3 supremum for every box index at once, plus boundary flags.
 
     The flag of an index is the omega boundary flag at its first maximising
     sample: if set, omega there is possibly underestimated by the truncation,
     so the sampled supremum is not certified from above by the box alone.
-    Omega is evaluated again at those samples only.
+    Omega is evaluated again at those samples only, summed in the order of
+    the forward pass, so it takes that pass's values there.
     """
     x = spec.axis_samples()
     vals, arg = conjugate.biconjugate(x, af._a.reshape(tuple(n + 1 for n in af.box)))
     samples = np.stack(np.unravel_index(arg.reshape(-1), (x.size,) * af.dim), axis=1)
-    return vals.reshape(-1), _omega_at(af, x, samples)[1]
+    return vals.reshape(-1), af._scan(x[samples])[2]
 
 
 def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> tuple[float, bool]:

@@ -192,22 +192,19 @@ def cmd_assoc(args) -> int:
         if not (0 < lo < hi < math.inf and 2 <= n <= conjugate.MAX_SAMPLES and n == int(n)):
             raise OutOfRange(f"--t-grid needs 0 < LO < HI and a whole N from 2 to "
                              f"{conjugate.MAX_SAMPLES}")
-        points += [(float(t),) * g.dim for t in np.geomspace(lo, hi, int(n))]
-    rows = []
-    for t in points:
-        ev = af.evaluate(t)
-        rows.append({"t": t, "omega": ev.value, "argmax": ev.argmax,
-                     "on_boundary": ev.sup_on_boundary})
-    if rows:
-        results["omega"] = rows
+        points += [(t,) * g.dim for t in np.geomspace(lo, hi, int(n)).tolist()]
+    if points:
+        value, argmax, flag = af.evaluate_many(points)
+        results["omega"] = io.Columns({"t": np.array(points), "omega": value, "argmax": argmax,
+                                       "on_boundary": flag}, index_array(g.box))
+        if flag.any():
+            warnings.append("some suprema are attained on the outer shell; "
+                            "enlarge the box to certify those values")
     if args.trace_k is not None:
         k = _parse_floats(args.trace_k, "--trace-k")
         results["trace"] = {"k": k, "value": af.trace(k)}
     if not results:
         raise OutOfRange("nothing to do: pass --t, --t-grid or --trace-k")
-    if any(r["on_boundary"] for r in rows):
-        warnings.append("some suprema are attained on the outer shell; "
-                        "enlarge the box to certify those values")
     return _emit(args, results, warnings)
 
 

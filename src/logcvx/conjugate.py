@@ -2,12 +2,13 @@
 
 For f on the lattice box [0, N_1] x ... x [0, N_d] (+inf imposes nothing) and
 the same m axis samples x on every axis, the conjugate is A(s) = max_beta
-(<s, beta> - f_beta) on x^d.  ``forward_at`` gives A at chosen samples, and
-``biconjugate`` gives max_s (<alpha, s> - A(s)) at every lattice alpha.  Each
-splits into nested 1-D max-plus passes, O(d m^d max_j (N_j + 1)) for the
-whole sample grid (Lucet 1997, "Faster than the fast Legendre transform",
-Numer. Algorithms 16:171-185); ``biconjugate`` never forms the m^d array
-of A.
+(<s, beta> - f_beta) on x^d, and ``biconjugate`` gives max_s (<alpha, s> -
+A(s)) at every lattice alpha.  It splits into nested 1-D max-plus passes,
+O(d m^d max_j (N_j + 1)) for the whole sample grid (Lucet 1997, "Faster than
+the fast Legendre transform", Numer. Algorithms 16:171-185), and never forms
+the m^d array of A.  The forward passes add axis by axis, ((-f_beta + beta_1
+s_1) + beta_2 s_2) + ..., the order in which ``assoc`` evaluates omega, so
+both give the same value of A at a sample.
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from .errors import OutOfRange
 # and 600**2 in the benchmark) fit.
 MAX_SAMPLES = 2**22
 
-# Samples per block of ``biconjugate``: 512 KiB per float array, so the few
-# arrays of a block stay in a 2 MiB L2 cache.
+# Samples per block of ``biconjugate``, and scores per block of ``assoc``'s
+# omega kernel: 512 KiB per float array, so the few arrays of a block stay in
+# a 2 MiB L2 cache.
 _BLOCK_SAMPLES = 2**16
 
 
@@ -42,19 +44,6 @@ def _max_plus(F: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
         tmp += F[b]
         np.maximum(out, tmp, out=out)
     return out
-
-
-def forward_at(x: np.ndarray, f: np.ndarray, samples) -> np.ndarray:
-    """A(s) at the rows of ``samples``, a (k, d) array of indices into x.
-
-    The sums run axis by axis, ((-f + beta_1 x_{s_1}) + beta_2 x_{s_2}) +
-    ..., the order of a full forward pass over x^d, so the values are that
-    pass's bit for bit.
-    """
-    F = -np.asarray(f, dtype=float)[..., None]
-    for s in np.asarray(samples).T:
-        F = _max_plus(F, x[s])
-    return F
 
 
 def _reduce_last(V: np.ndarray, P, x: np.ndarray, n: int):

@@ -1,8 +1,10 @@
 """Deterministic example grids and a tiny seeded PRNG.
 
 Everything here is reproducible from explicit integer seeds so test fixtures
-and CLI outputs can be regenerated byte for byte on any platform.  The PRNG
-is SplitMix64; the update formula is part of the public contract:
+and CLI outputs can be regenerated byte for byte on any platform: every sum
+runs elementwise in a fixed order, never in a matrix product, whose order
+follows the BLAS kernel.  The PRNG is SplitMix64; the update formula is part
+of the public contract:
 
     state = (state + 0x9E3779B97F4A7C15) mod 2^64
     z = state
@@ -108,8 +110,8 @@ def factorial_grid(n: int, scale: str = EXP) -> SequenceGrid:
 def convex_random_grid(box: tuple[int, ...], seed: int) -> SequenceGrid:
     """Sample of a sum of three maxima of four random affine pieces, hence of
     a convex function, so the grid equals its own convex minorant.  Each piece
-    draws its d slopes from [-1, 2) and then its offset from [-2, 2).  LOG
-    scale, a_0 = 0."""
+    draws its d slopes from [-1, 2) and then its offset from [-2, 2), and sums
+    its terms axis by axis, then the offset.  LOG scale, a_0 = 0."""
     rng = SplitMix64(seed)
     d = len(box)
     idx = index_array(box).astype(float)
@@ -117,7 +119,10 @@ def convex_random_grid(box: tuple[int, ...], seed: int) -> SequenceGrid:
     for _ in range(3):
         slopes = np.array([[rng.uniform(-1.0, 2.0) for _ in range(d)] for _ in range(4)])
         offsets = np.array([rng.uniform(-2.0, 2.0) for _ in range(4)])
-        total += (idx @ slopes.T + offsets).max(axis=1)
+        pieces = idx[:, :1] * slopes[:, 0]
+        for j in range(1, d):
+            pieces += idx[:, j:j + 1] * slopes[:, j]
+        total += (pieces + offsets).max(axis=1)
     total -= total[0]
     return SequenceGrid(box, total, LOG)
 

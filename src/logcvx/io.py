@@ -128,8 +128,9 @@ def _encode_object(items: list[tuple[str, object]], out: list[str]) -> None:
 class Columns:
     """JSON objects as columns.  Each key, in to_jsonable's order, holds None
     (null in every row), a float array (n,) or (n, d) (a number or d numbers
-    per row), an int array (n,) (one point per row, by its row in points) or a
-    bool array (n, len(points)) (the list of the points where true)."""
+    per row), an int array (n,) (one point per row, by its row in points), a
+    bool array (n,) (true or false per row) or a bool array (n, len(points))
+    (the list of the points where true)."""
 
     columns: dict
     points: np.ndarray | None = None
@@ -148,6 +149,8 @@ def _table_text(columns: dict, points) -> str:
         col, slot = columns[key], "%s"
         if col is None:
             slot = "null"
+        elif col.dtype == bool and col.ndim == 1:
+            cells.append([("false", "true")[v] for v in col.tolist()])
         elif col.dtype == bool:
             cells.append(["[" + ",".join(compress(texts, row)) + "]" for row in col.tolist()])
         elif col.dtype.kind in "iu":
@@ -174,7 +177,7 @@ def _table_rows(columns: dict, points, stop: int | None) -> list[dict]:
     n = len(next(col for col in columns.values() if col is not None))
     k = n if stop is None else min(n, stop)
     plain = [[None] * k if col is None
-             else [points[row].tolist() for row in col[:k]] if col.dtype == bool
+             else [points[row].tolist() for row in col[:k]] if col.dtype == bool and col.ndim == 2
              else (points[col[:k]] if col.dtype.kind in "iu" else col[:k]).tolist()
              for col in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*plain)] + [None] * (n - k)

@@ -12,7 +12,6 @@ from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     factorial_grid, log_convex_minorant, notconvex_grid,
                     omega, q3_supremum, q3_supremum_log, random_grid, to_exp)
 from logcvx import assoc
-from logcvx.assoc import _omega_at
 from logcvx.envelope import boundary_restriction
 
 FACT = factorial_grid(8)
@@ -79,13 +78,30 @@ def test_omega_grid_matches_pointwise_evaluation():
     rng = SplitMix64(42)
     x = np.array([rng.uniform(-2.0, 6.0) for _ in range(8)])
     samples = list(np.ndindex(8, 8))  # omega at every sample of the 8 x 8 grid
-    vals, flags = _omega_at(af, x, samples)
+    vals, _, flags = af._scan(x[np.array(samples)])
     assert vals.shape == flags.shape == (64,)
     assert flags.any() and not flags.all()
     for s, v, flag in zip(samples, vals, flags):
         ev = af.evaluate(np.exp(x[list(s)]))
         assert v == pytest.approx(ev.value, abs=1e-10)
         assert flag == ev.sup_on_boundary
+
+
+def test_evaluate_many_is_evaluate_row_by_row(monkeypatch):
+    # 2 rows of the 12 points per block, so zero masks cross block edges too
+    monkeypatch.setattr(assoc.conjugate, "_BLOCK_SAMPLES", 24)
+    af = AssociatedFunction(to_exp(random_grid((3, 2), seed=6)))
+    rng = SplitMix64(7)
+    T = [[rng.uniform(-4.0, 9.0) if rng.random() < 0.7 else 0.0 for _ in range(2)]
+         for _ in range(25)]
+    value, argmax, flag = af.evaluate_many(T)
+    for t, v, i, f in zip(T, value, argmax, flag):
+        ev = af.evaluate(t)
+        assert (v, tuple(af._idx[i]), f) == (ev.value, ev.argmax, ev.sup_on_boundary)
+    with pytest.raises(DimensionMismatch):
+        af.evaluate_many([[1.0, 2.0], [1.0]])
+    with pytest.raises(OutOfRange, match=r"got \(inf, 1.0\)"):
+        af.evaluate_many([[1.0, 2.0], [math.inf, 1.0]])
 
 
 # ------------------------------------------------------------------ trace

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logcvx import (SequenceGrid, notconvex_grid, random_grid, read_grid,
-                    read_matrix, read_report, write_grid)
+from logcvx import (SequenceGrid, convex_random_grid, notconvex_grid, random_grid,
+                    read_grid, read_matrix, read_report, write_grid)
 from logcvx.cli import main
 
 
@@ -978,7 +978,6 @@ def tolerance_pin_grids():
     """Inputs whose --json outputs every tolerance of the package reaches: the
     three families of the benchmark's check workload on (6, 6), a random grid
     whose window is unstable inside it, and small grids for the other routes."""
-    from logcvx import convex_random_grid
     notjoint = notconvex_grid((6, 6), scale="log").flat + convex_random_grid((6, 6), 4).flat
     large = random_grid((6, 6), seed=2, scale="log")
     return {
@@ -1008,9 +1007,9 @@ TOLERANCE_PIN_COMMANDS = {
 }
 # sha256 of the --json stdout
 TOLERANCE_PIN_SHA256 = {
-    "assoc": "192e032cf4a0f0f0b9270524563996c462df2d43c97472fa52bec5e60017e7a3",
+    "assoc": "090786372e3228f40b35e1713609685825cc376a14ec5d921745b05089f512e5",
     "assoc_notjoint": "b1287f28a542275cb3db4fc2935dd39c5957d80cf8c9e6fbea459448f9778181",
-    "check_convex": "9895ad881f6bd72d5e765bca558b8043374851bc374eb155f7326ce865b290da",
+    "check_convex": "971cff7d1594fa49db3adce78347a192ff6148134001cb8ea31ddb7e63ec73db",
     "check_linebreak": "00ef62684195305a64aae2a82a0dac12b2821723e967b9366babb5692473908e",
     "check_notjoint": "6eaa983680ac01cece977b991f684f30b0195d7bfb6db57ef8f80e45098ae6c8",
     "dual_grid": "aa6d9cbe01a7f2190f0e3ef63712350981089994ba328bba0d319732039abec1",
@@ -1029,3 +1028,35 @@ def test_tolerance_bound_outputs_are_pinned(name, tmp_path, monkeypatch, capsys)
     code, out, _ = run(capsys, *TOLERANCE_PIN_COMMANDS[name], "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TOLERANCE_PIN_SHA256[name]
+
+
+# ------------------------------------------- output against the BLAS kernel
+
+# Each of these printed other bytes under another OpenBLAS kernel when
+# convex_random_grid summed its pieces, and omega its terms, in a matrix
+# product.  minorant --method oracle is left out: its subset solves go through
+# LAPACK, and their last bits follow the kernel.
+KERNEL_COMMANDS = [
+    ["gen", "convex", "--box", "6,6", "--seed", "0"],
+    ["gen", "convex", "--box", "3,3,3", "--seed", "2"],
+    ["assoc", "convex2.json", "--t", "1.5,2", "--t-grid", "0.1,20,200",
+     "--trace-k", "0.5,1.25", "--json"],
+    ["assoc", "convex4.json", "--t", "1.5,2,0,3", "--t-grid", "0.1,20,200",
+     "--trace-k", "0.5,1.25,-1,2", "--json"],
+    ["check", "convex2.json", "--s-points", "600", "--json"],
+    ["minorant", "convex2.json", "--json"],
+]
+
+
+def test_output_does_not_depend_on_the_blas_kernel(tmp_path):
+    (tmp_path / "convex2.json").write_text(write_grid(convex_random_grid((6, 6), 3)))
+    (tmp_path / "convex4.json").write_text(write_grid(convex_random_grid((3, 3, 3, 3), 1)))
+    script = f"from logcvx.cli import main\nfor argv in {KERNEL_COMMANDS!r}:\n    main(argv)\n"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    # the kernel is chosen when numpy loads, so each kernel needs its own process
+    outs = [subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=dict(env, **extra),
+                           capture_output=True, text=True, check=True).stdout
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
+    assert outs[0].count('"command"') == 4
+    assert outs[0] == outs[1]

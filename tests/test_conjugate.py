@@ -1,7 +1,8 @@
-"""The per-axis conjugate kernel against a dense scan of every sample against
-every point, on random, convex, +inf-holed, 1-D, 3-D and zero-extent boxes;
-the blocked biconjugate and the q3 flags against the unblocked kernel they
-replace, bit for bit; the sample cap; and the dual routes built on the
+"""The per-axis conjugate kernel and the omega kernel against a dense scan of
+every sample against every point, on random, convex, +inf-holed, 1-D, 3-D and
+zero-extent boxes; the blocked biconjugate and the q3 flags against the
+unblocked forward and backward passes, bit for bit, and the omega kernel
+against the forward pass; the sample cap; and the dual routes built on the
 kernel."""
 import math
 import tracemalloc
@@ -12,8 +13,8 @@ import pytest
 from logcvx import (AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
                     SequenceGrid, SplitMix64, conjugate, convex_random_grid,
                     random_grid)
-from logcvx.assoc import TIE_REL_TOL, _omega_at, _q3_all
-from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples, forward_at
+from logcvx.assoc import TIE_REL_TOL, _q3_all
+from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples
 from logcvx.core import index_array, outer_shell_mask
 
 
@@ -68,7 +69,7 @@ def test_kernel_matches_the_dense_scan():
         af = AssociatedFunction(g)
         x = SGridSpec.from_grid(g, points=m).axis_samples()
         om, flags, q3, q3_flags = dense_q3(g.flat, g.box, x)
-        k_om, k_flags = _omega_at(af, x, every_sample(m, g.dim))
+        k_om, _, k_flags = af._scan(x[every_sample(m, g.dim)])
         k_q3, k_q3_flags = _q3_all(af, SGridSpec.from_grid(g, points=m))
         assert k_om.shape == k_flags.shape == (m ** g.dim,)
         assert close(k_om, om), g.box
@@ -166,13 +167,17 @@ def test_small_blocks_give_the_same_bits(monkeypatch, block):
     assert_kernel_is_the_reference(wide=False)
 
 
-def test_forward_at_is_forward_at_every_sample():
+def test_omega_kernel_is_the_forward_pass_at_every_sample():
     for g, m in identity_corpus():
         if m ** g.dim > 40_000:
             continue
+        af = AssociatedFunction(g)
         x = SGridSpec.from_grid(g, points=m).axis_samples()
-        at = forward_at(x, g.values, every_sample(m, g.dim))
-        assert same_bits(at, ref_forward(x, g.values).reshape(-1)), g.box
+        om, _, flags = af._scan(x[every_sample(m, g.dim)])
+        want_om, want_flags = ref_omega_grid(af, x)
+        # equal values; a maximum over a tie of 0.0 and -0.0 may keep either
+        assert np.array_equal(om, want_om.reshape(-1)), g.box
+        assert np.array_equal(flags, want_flags.reshape(-1)), g.box
 
 
 def test_q3_holds_no_sample_grid_in_memory():
@@ -201,8 +206,8 @@ def test_backward_returns_the_first_maximising_sample():
 
 def test_forward_with_infinite_data_imposes_nothing():
     x = np.array([-1.0, 0.0, 2.0])
-    f = np.array([0.0, math.inf, 1.0])
-    assert np.array_equal(forward_at(x, f, every_sample(3, 1)), np.maximum(0.0, 2.0 * x - 1.0))
+    af = AssociatedFunction(SequenceGrid((2,), [0.0, math.inf, 1.0]))
+    assert np.array_equal(af._scan(x[:, None])[0], np.maximum(0.0, 2.0 * x - 1.0))
 
 
 def test_sample_cap_fits_the_defaults_and_allocates_nothing_beyond_it():

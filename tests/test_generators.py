@@ -82,18 +82,18 @@ RANDOM_SHA256 = {
                "908bcf812cce3652792a996e60d84e45f544eff78c23c46022c3f4c2ef4061f7"),
 }
 CONVEX_SHA256 = {
-    (10, 10): ("910858e47f93c0f22cb9bab5be29a0c7db96c80e5074cdb3d565d3ff49d39d6b",
-               "9aba54c78bdc6eeb02f54b9395b300bbe16b4f46ec42256b00f63ae9a198dd81",
-               "88aef1e57eac3440aa88b922a4cbd06b605ae556e174ce7cbff4a6526efdc2c2"),
+    (10, 10): ("1dde3206f68433c4a6494724bce23bd010db34821bd651fb6b0bbfaefd170561",
+               "3b7b30193b8ad608f0e04d3c7876ec763aa91fbcd95c822d69e5d1e301144d1d",
+               "cef110ac8f39011adfe4db36fda1a977f2bb86093c2ebecd68d9dc0642389df1"),
     (4, 4, 4): ("976aff067659ed7d56e46c3257225534b1444bf01d22849bde06802c3b2fefe4",
-                "9c0aac56e3b4457e5f6ec1430495510a7ecc09654d960acef404d20191cf0e21",
-                "1f8ba992782c6bba3f92d4fad4e11b53c2112ea5132ad808ab030a49cad58118"),
+                "2e10f9e6306ddc157ea2a5120735ed581005473e6aa5e9070e7cb598a7119f7f",
+                "d8740e4ccae244327a414e6bbaa1883a62087a10031127ec23c609f985fe76e1"),
     (6, 6): ("69c5786e129736d6c6726502516bcc0532364af3a10f995f02018e7a66500a41",
-             "4b22584e1915f14e915cb96c1a8a35ef4ec3df246deb331e5d4649dad54662db",
-             "8fe5b97c730891659e8b56d35bcf0061c67bf9f5b8e2496921652ee31e4a1545"),
-    (12, 12): ("8bd806737eb9842dc4d8d5dd02c808d5b9a2385e37c8e6920714c0977ec1da87",
-               "daa0976e79e2321d42973d5af604ac323cbc2324e65b4149b3573c1cf3e8077f",
-               "711552ab792c275df1a8df009ad1fb00a1c3a8ba385461fe3df05ac064986ffb"),
+             "8a15e3135709a6dcd673547d02c028d44e26ed27482d9a4bfade37d4e103fbf8",
+             "a61c168f7b446d563ecb79d3fda4822f9cc94e8265901cb8a527c9399fd07acf"),
+    (12, 12): ("3c36ddb3a0c35309ec4b985bd2ff3b6df3c50feb6bd52d4e9243f97f96dbc54a",
+               "3a39c299d5ff3df326f5bc03f38f79d590726741ee2174292a59e4a54d039d09",
+               "0efc85c7bb5841f0a2f068cdcc009fa2dca2d1fdc27d09a2fd8a1788c22711f3"),
 }
 NOTCONVEX_SHA256 = {
     (10, 10): "bfd7b6a0ef13f8278f4b1915ff59804df9942a7089e9205954acbe715f45acc6",

@@ -140,6 +140,8 @@ def _ref_table_rows(table) -> list[dict]:
     def cell(col, i):
         if col is None:
             return None
+        if col.dtype == bool and col.ndim == 1:
+            return bool(col[i])
         if col.dtype == bool:
             return [points[j].tolist() for j in range(len(points)) if col[i, j]]
         if col.dtype.kind in "iu":
@@ -397,6 +399,8 @@ def table_cases():
         Columns({"alpha": np.arange(8) % 4, "k": np.stack([FINITE_COLUMN, FEW], axis=1),
                  "h": FINITE_COLUMN, "touching": np.eye(8, 4, dtype=bool)}, POINTS),
         Columns({"z": None, "%d": np.array([1.5, 2.5]), "a": np.empty((2, 0))}),
+        Columns({"t": np.stack([FEW, FINITE_COLUMN], axis=1), "omega": EDGE_COLUMN,
+                 "argmax": np.arange(8) % 4, "on_boundary": FEW > 0.5}, POINTS),
     ]
 
 
@@ -463,6 +467,8 @@ def test_column_tables_match_the_two_pass_walk_on_random_columns():
                                                     min_size=n, max_size=n)),
                                       dtype=float).reshape(n, d),
                         "h": cols[4], "g": cols[3],
+                        "on": np.array(draw(st.lists(st.booleans(), min_size=n,
+                                                     max_size=n)), dtype=bool),
                         "touching": np.array(draw(st.lists(
                             st.lists(st.booleans(), min_size=4, max_size=4),
                             min_size=n, max_size=n)), dtype=bool).reshape(n, 4)}, POINTS)
