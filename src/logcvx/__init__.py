@@ -13,7 +13,7 @@ import types
 from .assoc import (AssociatedFunction, LogConvexityReport, LogConvexMinorant,
                     OmegaEval, SGridSpec, check_log_convexity,
                     log_convex_minorant, omega, q3_supremum, q3_supremum_log)
-from .core import (EXP, LOG, GrowthDiagnostic, SequenceGrid, Violation,
+from .core import (EXP, LOG, Columns, GrowthDiagnostic, SequenceGrid, Violation,
                    as_log_grid, boundary_infinities, growth_check, to_exp,
                    to_log, validate_grid)
 from .envelope import (KGridSpec, MinorantResult, StabilityReport, audit_minorant,
@@ -31,9 +31,8 @@ from .io import (fmt_float, read_condition_witness, read_grid, read_matrix,
                  read_relation_witness, read_report, to_jsonable,
                  write_condition_witness, write_grid, write_matrix,
                  write_relation_witness, write_report)
-from .lpsolve import LPSolution
 from .matrices import (BEURLING, CONDITIONS, RELATION_KINDS, ROUMIEU,
-                       TRIANGLE, CandidateTable, ConditionEntry, ConditionReport,
+                       TRIANGLE, ConditionEntry, ConditionReport,
                        ConditionWitness, RelationEntry, RelationReport,
                        RelationWitness, SearchOutcome, SlackRecord,
                        WeightMatrix, l37r_counterexample_curve,

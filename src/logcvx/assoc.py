@@ -24,7 +24,8 @@ import numpy as np
 
 from . import conjugate
 from .core import (EXP, LOG, Q3_REL_TOL, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid,
-                   as_log_grid, index_array, outer_shell_mask, require_valid, to_exp,
+                   as_log_grid, index_array, multi_indices, outer_shell_mask, require_valid,
+                   to_exp,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
 from .errors import DimensionMismatch, EmptySGrid, NotNormalized, OutOfRange
@@ -101,8 +102,7 @@ class AssociatedFunction:
 
     def evaluate(self, t) -> OmegaEval:
         value, argmax, flag = self.evaluate_many([t])
-        alpha = tuple(int(c) for c in self._idx[argmax[0]])
-        return OmegaEval(float(value[0]), alpha, bool(flag[0]))
+        return OmegaEval(float(value[0]), multi_indices(self.box, argmax)[0], bool(flag[0]))
 
     def __call__(self, t) -> float:
         return self.evaluate(t).value
@@ -199,9 +199,7 @@ def log_convex_minorant(g: SequenceGrid) -> LogConvexMinorant:
     lp = minorant_lp(lg)
     out = to_exp(lp.minorant)
     blew = np.isposinf(out.flat) & np.isfinite(lp.minorant.flat)
-    idx = index_array(g.box)
-    overflowed = tuple(tuple(r.tolist()) for r in idx[blew])
-    return LogConvexMinorant(out, lp, overflowed)
+    return LogConvexMinorant(out, lp, multi_indices(g.box, blew))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,8 +247,7 @@ def _coordinatewise(a: np.ndarray, box) -> tuple[MultiIndex, int] | None:
             best = (first, j)
     if best is None:
         return None
-    alpha = tuple(int(c) for c in np.unravel_index(best[0], shape))
-    return alpha, best[1]
+    return multi_indices(box, [best[0]])[0], best[1]
 
 
 def check_log_convexity(g: SequenceGrid,
@@ -276,7 +273,6 @@ def check_log_convexity(g: SequenceGrid,
     gaps = np.subtract(flat_a, ac, out=np.full(flat_a.size, -math.inf), where=finite)
     max_gap = float(gaps[finite].max()) if finite.any() else 0.0
 
-    shape = tuple(n + 1 for n in lg.box)
     interior = finite & ~result.boundary
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= SLACK_TOL)
@@ -286,12 +282,11 @@ def check_log_convexity(g: SequenceGrid,
     slack = Q3_REL_TOL * np.maximum(1.0, np.abs(flat_a))
     q3_bad = interior & (shortfall > slack)
     q3_holds = not bool(q3_bad.any())
-    q3_failures = tuple(tuple(int(c) for c in np.unravel_index(i, shape))
-                        for i in np.flatnonzero(q3_bad))
+    q3_failures = multi_indices(lg.box, q3_bad)
     if interior.any():
         worst_flat = int(np.argmax(np.where(interior, shortfall, -math.inf)))
         q3_max_shortfall = float(shortfall[worst_flat])
-        q3_worst = tuple(int(c) for c in np.unravel_index(worst_flat, shape))
+        q3_worst = multi_indices(lg.box, [worst_flat])[0]
     else:
         q3_max_shortfall = 0.0
         q3_worst = None

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import assoc as _assoc
 from . import conjugate, envelope, envelope1d, generators, io, lpsolve, matrices
-from .core import EXP, LOG, SequenceGrid, as_log_grid, growth_check, index_array
+from .core import EXP, LOG, Columns, SequenceGrid, as_log_grid, growth_check, index_array
 from .errors import (GridValidationError, LogcvxError, NumericBreakdown, OutOfRange,
                      SchemaError)
 
@@ -125,6 +125,8 @@ def _render(obj, indent: int, key: str | None = None) -> None:
 
 
 def cmd_minorant(args) -> int:
+    if args.k_step is not None and args.method != "dual-grid":
+        raise OutOfRange(f"minorant --method {args.method} does not read --k-step")
     g = io.read_grid(_read_file(args, args.input))
     work = as_log_grid(g)
     warnings = _growth_warnings(work)
@@ -146,7 +148,7 @@ def cmd_minorant(args) -> int:
         has = np.isfinite(res.planes).all(axis=1)
         results["minorant"] = io.grid_to_obj(res.minorant)
         results["contacts"] = idx[res.contact].tolist()
-        results["certificates"] = io.Columns(
+        results["certificates"] = Columns(
             {"alpha": np.flatnonzero(has), "k": res.planes[has, :-1], "h": res.planes[has, -1],
              "touching": res.touching[has]}, idx)
         boundary = idx[res.boundary].tolist()
@@ -159,7 +161,8 @@ def cmd_minorant(args) -> int:
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         boundary = []
     else:  # dual-grid
-        spec = envelope.KGridSpec.from_grid(work, step=args.k_step)
+        step = envelope.K_STEP if args.k_step is None else args.k_step
+        spec = envelope.KGridSpec.from_grid(work, step)
         ax = spec.axis_samples()
         vals, _ = conjugate.biconjugate(ax, work.values)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
@@ -195,8 +198,8 @@ def cmd_assoc(args) -> int:
         points += [(t,) * g.dim for t in np.geomspace(lo, hi, int(n)).tolist()]
     if points:
         value, argmax, flag = af.evaluate_many(points)
-        results["omega"] = io.Columns({"t": np.array(points), "omega": value, "argmax": argmax,
-                                       "on_boundary": flag}, index_array(g.box))
+        results["omega"] = Columns({"t": np.array(points), "omega": value, "argmax": argmax,
+                                    "on_boundary": flag}, index_array(g.box))
         if flag.any():
             warnings.append("some suprema are attained on the outer shell; "
                             "enlarge the box to certify those values")
@@ -323,7 +326,8 @@ def _parser() -> argparse.ArgumentParser:
                    default="lp")
     m.add_argument("--stability", metavar="LARGER_GRID", default=None,
                    help="recompute on an enclosing grid and compare")
-    m.add_argument("--k-step", type=float, default=envelope.K_STEP)
+    m.add_argument("--k-step", type=float, default=None,
+                   help=f"slope step of --method dual-grid (default {envelope.K_STEP})")
     m.add_argument("--json", action="store_true")
 
     a = sub.add_parser("assoc", help="weight function omega and its trace")

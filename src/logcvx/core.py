@@ -63,6 +63,12 @@ def index_array(box: tuple[int, ...]) -> np.ndarray:
     return idx
 
 
+def multi_indices(box: tuple[int, ...], rows) -> tuple[MultiIndex, ...]:
+    """The multi-indices of the box at some of its row-major flat rows: a bool
+    mask over the box, or an array or list of flat indices."""
+    return tuple(map(tuple, index_array(box)[rows].tolist()))
+
+
 @lru_cache(maxsize=256)
 def order_array(box: tuple[int, ...]) -> np.ndarray:
     """|alpha| for every index of the box, flat row-major."""
@@ -81,6 +87,23 @@ def outer_shell_mask(box: tuple[int, ...]) -> np.ndarray:
     mask = (index_array(box) == np.asarray(box, dtype=np.int64)).any(axis=1)
     mask.setflags(write=False)
     return mask
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A table of JSON objects held as columns, one entry per row.  Each key,
+    in order, holds None (null in every row), a float array (n,) or (n, d) (a
+    number or d numbers per row), an int array (n,) (one point per row, by its
+    row in points), a bool array (n,) (true or false per row) or a bool array
+    (n, len(points)) (the list of the points where true).  io.write_report
+    writes the rows with their keys sorted, io.to_jsonable in this order."""
+
+    columns: dict
+    points: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        """The row count: the length of the first column that is not None."""
+        return len(next(col for col in self.columns.values() if col is not None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,28 +197,14 @@ def _violations(g: SequenceGrid) -> list[Violation]:
         out.append(Violation(origin, "origin_finite",
                              f"value at {origin} must be finite, got {v0!r}"))
     flat = g.flat
-    idx = index_array(g.box)
-    nan_rows = np.flatnonzero(np.isnan(flat))
-    for i in nan_rows:
-        alpha = tuple(idx[i].tolist())
+    for alpha in multi_indices(g.box, np.isnan(flat)):
         out.append(Violation(alpha, "complete", f"box incomplete at {alpha}"))
-    if g.scale == LOG:
-        bad = np.flatnonzero(np.isneginf(flat))
-        for i in bad:
-            alpha = tuple(idx[i].tolist())
-            if alpha == origin:
-                continue  # already reported under origin_finite
-            out.append(Violation(alpha, "lower_bound",
-                                 f"-inf not allowed at {alpha} (log scale)"))
-    else:
-        with np.errstate(invalid="ignore"):
-            bad = np.flatnonzero(flat <= 0.0)
-        for i in bad:
-            alpha = tuple(idx[i].tolist())
-            if alpha == origin and not math.isfinite(v0):
-                continue  # already reported under origin_finite
-            out.append(Violation(alpha, "lower_bound",
-                                 f"non-positive entry {flat[i]!r} at {alpha} (exp scale)"))
+    with np.errstate(invalid="ignore"):
+        low = np.isneginf(flat) if g.scale == LOG else flat <= 0.0
+    low[0] &= math.isfinite(v0)  # a non-finite origin is reported under origin_finite
+    for i, alpha in zip(np.flatnonzero(low), multi_indices(g.box, low)):
+        what = "-inf not allowed" if g.scale == LOG else f"non-positive entry {flat[i]!r}"
+        out.append(Violation(alpha, "lower_bound", f"{what} at {alpha} ({g.scale} scale)"))
     return out
 
 
@@ -205,9 +214,7 @@ def boundary_infinities(g: SequenceGrid) -> list[MultiIndex]:
     Legal, but the minorant there is +inf on the truncated problem while the
     untruncated sequence would pin it down, so callers may want to warn.
     """
-    mask = outer_shell_mask(g.box) & np.isposinf(g.flat)
-    idx = index_array(g.box)
-    return [tuple(r.tolist()) for r in idx[mask]]
+    return list(multi_indices(g.box, outer_shell_mask(g.box) & np.isposinf(g.flat)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import conjugate, lpsolve
 from .core import (FEAS_TOL, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array,
-                   outer_shell_mask, require_valid,
+                   multi_indices, outer_shell_mask, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import DimensionMismatch, EmptyKGrid, GridMismatch, OutOfRange, ScaleMismatch
 
@@ -205,7 +205,7 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
         (result.boundary == (~has | (result.touching & outer_shell_mask(g.box)).any(axis=1)),
          "boundary is not where a plane is missing or touches the outer shell"),
     ]
-    return tuple(f"{what}, at {tuple(idx[np.flatnonzero(~ok)[0]].tolist())}"
+    return tuple(f"{what}, at {multi_indices(g.box, ~ok)[0]}"
                  for ok, what in checks if not ok.all())
 
 
@@ -247,6 +247,5 @@ def stability_probe(g_small: SequenceGrid, g_large: SequenceGrid) -> StabilityRe
     vl = minorant_lp(g_large).minorant.values[window]
     both_inf = np.isposinf(vs) & np.isposinf(vl)
     diff = np.where(both_inf, 0.0, np.abs(vs - vl))
-    idx = index_array(g_small.box)
-    unstable = tuple(tuple(r.tolist()) for r in idx[diff.reshape(-1) > SLACK_TOL])
+    unstable = multi_indices(g_small.box, diff.reshape(-1) > SLACK_TOL)
     return StabilityReport(diff, unstable, float(np.nanmax(diff)))

@@ -10,13 +10,13 @@ serializes to identical bytes:
 
 One encoder, write_report, writes it in a single recursive walk appending
 strings to a list: plain data, dataclasses, sets and non-str keys alike.  A
-column table (a Columns, or the CandidateTable of a relation search) is
-written in one %-format over n copies of a row template with its keys
-sorted: a float column with at most half its values distinct, or with a
-non-finite one, formats each distinct value once; any other float column
-goes into the format as %.17g.  to_jsonable gives the human CLI output its
-plain data, a column table as its list of row objects (with rows=k, only the
-first k converted).
+column table (a core.Columns: the certificates of a minorant, omega at many
+t, the candidates of a relation search) is written in one %-format over n
+copies of a row template with its keys sorted: a float column with at most
+half its values distinct, or with a non-finite one, formats each distinct
+value once; any other float column goes into the format as %.17g.
+to_jsonable gives the human CLI output its plain data, a column table as its
+list of row objects (with rows=k, only the first k converted).
 
 Grid files: {"box": [N1,...,Nd], "dim": d, "scale": "log"|"exp",
 "values": flat row-major list}.  CSV is supported for dim <= 2 and is
@@ -38,13 +38,12 @@ from itertools import compress
 
 import numpy as np
 
-from .core import (EXP, LOG, SequenceGrid, require_valid,
+from .core import (EXP, LOG, Columns, SequenceGrid, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (DimensionMismatch, GridValidationError, NotNormalized,
                      SchemaError)
-from .matrices import (CandidateTable, ConditionEntry, ConditionWitness,
-                       RelationEntry, RelationWitness, WeightMatrix, CONDITIONS,
-                       RELATION_KINDS)
+from .matrices import (ConditionEntry, ConditionWitness, RelationEntry, RelationWitness,
+                       WeightMatrix, CONDITIONS, RELATION_KINDS)
 
 _SPECIAL = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
@@ -99,8 +98,8 @@ def _encode(obj, out: list[str]) -> None:
         if not all(isinstance(k, str) for k in obj):
             obj = {k if isinstance(k, str) else str(k): v for k, v in obj.items()}
         _encode_object([(_key(k), obj[k]) for k in sorted(obj)], out)
-    elif t in _TABLES:
-        out.append(_table_text(*_TABLES[t](obj)))
+    elif t is Columns:
+        out.append(_table_text(obj))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         names = sorted(f.name for f in dataclasses.fields(t))
         _encode_object([(_key(n), getattr(obj, n)) for n in names], out)
@@ -124,25 +123,9 @@ def _encode_object(items: list[tuple[str, object]], out: list[str]) -> None:
     out[-1] = "}" if items else "{}"
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class Columns:
-    """JSON objects as columns.  Each key, in to_jsonable's order, holds None
-    (null in every row), a float array (n,) or (n, d) (a number or d numbers
-    per row), an int array (n,) (one point per row, by its row in points), a
-    bool array (n,) (true or false per row) or a bool array (n, len(points))
-    (the list of the points where true)."""
-
-    columns: dict
-    points: np.ndarray | None = None
-
-
-_TABLES = {Columns: lambda c: (c.columns, c.points),
-           CandidateTable: lambda t: (vars(t), None)}  # (columns, points); fields in order
-
-
-def _table_text(columns: dict, points) -> str:
+def _table_text(table: Columns) -> str:
     """The JSON array of a column table's rows, in one %-format."""
-    n = len(next(col for col in columns.values() if col is not None))
+    columns, points = table.columns, table.points
     texts = points is not None and ["[" + ",".join(map(str, p)) + "]" for p in points.tolist()]
     slots, cells = [], []
     for key in sorted(columns):
@@ -168,13 +151,13 @@ def _table_text(columns: dict, points) -> str:
             cells.extend(col.T if col.ndim == 2 else [col])
         slots.append(_key(key).replace("%", "%%") + slot)
     values = tuple(np.array(cells, dtype=object).T.ravel().tolist())  # row by row
-    return "[" + ",".join(["{" + ",".join(slots) + "}"] * n) % values + "]"
+    return "[" + ",".join(["{" + ",".join(slots) + "}"] * len(table)) % values + "]"
 
 
-def _table_rows(columns: dict, points, stop: int | None) -> list[dict]:
-    """A column table's rows as plain dicts, keys in the order of columns; the
-    rows from stop on stay None."""
-    n = len(next(col for col in columns.values() if col is not None))
+def _table_rows(table: Columns, stop: int | None) -> list[dict]:
+    """A column table's rows as plain dicts, keys in the order of its columns;
+    the rows from stop on stay None."""
+    columns, points, n = table.columns, table.points, len(table)
     k = n if stop is None else min(n, stop)
     plain = [[None] * k if col is None
              else [points[row].tolist() for row in col[:k]] if col.dtype == bool and col.ndim == 2
@@ -188,8 +171,8 @@ def to_jsonable(obj, rows: int | None = None):
     plain JSON data (floats stay floats; write_report handles specials).
     With rows=k, a column table converts only its first k rows and keeps its
     length: the rest of its list is None."""
-    if type(obj) in _TABLES:
-        return _table_rows(*_TABLES[type(obj)](obj), rows)
+    if type(obj) is Columns:
+        return _table_rows(obj, rows)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name), rows)
                 for f in dataclasses.fields(obj)}

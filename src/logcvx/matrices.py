@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP, EXP_LIMIT, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid,
-                   index_array, order_array, require_valid,
+from .core import (EXP, EXP_LIMIT, SLACK_TOL, TIE_REL_TOL, Columns, MultiIndex, SequenceGrid,
+                   index_array, multi_indices, order_array, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .errors import (BoxTooSmall, DimensionMismatch, LevelNotFound, NotNormalized,
                      WitnessError)
@@ -181,19 +181,18 @@ def _reduce(box, blocks) -> dict:
             if bad.size:
                 k = int(bad[0])
                 first = (alphas[k], None if betas is None else betas[k], *where, float(s[k]))
-    idx = index_array(box)
     return {"holds": checked > 0 and max_slack <= SLACK_TOL, "max_slack": max_slack,
-            "worst": _record(idx, worst), "first_violation": _record(idx, first),
+            "worst": _record(box, worst), "first_violation": _record(box, first),
             "checked": checked}
 
 
-def _record(idx: np.ndarray, at) -> SlackRecord | None:
+def _record(box, at) -> SlackRecord | None:
     """The SlackRecord of (alpha row, beta row or None, axis, lam, kappa, C, h, slack)."""
     if at is None:
         return None
     a, b, axis, lam, kappa, C, h, slack = at
-    return SlackRecord(lam, kappa, tuple(idx[a].tolist()),
-                       None if b is None else tuple(idx[b].tolist()), axis, C, h, slack)
+    alpha, *beta = multi_indices(box, [a] if b is None else [a, b])
+    return SlackRecord(lam, kappa, alpha, beta[0] if beta else None, axis, C, h, slack)
 
 
 def _check_pair(M: WeightMatrix, N: WeightMatrix, kind: str) -> None:
@@ -248,24 +247,14 @@ _LOG_H = np.array([math.log(h) for h in H_GRID])[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
-class CandidateTable:
-    """Each candidate's max_slack, as float64 columns of one entry per row; rows
-    run over lam (outer), kappa, h, C, and h is None for roumieu and beurling."""
-
-    lam: np.ndarray
-    kappa: np.ndarray
-    C: np.ndarray
-    h: np.ndarray | None
-    max_slack: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.max_slack)
-
-
-@dataclass(frozen=True, eq=False)
 class SearchOutcome:
+    """The smallest-C witness (None when some level has none), and every
+    candidate's max_slack as a Columns of float64 columns, one row per
+    candidate, keys lam, kappa, C, h, max_slack; rows run over lam (outer),
+    kappa, h, C, and h is None for roumieu and beurling."""
+
     witness: RelationWitness | None
-    table: CandidateTable
+    table: Columns
 
 
 def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcome:
@@ -289,8 +278,8 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcom
         worst = worst.swapaxes(0, 1)
     axes = [axis.reshape(-1) for axis in np.meshgrid(
         lams, kappas, *([H_GRID] if triangle else []), C_GRID, indexing="ij")]
-    table = CandidateTable(*axes[:2], axes[-1], axes[2] if triangle else None,
-                           worst.reshape(-1))
+    table = Columns({"lam": axes[0], "kappa": axes[1], "C": axes[-1],
+                     "h": axes[2] if triangle else None, "max_slack": worst.reshape(-1)})
     ok = worst <= SLACK_TOL
     if triangle:  # each (lam, kappa, h) at its smallest passing C
         hit, first = ok.any(axis=-1), ok.argmax(axis=-1)

@@ -178,6 +178,13 @@ def test_q3_recovers_the_minorant_at_the_notconvex_center():
     assert q3_supremum(g, (1, 1)) == pytest.approx(math.exp(8.0), rel=1e-9)
 
 
+def test_q3_is_inf_where_its_log_overflows_a_double():
+    g = SequenceGrid((2,), [0.0, 400.0, 800.0], LOG)
+    assert q3_supremum_log(g, (2,))[0] == pytest.approx(800.0, rel=1e-12)
+    assert q3_supremum(g, (1,)) == pytest.approx(math.exp(400.0), rel=1e-9)
+    assert q3_supremum(g, (2,)) == math.inf
+
+
 def test_q3_index_guards():
     with pytest.raises(DimensionMismatch):
         q3_supremum(FACT, (9,))

@@ -285,6 +285,14 @@ def test_minorant_dual_grid_bad_or_tiny_k_step_is_a_validation_error(line_file, 
         assert "validation error" in err
 
 
+@pytest.mark.parametrize("method", ["lp", "sweep", "oracle"])
+def test_minorant_k_step_is_an_error_outside_dual_grid(line_file, capsys, method):
+    code, out, err = run(capsys, "minorant", line_file, "--method", method,
+                         "--k-step", "0.5", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"validation error: minorant --method {method} does not read --k-step\n"
+
+
 def test_minorant_stability_payload(tmp_path, line_file, capsys):
     larger = tmp_path / "larger.json"
     larger.write_text(write_grid(read_grid(json.dumps(

@@ -18,7 +18,7 @@ MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 # exported name -> why it stays without a caller outside its module
 KEEP = {
     **dict.fromkeys(
-        ["ConditionReport", "GrowthDiagnostic", "LPSolution", "LogConvexMinorant",
+        ["ConditionReport", "GrowthDiagnostic", "LogConvexMinorant",
          "LogConvexityReport", "NewtonPolygon", "OmegaEval", "PolygonSegment",
          "RelationReport", "SearchOutcome", "SlackRecord", "StabilityReport", "Violation"],
         "the type of an exported function's result, for annotations and isinstance"),

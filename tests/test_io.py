@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from logcvx import (EXP, LOG, ConditionEntry, ConditionWitness,
+from logcvx import (EXP, LOG, Columns, ConditionEntry, ConditionWitness,
                     GridValidationError, RelationEntry, RelationWitness,
                     SchemaError, SequenceGrid, WeightMatrix, factorial_grid, fmt_float, notconvex_grid,
                     read_condition_witness, read_grid, read_matrix,
@@ -19,8 +19,6 @@ from logcvx import (EXP, LOG, ConditionEntry, ConditionWitness,
                     write_condition_witness, write_grid, write_matrix,
                     write_relation_witness, write_report)
 from logcvx import io
-from logcvx.io import Columns
-from logcvx.matrices import CandidateTable
 
 
 # ----------------------------------------------------------- float format
@@ -130,11 +128,7 @@ def _ref_dump(obj, out) -> None:
 
 def _ref_table_rows(table) -> list[dict]:
     """A column table's rows as plain dicts, built one cell at a time."""
-    if isinstance(table, CandidateTable):
-        columns, points = {"lam": table.lam, "kappa": table.kappa, "C": table.C,
-                           "h": table.h, "max_slack": table.max_slack}, None
-    else:
-        columns, points = table.columns, table.points
+    columns, points = table.columns, table.points
     n = max(len(col) for col in columns.values() if col is not None)
 
     def cell(col, i):
@@ -153,7 +147,7 @@ def _ref_table_rows(table) -> list[dict]:
 
 def _ref_to_jsonable(obj, rows=None):
     """to_jsonable of every row of every table (rows is accepted and ignored)."""
-    if isinstance(obj, (CandidateTable, Columns)):
+    if isinstance(obj, Columns):
         obj = _ref_table_rows(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _ref_to_jsonable(getattr(obj, f.name))
@@ -382,15 +376,20 @@ FEW = np.array([1.0, -0.0, 1e6, 1.0, -0.0, 1e6, 1.0, 1.0])
 POINTS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
+def candidates(lam, kappa, C, h, max_slack):
+    """A table with the columns of a relation search's, in its order."""
+    return Columns({"lam": lam, "kappa": kappa, "C": C, "h": h, "max_slack": max_slack})
+
+
 def table_cases():
     empty = np.empty(0)
     return [
-        CandidateTable(FEW, FEW[::-1], np.full(8, 5e-324), None, EDGE_COLUMN),
-        CandidateTable(EDGE_COLUMN, EDGE_COLUMN[::-1], FEW, EDGE_COLUMN, EDGE_COLUMN),
-        CandidateTable(FEW, FEW, FEW, FEW[::-1], FINITE_COLUMN),
-        CandidateTable(FINITE_COLUMN, FEW, FEW, None, FINITE_COLUMN[::-1]),
-        CandidateTable(empty, empty, empty, None, empty),
-        CandidateTable(empty, empty, empty, empty, empty),
+        candidates(FEW, FEW[::-1], np.full(8, 5e-324), None, EDGE_COLUMN),
+        candidates(EDGE_COLUMN, EDGE_COLUMN[::-1], FEW, EDGE_COLUMN, EDGE_COLUMN),
+        candidates(FEW, FEW, FEW, FEW[::-1], FINITE_COLUMN),
+        candidates(FINITE_COLUMN, FEW, FEW, None, FINITE_COLUMN[::-1]),
+        candidates(empty, empty, empty, None, empty),
+        candidates(empty, empty, empty, empty, empty),
         Columns({"alpha": np.array([0, 3, 1]),
                  "k": np.array([[0.5, -0.0], [math.inf, 1e6], [5e-324, math.nan]]),
                  "h": np.array([1.0, 2.0, -0.0]),
@@ -416,9 +415,7 @@ def test_column_tables_match_the_two_pass_walk(table):
 def test_column_tables_give_their_rows_as_plain_data(table):
     rows = to_jsonable(table)
     assert write_report(rows) == write_report(_ref_table_rows(table))
-    columns = ["lam", "kappa", "C", "h", "max_slack"] if isinstance(table, CandidateTable) \
-        else list(table.columns)
-    assert all(list(row) == columns for row in rows)
+    assert all(list(row) == list(table.columns) for row in rows)
     assert all(type(x) is not np.float64 for row in rows for x in row.values())
 
 
@@ -459,7 +456,7 @@ def test_column_tables_match_the_two_pass_walk_on_random_columns():
         if draw(st.booleans()):
             cols[3] = None
         if draw(st.booleans()):
-            return CandidateTable(*cols)
+            return candidates(*cols)
         d = draw(st.integers(0, 3))
         return Columns({"alpha": np.array(draw(st.lists(st.integers(0, 3), min_size=n,
                                                         max_size=n)), dtype=int),
@@ -532,6 +529,7 @@ def test_read_grid_schema_error_paths():
         ({**good, "values": [0.0, 1.0]}, "/values"),
         ({**good, "values": [0.0, "big", 2.0]}, "/values/1"),
         ({k: v for k, v in good.items() if k != "values"}, "/values"),
+        ({**good, "values": "0,1,2"}, "/values"),
     ]
     for obj, path in cases:
         with pytest.raises(SchemaError) as err:
@@ -616,23 +614,30 @@ def test_csv_rejects_higher_dimensions():
 
 
 def test_csv_schema_errors():
-    with pytest.raises(SchemaError) as e1:
-        read_grid("alpha,value\n0,1\n")
-    assert "scale" in e1.value.path
-    with pytest.raises(SchemaError):
-        read_grid("# scale: log\nalpha,value\n0,0\n")  # no dim
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 3\n# scale: log\n")
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nwrong,header\n0,0\n")
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,0\n2,5\n")
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 2\n# scale: log\nx,0,1\n0,0,1\n")
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 2\n# scale: log\n,0,1\n1,0,1\n")
-    with pytest.raises(SchemaError):
-        read_grid("# dim: 1\n# scale: log\nalpha,value\n0,zero\n")
+    one, two = "# dim: 1\n# scale: log\n", "# dim: 2\n# scale: log\n"
+    cases = [
+        ("alpha,value\n0,1\n", "# scale"),
+        ("# scale: log\nalpha,value\n0,0\n", "# dim"),
+        ("# dim: 3\n# scale: log\n", "# dim"),
+        (one + "wrong,header\n0,0\n", "row 1"),
+        (one + "alpha,value\n0,0\n2,5\n", "/"),
+        (two + "x,0,1\n0,0,1\n", "row 1 col 1"),
+        (two + ",0,1\n1,0,1\n", "row 2 col 1"),
+        (one + "alpha,value\n0,zero\n", "row 2 col 2"),
+        ("# dim: 1\n# scale: linear\nalpha,value\n0,0\n", "# scale"),
+        ("# dim: one\n# scale: log\nalpha,value\n0,0\n", "# dim"),
+        (one, "/"),
+        (one + "alpha,value\n0,0,1\n", "row 2"),
+        (one + "alpha,value\n0,0\n1.5,2\n", "row 3 col 1"),
+        (one + "alpha,value\n-1,0\n", "row 2 col 1"),
+        (two + ",0,2\n0,0,1\n", "row 1"),
+        (two + ",0,1\n", "/"),
+        (two + ",0,1\n0,0\n", "row 2"),
+    ]
+    for text, path in cases:
+        with pytest.raises(SchemaError) as err:
+            read_grid(text)
+        assert err.value.path == path, text
 
 
 # ----------------------------------------------------------------- matrix
@@ -645,6 +650,9 @@ def test_matrix_grid_count_error_states_what_was_found():
             read_matrix(json.dumps({"levels": [1.0, 2.0], "grids": grids}))
         assert (err.value.path, err.value.found) == ("/grids", found)
     assert str(err.value) == "at /grids: expected list of 2 grids, found dict"
+    with pytest.raises(SchemaError) as err:
+        read_matrix(json.dumps({"levels": [1.0, 2.0], "grids": [f1, [1.0, 1.0]]}))
+    assert (err.value.path, err.value.found) == ("/grids/1", "list")
 
 
 def test_matrix_round_trip():
@@ -691,13 +699,17 @@ def test_relation_witness_round_trip():
 
 
 def test_relation_witness_schema_errors():
-    with pytest.raises(SchemaError) as err:
-        read_relation_witness('{"kind": "sideways", "entries": []}')
-    assert err.value.path == "/kind"
-    with pytest.raises(SchemaError):
-        read_relation_witness('{"kind": "roumieu", "entries": [{"lambda": 1.0}]}')
-    with pytest.raises(SchemaError):
-        read_relation_witness('{"kind": "roumieu", "entries": "nope"}')
+    cases = [
+        ('{"kind": "sideways", "entries": []}', "/kind"),
+        ('{"kind": "roumieu", "entries": [{"lambda": 1.0}]}', "/entries/0/kappa"),
+        ('{"kind": "roumieu", "entries": "nope"}', "/entries"),
+        ('{"kind": "roumieu", "entries": [{"lambda": 1.0, "kappa": 1.0, "C": 2.0}, 5]}',
+         "/entries/1"),
+    ]
+    for text, path in cases:
+        with pytest.raises(SchemaError) as err:
+            read_relation_witness(text)
+        assert err.value.path == path, text
 
 
 def test_condition_witness_round_trips_every_shape():

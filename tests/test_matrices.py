@@ -223,7 +223,7 @@ def test_search_reports_failure_beyond_the_constant_grid():
     out = search_relation(M, N, "roumieu")
     assert out.witness is None
     assert out.table
-    assert out.table.max_slack.min() > 0
+    assert out.table.columns["max_slack"].min() > 0
 
 
 def test_search_triangle_succeeds_when_the_gap_absorbs_every_h():
@@ -358,16 +358,19 @@ def test_search_table_has_one_column_entry_per_candidate(kind):
     rows = len(M.levels) * len(HIGH.levels) * len(C_GRID) * (
         len(H_GRID) if kind == "triangle" else 1)
     assert len(out.table) == rows
-    t = out.table
-    for col in (t.lam, t.kappa, t.C, t.max_slack) + ((t.h,) if kind == "triangle" else ()):
+    t = out.table.columns
+    assert list(t) == ["lam", "kappa", "C", "h", "max_slack"]
+    for col in (t["lam"], t["kappa"], t["C"], t["max_slack"]) + (
+            (t["h"],) if kind == "triangle" else ()):
         assert isinstance(col, np.ndarray) and col.shape == (rows,) and col.dtype == float
-    assert (t.h is None) == (kind != "triangle")
+    assert (t["h"] is None) == (kind != "triangle")
 
 
 def test_search_takes_the_smallest_kappa_among_ties():
     out = search_relation(LOW, LOW, "roumieu")
-    t = out.table
-    passing_at_1 = set(t.kappa[(t.lam == 1.0) & (t.C == 1.0) & (t.max_slack <= 1e-9)].tolist())
+    t = out.table.columns
+    passing_at_1 = set(t["kappa"][(t["lam"] == 1.0) & (t["C"] == 1.0)
+                                  & (t["max_slack"] <= 1e-9)].tolist())
     assert passing_at_1 == {1.0, 2.0, 3.0}
     assert [(e.lam, e.kappa, e.C) for e in out.witness.entries][:2] == [
         (1.0, 1.0, 1.0), (2.0, 2.0, 1.0)]
