@@ -40,9 +40,6 @@ Q3_REL_TOL = 0.02  # sampled q3 may fall short of a_alpha by Q3_REL_TOL * max(1,
 RED_TOL = 1e-9  # a simplex column enters when its reduced cost < -RED_TOL * max(1, |a_beta|)
 PIVOT_TOL = 1e-11  # the smallest direction entry the simplex ratio test accepts as a pivot
 WEIGHT_TOL = 1e-9  # a simplex weight above this is positive (phase-1 residue, shell weight)
-ORACLE_DET_TOL = 1e-8  # the oracle keeps a (d+1)-point subset when |det [1; P_S^T]| > this
-ORACLE_WEIGHT_TOL = 1e-12  # the oracle accepts barycentric weights lam >= -this
-ORACLE_FIT_TOL = 1e-9  # the oracle's least-squares weights rebuild the target within this
 
 # The largest log value that still fits a double after exp().
 EXP_LIMIT = 709.0

@@ -20,10 +20,10 @@ its batch or on the number of BLAS threads; only the start inverses come from
 LAPACK, one matrix at a time.  ``solve`` is the batch of one.  The pivot
 rules are deterministic, so identical inputs give bit-identical output.
 
-``brute_force_batch`` is an independent cross-check for lower convex
-envelope values: it enumerates small point subsets and minimizes over convex
-combinations hitting each target (any envelope value is attained by at most
-d+1 points).  It shares no code with the simplex path on purpose.
+``brute_force_batch`` is an independent cross-check on integer abscissae: it
+enumerates the subsets of at most d+1 points with their exact barycentric
+weights, integer numerators over an integer determinant, free of tolerances
+and of LAPACK.  It shares no code with the simplex path on purpose.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FEAS_TOL, ORACLE_DET_TOL, ORACLE_FIT_TOL, ORACLE_WEIGHT_TOL, PIVOT_TOL,
-                   RED_TOL, TIE_REL_TOL, WEIGHT_TOL)
+from .core import FEAS_TOL, PIVOT_TOL, RED_TOL, TIE_REL_TOL, WEIGHT_TOL
 from .errors import NumericBreakdown
 
 OPTIMAL = "optimal"
@@ -329,62 +328,66 @@ def solve(points, values, target, shell=None, start=None) -> LPSolution:
                       tuple(np.flatnonzero(out.tight[0]).tolist()))
 
 
-def _subsets(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every k-subset of the rows of P, and the (d+1) x k matrix [1; P_S^T] of each."""
-    combos = np.array(list(itertools.combinations(range(len(P)), k)))
-    Q = np.empty((len(combos), P.shape[1] + 1, k))
-    Q[:, 0, :] = 1.0
-    Q[:, 1:, :] = P[combos].transpose(0, 2, 1)
-    return combos, Q
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of k x k int64 matrices, k >= 0, by Laplace expansion."""
+    k = M.shape[-1]
+    if k <= 1:
+        return M[..., 0, 0] if k else np.ones(M.shape[:-2], np.int64)
+    return sum((-1) ** j * M[..., 0, j] * _det(M[..., 1:, np.arange(k) != j]) for j in range(k))
+
+
+def _adjugate(M: np.ndarray) -> np.ndarray:
+    """Adjugates of a stack of square int64 matrices: entry (j, i) is the (i, j) cofactor."""
+    k, adj = M.shape[-1], np.empty_like(M)
+    for i, j in itertools.product(range(k), repeat=2):
+        rest = M[..., np.arange(k) != i, :][..., np.arange(k) != j]
+        adj[..., j, i] = (-1) ** (i + j) * _det(rest)
+    return adj
 
 
 def brute_force_batch(points, values, targets) -> np.ndarray:
     """Lower convex envelope values at every row of ``targets`` by subset
     enumeration, +inf where a target lies outside the hull of the finite
-    abscissae.
+    abscissae; ``points`` holds n integer abscissae, +inf ``values`` are ignored.
 
-    ``points`` is an (n, d) array of abscissae and ``values`` their data;
-    +inf entries impose no constraint and are ignored.  The value at a target
-    inside the hull is the minimum of sum(lam_i * v_i) over convex
-    combinations of at most d+1 points whose abscissae combine to the target.
-    The (d+1)-point subsets and their determinants are computed once, and the
-    barycentric coordinates of every target are solved together.  Targets no
-    nondegenerate subset reaches fall back to subsets of 1..d+1 points and
-    their minimum-norm least-squares coordinates, again all targets at once.
-
-    Meant for small instances (roughly <= 25 finite points) as an independent
-    oracle for the LP route.
+    The value at alpha is the least sum(lam_i v_i) over affinely independent
+    subsets S of at most d+1 points with lam >= 0, [1; P_S^T] lam = [1; alpha].
+    lam = num / det exactly, in int64: det is the first nonzero |S|-row minor of
+    [1; P_S^T], num its adjugate times those rows of [1; alpha].  Raises
+    ValueError on non-integer abscissae or targets, or coordinates whose minors
+    could pass int64.  An oracle for the LP route on roughly <= 25 finite points.
     """
-    P = np.asarray(points, dtype=float)
     v = np.asarray(values, dtype=float)
-    keep = np.isfinite(v)
-    P, v = P[keep], v[keep]
+    P, v = np.asarray(points, dtype=float)[np.isfinite(v)], v[np.isfinite(v)]
     n, d = P.shape
-    rhs = np.vstack([np.ones(len(targets)), np.asarray(targets, dtype=float).reshape(-1, d).T])
+    Z = np.vstack([P, np.asarray(targets, dtype=float).reshape(-1, d)])
+    if not (np.isfinite(Z).all() and (Z == np.round(Z)).all()):
+        raise ValueError("the oracle takes integer abscissae and targets")
+    # Hadamard: a j x j minor of [1; P_S^T], a column perhaps replaced by [1; alpha],
+    # is at most (1 + r2)^(j/2), so no sum below passes (d+1) (1 + r2)^((d+2)/2)
+    r2 = max((sum(int(c) ** 2 for c in row) for row in Z), default=0)
+    if (d + 1) ** 2 * (1 + r2) ** (d + 2) >= 1 << 126:
+        raise ValueError("the oracle's minors could overflow int64 at these coordinates")
+    A, rhs = np.split(np.vstack([np.ones(len(Z)), Z.T]).astype(np.int64), [n], axis=1)
     best = np.full(rhs.shape[1], math.inf)
-    if n >= d + 1:
-        combos, M = _subsets(P, d + 1)
-        good = np.abs(np.linalg.det(M)) > ORACLE_DET_TOL
-        M, combos = M[good], combos[good]
-        size = max(1, BLOCK_ENTRIES // ((d + 1) * max(len(best), 1)))
-        for s in range(0, len(combos), size):
-            lam = np.linalg.solve(M[s:s + size], rhs)
-            cand = np.where((lam >= -ORACLE_WEIGHT_TOL).all(axis=1),
-                            (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
-            best = np.minimum(best, cand.min(axis=0))
-    miss = np.flatnonzero(np.isinf(best))
-    if miss.size:
-        R = rhs[:, miss]
-        for k in range(1, min(n, d + 1) + 1):
-            combos, Q = _subsets(P, k)
-            # the minimum-norm solution, singular values cut as lstsq's rcond=None does
-            Qinv = np.linalg.pinv(Q, rcond=np.finfo(float).eps * (d + 1))
-            size = max(1, BLOCK_ENTRIES // (k * miss.size))
-            for s in range(0, len(combos), size):
-                lam = Qinv[s:s + size] @ R
-                ok = ((lam >= -ORACLE_WEIGHT_TOL).all(axis=1)
-                      & np.isclose(Q[s:s + size] @ lam, R, atol=ORACLE_FIT_TOL).all(axis=1))
-                cand = np.where(ok, (lam * v[combos[s:s + size], None]).sum(axis=1), math.inf)
-                best[miss] = np.minimum(best[miss], cand.min(axis=0))
+    # a row constant over the points is a multiple of row 0: no first nonzero minor holds it
+    rows = [0, *np.flatnonzero((A != A[:, :1]).any(axis=1)).tolist()]
+    size = max(1, BLOCK_ENTRIES // ((d + 1) * max(len(best), 1)))
+    for k in range(1, min(n, len(rows)) + 1):
+        every = np.array(list(itertools.combinations(range(n), k)))
+        for combos in np.split(every, range(size, len(every), size)):
+            Q = A[:, combos].transpose(1, 0, 2)  # [1; P_S^T] of every subset S
+            for R in map(list, itertools.combinations(rows, k)):
+                adj = _adjugate(Q[:, R])
+                det = np.einsum("ci,ci->c", Q[:, R[0]], adj[:, :, 0])
+                hit = det != 0  # times sign(det): then det > 0, and lam >= 0 is num >= 0
+                adj, det = adj[hit] * np.sign(det[hit])[:, None, None], np.abs(det[hit])[:, None]
+                num = np.einsum("cij,jt->cit", adj, rhs[R])
+                ok = (num >= 0).all(axis=1)
+                if k < d + 1:
+                    ok &= (np.einsum("cri,cit->crt", Q[hit], num) == det[:, None] * rhs).all(1)
+                total = sum(v[combos[hit, i], None] * num[:, i] for i in range(k))
+                cand = np.where(ok, total / det, math.inf)
+                best = np.minimum(best, cand.min(axis=0, initial=math.inf))
+                combos, Q = combos[~hit], Q[~hit]
     return best
-

@@ -1022,7 +1022,7 @@ TOLERANCE_PIN_SHA256 = {
     "check_notjoint": "6eaa983680ac01cece977b991f684f30b0195d7bfb6db57ef8f80e45098ae6c8",
     "dual_grid": "aa6d9cbe01a7f2190f0e3ef63712350981089994ba328bba0d319732039abec1",
     "dual_grid_line": "f80cb70c2b5a383b8e4db099916ab62adaeb3437aa85d6ff084f606d633e59b9",
-    "oracle": "d6b8a464af954ad4cf5886ea086a85c9ae8e464a822cae1b8d559ae221738672",
+    "oracle": "d7275eef6fe49b2248f81aac7ee7ca459afecf4cd12f3a6815f8f6d0df938fca",
     "stability": "3e8d5503d6b3de552117d9b08087cf5b66a79b7fa101b881b81798be37193f48",
     "sweep": "bfeea80dea329d565fb235c766bcb448deb0e3625f00d01fc95d3e133ac34fdf",
 }
@@ -1042,8 +1042,7 @@ def test_tolerance_bound_outputs_are_pinned(name, tmp_path, monkeypatch, capsys)
 
 # Each of these printed other bytes under another OpenBLAS kernel when
 # convex_random_grid summed its pieces, and omega its terms, in a matrix
-# product.  minorant --method oracle is left out: its subset solves go through
-# LAPACK, and their last bits follow the kernel.
+# product, or when the oracle solved its subsets with LAPACK.
 KERNEL_COMMANDS = [
     ["gen", "convex", "--box", "6,6", "--seed", "0"],
     ["gen", "convex", "--box", "3,3,3", "--seed", "2"],
@@ -1053,12 +1052,14 @@ KERNEL_COMMANDS = [
      "--trace-k", "0.5,1.25,-1,2", "--json"],
     ["check", "convex2.json", "--s-points", "600", "--json"],
     ["minorant", "convex2.json", "--json"],
+    ["minorant", "oracle.json", "--method", "oracle", "--json"],
 ]
 
 
 def test_output_does_not_depend_on_the_blas_kernel(tmp_path):
     (tmp_path / "convex2.json").write_text(write_grid(convex_random_grid((6, 6), 3)))
     (tmp_path / "convex4.json").write_text(write_grid(convex_random_grid((3, 3, 3, 3), 1)))
+    (tmp_path / "oracle.json").write_text(write_grid(random_grid((3, 3), seed=1, scale="log")))
     script = f"from logcvx.cli import main\nfor argv in {KERNEL_COMMANDS!r}:\n    main(argv)\n"
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
@@ -1066,5 +1067,5 @@ def test_output_does_not_depend_on_the_blas_kernel(tmp_path):
     outs = [subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=dict(env, **extra),
                            capture_output=True, text=True, check=True).stdout
             for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})]
-    assert outs[0].count('"command"') == 4
+    assert outs[0].count('"command"') == 5
     assert outs[0] == outs[1]

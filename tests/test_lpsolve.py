@@ -141,12 +141,12 @@ def test_validation_rejects_bad_shapes():
 
 def test_brute_force_1d_example():
     P, a = on_line([0.0, 2.0, 1.0, 6.0])
-    assert lps.brute_force_batch(P, a, [[1], [2]]) == pytest.approx([0.5, 1.0], abs=1e-12)
+    assert lps.brute_force_batch(P, a, [[1], [2]]).tolist() == [0.5, 1.0]
 
 
 def test_brute_force_ignores_infinite_points():
     P, a = on_line([0.0, INF, 1.0])
-    assert lps.brute_force_batch(P, a, [[1]])[0] == pytest.approx(0.5, abs=1e-12)
+    assert lps.brute_force_batch(P, a, [[1]])[0] == 0.5
 
 
 def test_brute_force_outside_hull():
@@ -159,20 +159,20 @@ def test_brute_force_no_finite_points():
 
 
 def test_brute_force_single_point():
-    assert lps.brute_force_batch([[2, 3]], [5.0], [[2, 3]])[0] == pytest.approx(5.0)
+    assert lps.brute_force_batch([[2, 3]], [5.0], [[2, 3]])[0] == 5.0
 
 
 def test_brute_force_collinear_2d():
-    # all abscissae on one line: every 3-point determinant vanishes, the
-    # least-squares fallback must still combine endpoints
+    # all abscissae on one line: every 3-point determinant vanishes, and the
+    # endpoints combine through a nonzero 2-row minor that rebuilds every row
     v = lps.brute_force_batch([[0, 0], [1, 1], [2, 2]], [0.0, 4.0, 2.0], [[1, 1]])[0]
-    assert v == pytest.approx(1.0, abs=1e-9)
+    assert v == 1.0
 
 
 def test_brute_force_2d_square():
     P = [[0, 0], [2, 0], [0, 2], [1, 1], [2, 2], [1, 0], [0, 1], [2, 1], [1, 2]]
     a = [0.0, 8.0, 8.0, 15.0, 80.0, 3.0, 3.0, 35.0, 35.0]
-    assert lps.brute_force_batch(P, a, [[1, 1]])[0] == pytest.approx(8.0, abs=1e-12)
+    assert lps.brute_force_batch(P, a, [[1, 1]])[0] == 8.0
 
 
 def test_brute_force_matches_lp_on_random_grids():
@@ -307,9 +307,10 @@ def test_brute_force_batch_matches_single_targets():
     assert np.isinf(values).any()
 
 
-def reference_fallback(P, a, targets):
-    """brute_force_batch's least-squares fallback as one lstsq per subset and
-    target: every target at which it finds a convex combination, and its value."""
+def reference_lstsq(P, a, targets):
+    """The envelope by least squares, one lstsq per subset of at most d+1
+    points and target: every target at which it finds a convex combination,
+    and its value."""
     keep = np.isfinite(a)
     P, a = P[keep], a[keep]
     n, d = P.shape
@@ -326,10 +327,32 @@ def reference_fallback(P, a, targets):
 
 
 @pytest.mark.parametrize("box", [(4, 0), (0, 3), (3, 0, 2), (2, 2), (2, 1, 1)])
-def test_brute_force_fallback_matches_the_per_target_loop(box):
+def test_brute_force_matches_least_squares_on_degenerate_boxes(box):
     # zero extents leave every (d+1)-subset degenerate, so every value comes
-    # from the fallback; holes put targets outside the hull
+    # from a smaller subset and its rebuild check; holes put targets outside
+    # the hull
     for seed in range(3):
         P, a = holed_lattice(box, seed, share=0.25)
-        np.testing.assert_allclose(lps.brute_force_batch(P, a, P), reference_fallback(P, a, P),
+        np.testing.assert_allclose(lps.brute_force_batch(P, a, P), reference_lstsq(P, a, P),
                                    rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("points, targets", [
+    ([[0.0], [0.5], [2.0]], [[1]]),
+    ([[0], [1], [2]], [[1.5]]),
+    ([[0], [1], [2]], [[math.nan]]),
+    ([[0], [math.inf]], [[0]]),
+])
+def test_brute_force_takes_only_integer_abscissae_and_targets(points, targets):
+    with pytest.raises(ValueError, match="integer"):
+        lps.brute_force_batch(points, np.zeros(len(points)), targets)
+
+
+def test_brute_force_refuses_coordinates_past_the_int64_bound():
+    # the Hadamard bound (d+1)^2 (1 + r2)^(d+2) < 2^126 at d = 2: |x| = 2^13
+    # passes, 2^20 does not, in the abscissae or in the targets
+    P = np.array([[0, 0], [1, 0], [0, 1]])
+    assert lps.brute_force_batch(P * 2 ** 13, [0.0, 1.0, 2.0], [[0, 0]])[0] == 0.0
+    for points, target in ((P * 2 ** 20, [[0, 0]]), (P, [[2 ** 20, 0]])):
+        with pytest.raises(ValueError, match="int64"):
+            lps.brute_force_batch(points, [0.0, 1.0, 2.0], target)

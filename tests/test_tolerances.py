@@ -10,7 +10,7 @@ from pathlib import Path
 from logcvx import core
 
 SRC = Path(core.__file__).parent
-MAX_TOLERANCES = 10
+MAX_TOLERANCES = 7
 
 
 def _tolerance_block(tree: ast.Module) -> list[ast.Assign]:
