@@ -145,37 +145,25 @@ class SGridSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
-def _q3_all(af: AssociatedFunction, spec: SGridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """log q3 supremum for every box index at once, plus boundary flags.
-
-    The flag of an index is the omega boundary flag at its first maximising
-    sample: if set, omega there is possibly underestimated by the truncation,
-    so the sampled supremum is not certified from above by the box alone.
-    Omega is evaluated again at those samples only, summed in the order of
-    the forward pass, so it takes that pass's values there.
-    """
-    x = spec.axis_samples()
-    vals, arg = conjugate.biconjugate(x, af._a.reshape(tuple(n + 1 for n in af.box)))
-    samples = np.stack(np.unravel_index(arg.reshape(-1), (x.size,) * af.dim), axis=1)
-    return vals.reshape(-1), af._scan(x[samples])[2]
+def _q3_all(lg: SequenceGrid, spec: SGridSpec) -> np.ndarray:
+    """log q3 supremum of a LOG grid at every box index, in row-major order."""
+    return conjugate.biconjugate(spec.axis_samples(), lg.values).reshape(-1)
 
 
-def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> tuple[float, bool]:
-    """log of the sampled supremum sup_s s^alpha / exp(omega(s)) at one index."""
+def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> float:
+    """log of the sampled sup_s s^alpha / exp(omega(s)) at one index, a float."""
     af = AssociatedFunction(g)
     alpha = tuple(int(c) for c in alpha)
     if len(alpha) != af.dim or any(c < 0 or c > n for c, n in zip(alpha, af.box)):
         raise DimensionMismatch(f"alpha {alpha} not in box {af.box}")
     spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
-    vals, flags = _q3_all(af, spec)
-    flat = int(np.ravel_multi_index(alpha, tuple(n + 1 for n in af.box)))
-    return float(vals[flat]), bool(flags[flat])
+    vals = _q3_all(as_log_grid(g), spec)
+    return float(vals[np.ravel_multi_index(alpha, tuple(n + 1 for n in af.box))])
 
 
 def q3_supremum(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> float:
-    v, _ = q3_supremum_log(g, alpha, s_grid)
     try:
-        return math.exp(v)
+        return math.exp(q3_supremum_log(g, alpha, s_grid))
     except OverflowError:
         return math.inf
 
@@ -210,8 +198,10 @@ class LogConvexityReport:
     restricts to indices whose certificate stays off the truncation faces and
     is what ``globally_convex`` is decided on.  ``q3_holds`` compares the
     sampled supremum against the data on the same interior indices within
-    Q3_REL_TOL * max(1, |a_alpha|).  When nothing is interior the convexity
-    verdicts are vacuous and ``boundary_caveat`` is set.
+    Q3_REL_TOL * max(1, |a_alpha|).  ``boundary_caveat`` is decided by the LP
+    certificates alone: it is set when some certificate touches the outer
+    shell (``minorant.boundary.any()``), or when nothing is interior and the
+    convexity verdicts are vacuous.
     """
 
     coordinatewise_ok: bool
@@ -258,13 +248,13 @@ def check_log_convexity(g: SequenceGrid,
     verdicts agree on log-convex data; the sampled one carries the relative
     slack Q3_REL_TOL because its supremum over continuous s is only sampled.
     """
-    af = AssociatedFunction(g)  # validation + normalization
+    AssociatedFunction(g)  # validation + normalization
     lg = as_log_grid(g)
     a = lg.values
 
     cw = _coordinatewise(a, lg.box)
     spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
-    conjugate.check_samples(spec.points, g.dim)  # fail fast, before the LP
+    q3_log = _q3_all(lg, spec)  # a bad sample grid fails here, before the LP
 
     result = minorant_lp(lg)
     flat_a = lg.flat
@@ -277,7 +267,6 @@ def check_log_convexity(g: SequenceGrid,
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= SLACK_TOL)
 
-    q3_log, q3_flags = _q3_all(af, spec)
     shortfall = flat_a - q3_log
     slack = Q3_REL_TOL * np.maximum(1.0, np.abs(flat_a))
     q3_bad = interior & (shortfall > slack)
@@ -291,8 +280,6 @@ def check_log_convexity(g: SequenceGrid,
         q3_max_shortfall = 0.0
         q3_worst = None
 
-    caveat = bool(result.boundary.any()) or bool(q3_flags[interior].any()) \
-        or not interior.any()
     return LogConvexityReport(
         coordinatewise_ok=cw is None,
         coordinatewise_violation=cw,
@@ -303,6 +290,6 @@ def check_log_convexity(g: SequenceGrid,
         q3_max_shortfall=q3_max_shortfall,
         q3_worst=q3_worst,
         q3_failures=q3_failures,
-        boundary_caveat=caveat,
+        boundary_caveat=bool(result.boundary.any()) or not interior.any(),
         minorant=result,
     )

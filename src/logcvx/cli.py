@@ -163,8 +163,7 @@ def cmd_minorant(args) -> int:
     else:  # dual-grid
         step = envelope.K_STEP if args.k_step is None else args.k_step
         spec = envelope.KGridSpec.from_grid(work, step)
-        ax = spec.axis_samples()
-        vals, _ = conjugate.biconjugate(ax, work.values)
+        vals = conjugate.biconjugate(spec.axis_samples(), work.values)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
         results["k_grid"] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
         boundary = []
@@ -333,10 +332,13 @@ def _parser() -> argparse.ArgumentParser:
     a = sub.add_parser("assoc", help="weight function omega and its trace")
     a.add_argument("input")
     a.add_argument("--t", action="append", metavar="T1,...,TD",
-                   help="evaluate omega at this point (repeatable)")
+                   help="evaluate omega at this point (repeatable); join a negative "
+                        "first entry with =, as in --t=-1,2")
     a.add_argument("--t-grid", metavar="LO,HI,N", default=None,
                    help="evaluate omega at N geometric points on the diagonal")
-    a.add_argument("--trace-k", metavar="K1,...,KD", default=None)
+    a.add_argument("--trace-k", metavar="K1,...,KD", default=None,
+                   help="evaluate the trace function A(k); join a negative first "
+                        "entry with =, as in --trace-k=-1,0.5")
     a.add_argument("--json", action="store_true")
 
     c = sub.add_parser("check", help="log-convexity and regularity report")

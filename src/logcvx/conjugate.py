@@ -2,13 +2,14 @@
 
 For f on the lattice box [0, N_1] x ... x [0, N_d] (+inf imposes nothing) and
 the same m axis samples x on every axis, the conjugate is A(s) = max_beta
-(<s, beta> - f_beta) on x^d, and ``biconjugate`` gives max_s (<alpha, s> -
-A(s)) at every lattice alpha.  It splits into nested 1-D max-plus passes,
-O(d m^d max_j (N_j + 1)) for the whole sample grid (Lucet 1997, "Faster than
-the fast Legendre transform", Numer. Algorithms 16:171-185), and never forms
-the m^d array of A.  The forward passes add axis by axis, ((-f_beta + beta_1
-s_1) + beta_2 s_2) + ..., the order in which ``assoc`` evaluates omega, so
-both give the same value of A at a sample.
+(<s, beta> - f_beta) on x^d, and ``biconjugate`` gives the values max_s
+(<alpha, s> - A(s)) at every lattice alpha, not the maximising samples.  It
+splits into nested 1-D max-plus passes, O(d m^d max_j (N_j + 1)) for the
+whole sample grid (Lucet 1997, "Faster than the fast Legendre transform",
+Numer. Algorithms 16:171-185), and never forms the m^d array of A.  The
+forward passes add axis by axis, ((-f_beta + beta_1 s_1) + beta_2 s_2) + ...,
+the order in which ``assoc`` evaluates omega, so both give the same value of
+A at a sample.
 """
 from __future__ import annotations
 
@@ -46,30 +47,24 @@ def _max_plus(F: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _reduce_last(V: np.ndarray, P, x: np.ndarray, n: int):
+def _reduce_last(V: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """max over the trailing sample axis of V + c x for c = 0, ..., n - 1, as
-    a new trailing axis, and P at the first maximising sample (with P None,
-    the sample's index on that axis)."""
+    a new trailing axis."""
     vals = np.empty(V.shape[:-1] + (n,))
-    args = np.empty(vals.shape, dtype=np.intp)
     T = np.empty_like(V)
     for c in range(n):
         np.add(V, c * x, out=T)
-        i = T.argmax(axis=-1)[..., None]
-        vals[..., c] = np.take_along_axis(T, i, -1)[..., 0]
-        args[..., c] = i[..., 0] if P is None else np.take_along_axis(P, i, -1)[..., 0]
-    return vals, args
+        T.max(axis=-1, out=vals[..., c])
+    return vals
 
 
-def biconjugate(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def biconjugate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """max_s (<alpha, s> - A(s)) at every alpha of the box, with A the
-    conjugate of f on x^d, and the row-major flat index into x^d of its
-    maximising sample, both of the shape of f.
+    conjugate of f on x^d, of the shape of f.
 
-    Sample axes are reduced last to first, each to its first maximum, so the
-    lexicographically first of tied samples wins.  The last forward pass and
-    the reduction over the last sample axis run together, a block of rows of
-    that axis at a time, so the m^d grid of A is never formed.
+    Sample axes are reduced last to first.  The last forward pass and the
+    reduction over the last sample axis run together, a block of rows of that
+    axis at a time, so the m^d grid of A is never formed.
     """
     check_samples(x.size, f.ndim)
     m, n = x.size, f.shape[-1]
@@ -77,17 +72,16 @@ def biconjugate(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(f.ndim - 1):
         F = _max_plus(F[..., None], x)
     F = F.reshape(n, -1, 1)  # (N_d + 1, rows of (s_1, ..., s_{d-1}), 1)
-    V, P = np.empty((F.shape[1], n)), np.empty((F.shape[1], n), dtype=np.intp)
+    V = np.empty((F.shape[1], n))
     step = max(1, _BLOCK_SAMPLES // m)
     A = np.empty((min(step, F.shape[1]), m))
     for r in range(0, F.shape[1], step):
         blk = F[:, r:r + step]
         a = _max_plus(blk, x, A[:blk.shape[1]])
-        V[r:r + step], P[r:r + step] = _reduce_last(np.negative(a, out=a), None, x, n)
-        P[r:r + step] += m * np.arange(r, r + len(a))[:, None]
-    V, P = (W.reshape((m,) * (f.ndim - 1) + (n,)) for W in (V, P))
+        V[r:r + step] = _reduce_last(np.negative(a, out=a), x, n)
+    V = V.reshape((m,) * (f.ndim - 1) + (n,))
     for j in reversed(range(f.ndim - 1)):
         # V has axes (s_1, ..., s_j, alpha_{j+1}, ...); reduce over a trailing s_j
-        V, P = (np.ascontiguousarray(np.moveaxis(W, j, -1)) for W in (V, P))
-        V, P = (np.moveaxis(W, -1, j) for W in _reduce_last(V, P, x, f.shape[j]))
-    return V, P
+        V = np.ascontiguousarray(np.moveaxis(V, j, -1))
+        V = np.moveaxis(_reduce_last(V, x, f.shape[j]), -1, j)
+    return V

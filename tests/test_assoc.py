@@ -169,7 +169,7 @@ def test_q3_never_exceeds_the_data():
         shape = tuple(n + 1 for n in g.box)
         for flat_i in range(a.size):
             alpha = tuple(int(c) for c in np.unravel_index(flat_i, shape))
-            v, _ = q3_supremum_log(g, alpha)
+            v = q3_supremum_log(g, alpha)
             assert v <= a[flat_i] + 1e-9
 
 
@@ -180,7 +180,7 @@ def test_q3_recovers_the_minorant_at_the_notconvex_center():
 
 def test_q3_is_inf_where_its_log_overflows_a_double():
     g = SequenceGrid((2,), [0.0, 400.0, 800.0], LOG)
-    assert q3_supremum_log(g, (2,))[0] == pytest.approx(800.0, rel=1e-12)
+    assert q3_supremum_log(g, (2,)) == pytest.approx(800.0, rel=1e-12)
     assert q3_supremum(g, (1,)) == pytest.approx(math.exp(400.0), rel=1e-9)
     assert q3_supremum(g, (2,)) == math.inf
 
@@ -288,3 +288,5 @@ def test_check_rejects_an_oversized_s_grid_before_the_lp(monkeypatch):
     monkeypatch.setattr(assoc, "minorant_lp", no_lp)
     with pytest.raises(OutOfRange):
         check_log_convexity(notconvex_grid((2, 2)), s_grid=SGridSpec(0.0, 1.0, 3000))
+    with pytest.raises(EmptySGrid):
+        check_log_convexity(notconvex_grid((2, 2)), s_grid=SGridSpec(0.0, 1.0, 0))

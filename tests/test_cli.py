@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logcvx import (SequenceGrid, convex_random_grid, notconvex_grid, random_grid,
-                    read_grid, read_matrix, read_report, write_grid)
+from logcvx import (AssociatedFunction, SequenceGrid, convex_random_grid, notconvex_grid,
+                    random_grid, read_grid, read_matrix, read_report, write_grid)
 from logcvx.cli import main
 
 
@@ -424,6 +424,15 @@ def test_assoc_omega_and_trace_agree(tmp_path, capsys):
     assert row["omega"] == pytest.approx(math.log(2.0))
     assert row["argmax"] == [1]
     assert res["trace"]["value"] == pytest.approx(row["omega"], abs=1e-10)
+
+
+def test_assoc_takes_a_negative_first_entry_joined_with_equals(tmp_path, capsys):
+    g = random_grid((3, 3), seed=5, scale="log")
+    path = tmp_path / "g.json"
+    path.write_text(write_grid(g))
+    code, out, _ = run(capsys, "assoc", str(path), "--trace-k=-1,0.5", "--json")
+    assert code == 0
+    assert read_report(out)["results"]["trace"]["value"] == AssociatedFunction(g).trace((-1, 0.5))
 
 
 def test_assoc_t_grid_rows_are_monotone(tmp_path, capsys):

@@ -1,21 +1,21 @@
 """The per-axis conjugate kernel and the omega kernel against a dense scan of
 every sample against every point, on random, convex, +inf-holed, 1-D, 3-D and
-zero-extent boxes; the blocked biconjugate and the q3 flags against the
-unblocked forward and backward passes, bit for bit, and the omega kernel
-against the forward pass; the sample cap; and the dual routes built on the
-kernel."""
+zero-extent boxes; the blocked biconjugate and q3 against the unblocked
+forward and backward passes, bit for bit, and the omega kernel against the
+forward pass; why ``check``'s boundary caveat needs no q3 flag; the sample
+cap; and the dual routes built on the kernel."""
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from logcvx import (AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
-                    SequenceGrid, SplitMix64, conjugate, convex_random_grid,
-                    random_grid)
+from logcvx import (LOG, AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
+                    SequenceGrid, SplitMix64, check_log_convexity, conjugate,
+                    convex_random_grid, minorant_lp, notconvex_grid, random_grid)
 from logcvx.assoc import TIE_REL_TOL, _q3_all
 from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples
-from logcvx.core import index_array, outer_shell_mask
+from logcvx.core import index_array, order_array, outer_shell_mask
 
 
 def product(x, d):
@@ -23,8 +23,8 @@ def product(x, d):
 
 
 def dense_q3(a, box, x):
-    """omega, its boundary flags, the q3 supremum and the flag at the first
-    maximising sample, from one matrix of every sample against every point."""
+    """omega, its boundary flags and the q3 supremum, from one matrix of every
+    sample against every point."""
     idx = index_array(box).astype(float)
     L = product(x, len(box)) @ idx.T
     with np.errstate(invalid="ignore"):
@@ -35,8 +35,7 @@ def dense_q3(a, box, x):
         flags = W[:, interior].max(axis=1) < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
     else:
         flags = np.ones(om.size, dtype=bool)
-    cand = L - om[:, None]
-    return om, flags, cand.max(axis=0), flags[cand.argmax(axis=0)]
+    return om, flags, (L - om[:, None]).max(axis=0)
 
 
 def holed(box, seed):
@@ -68,19 +67,20 @@ def test_kernel_matches_the_dense_scan():
     for g, m in corpus():
         af = AssociatedFunction(g)
         x = SGridSpec.from_grid(g, points=m).axis_samples()
-        om, flags, q3, q3_flags = dense_q3(g.flat, g.box, x)
+        om, flags, q3 = dense_q3(g.flat, g.box, x)
         k_om, _, k_flags = af._scan(x[every_sample(m, g.dim)])
-        k_q3, k_q3_flags = _q3_all(af, SGridSpec.from_grid(g, points=m))
+        k_q3 = _q3_all(g, SGridSpec.from_grid(g, points=m))
         assert k_om.shape == k_flags.shape == (m ** g.dim,)
         assert close(k_om, om), g.box
         assert np.array_equal(k_flags, flags), g.box
         assert close(k_q3, q3), g.box
-        assert np.array_equal(k_q3_flags, q3_flags), g.box
 
 
 # The unblocked kernel that ``biconjugate`` and ``_q3_all`` replace: one
 # forward pass over the m^d samples of the box, one over the sub-box for the
-# boundary flags, and one backward pass over all of them.
+# boundary flags, and one backward pass over all of them.  The flag of q3 at
+# an index is omega's flag at its first maximising sample; the library keeps
+# no such flag (see test_a_q3_flag_off_the_shell_implies_a_shell_certificate).
 
 
 def ref_forward(x, f):
@@ -107,7 +107,7 @@ def ref_backward(x, A, box):
             np.add(V, c * x, out=T)
             i = T.argmax(axis=-1)[..., None]
             at = (slice(None),) * j + (c,)
-            vals[at] = np.take_along_axis(T, i, -1)[..., 0]
+            vals[at] = T.max(axis=-1)  # as biconjugate: a tie of 0.0 and -0.0 may keep either
             args[at] = (i[..., 0] + x.size * np.arange(i.size).reshape(i.shape[:-1])
                         if P is None else np.take_along_axis(P, i, -1)[..., 0])
         V, P = vals, args
@@ -145,15 +145,11 @@ def identity_corpus(wide=True):
 
 def assert_kernel_is_the_reference(wide=True):
     for g, m in identity_corpus(wide):
-        af = AssociatedFunction(g)
         spec = SGridSpec.from_grid(g, points=m)
         x = spec.axis_samples()
-        vals, arg = biconjugate(x, g.values)
-        want_vals, want_arg = ref_backward(x, ref_forward(x, g.values), g.box)
-        assert same_bits(vals, want_vals) and np.array_equal(arg, want_arg), g.box
-        q3, flags = _q3_all(af, spec)
-        want_q3, want_flags = ref_q3_all(af, x)
-        assert same_bits(q3, want_q3) and np.array_equal(flags, want_flags), g.box
+        want = ref_backward(x, ref_forward(x, g.values), g.box)[0]
+        assert same_bits(biconjugate(x, g.values), want), g.box
+        assert same_bits(_q3_all(g, spec), want.reshape(-1)), g.box
 
 
 def test_biconjugate_and_q3_are_the_unblocked_kernel_bit_for_bit():
@@ -182,26 +178,58 @@ def test_omega_kernel_is_the_forward_pass_at_every_sample():
 
 def test_q3_holds_no_sample_grid_in_memory():
     g = convex_random_grid((6, 6), seed=11)
-    af, spec = AssociatedFunction(g), SGridSpec.from_grid(g, points=600)
+    spec = SGridSpec.from_grid(g, points=600)
     tracemalloc.start()
     try:
-        _q3_all(af, spec)
+        _q3_all(g, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20  # one 600**2 float array is 2.75 MiB
 
 
-def test_backward_returns_the_first_maximising_sample():
+def test_backward_takes_the_maximum_over_tied_samples():
     x = np.linspace(-1.0, 1.0, 5)
     f = np.array([[0.0, math.inf], [math.inf, math.inf]])  # A(s) = 0 at every sample
-    vals, arg = biconjugate(x, f)
-    assert vals[0, 0] == 0.0 and arg[0, 0] == 0  # every sample ties
-    # at alpha = (1, 0) every sample with s_0 = 1 ties; the first has s_1 = -1
-    assert vals[1, 0] == 1.0 and arg[1, 0] == 4 * 5 + 0
+    vals = biconjugate(x, f)
+    assert vals[0, 0] == 0.0  # every sample ties
+    # at alpha = (1, 0) every sample with s_0 = 1 ties
+    assert vals[1, 0] == 1.0
     for alpha in [(0, 1), (1, 1)]:
-        s = np.unravel_index(arg[alpha], (5, 5))
-        assert vals[alpha] == pytest.approx(float(np.dot(alpha, x[list(s)])))
+        assert vals[alpha] == pytest.approx(float(np.dot(alpha, [x[-1], x[-1]])))
+
+
+def guard_corpus():
+    yield from identity_corpus()
+    yield convex_random_grid((8, 8), seed=7), 200  # tie-heavy
+    for seed in range(10):
+        yield convex_random_grid((6, 6), seed=seed), 600
+    yield SequenceGrid((6, 6), 0.7 * order_array((6, 6)), LOG), 200  # every sample ties
+    yield notconvex_grid((4, 4), LOG), 200
+    # each with a q3 flag at an index whose certificate stays off the shell
+    yield random_grid((6, 6), seed=0), 200
+    yield random_grid((8,), seed=9), 200
+    yield convex_random_grid((4, 4), seed=6), 200
+    yield convex_random_grid((3, 3, 3), seed=2), 50
+
+
+def test_a_q3_flag_off_the_shell_implies_a_shell_certificate():
+    # omega's flag at a sample s says max_beta (<beta, s> - a_beta) is attained
+    # on the outer shell only, at some beta.  The plane of slope s through
+    # (beta, a_beta) lies below the data, so beta is a contact, and beta's own
+    # certificate touches beta on the shell: the LP reports a boundary at
+    # whatever alpha took its q3 flag from s.
+    flagged = 0
+    for g, m in guard_corpus():
+        spec = SGridSpec.from_grid(g, points=m)
+        boundary = minorant_lp(g).boundary
+        interior = np.isfinite(g.flat) & ~boundary
+        flags = ref_q3_all(AssociatedFunction(g), spec.axis_samples())[1]
+        flagged += bool(flags[interior].any())
+        assert boundary.any() or not flags[interior].any(), g.box
+        report = check_log_convexity(g, s_grid=spec)
+        assert report.boundary_caveat == (boundary.any() or not interior.any()), g.box
+    assert flagged >= 4  # the first assertion is not vacuous
 
 
 def test_forward_with_infinite_data_imposes_nothing():
@@ -233,8 +261,7 @@ def test_dual_value_matches_a_dense_slope_scan():
         finite = np.isfinite(g.flat)
         P = index_array(g.box)[finite].astype(float)
         h = (g.flat[finite][None, :] - K @ P.T).min(axis=1)
-        vals, arg = biconjugate(spec.axis_samples(), g.values)
-        for alpha, v, row in zip(index_array(g.box), vals.reshape(-1), arg.reshape(-1)):
+        vals = biconjugate(spec.axis_samples(), g.values)
+        for alpha, v in zip(index_array(g.box), vals.reshape(-1)):
             want = K @ alpha + h
             assert v == pytest.approx(want.max(), rel=1e-12, abs=1e-12)
-            assert want[row] == pytest.approx(want.max(), rel=1e-12, abs=1e-12)
