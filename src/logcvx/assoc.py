@@ -59,28 +59,38 @@ class AssociatedFunction:
     def _scan(self, W: np.ndarray, zero: np.ndarray | None = None):
         """The sup over the box of ((-a_alpha + alpha_1 w_1) + alpha_2 w_2) + ...
         at each row w of W, summed in that order, the order of a forward pass
-        of ``conjugate``, in blocks of at most ``conjugate._BLOCK_SAMPLES``
-        scores.  A true zero[r, j] leaves out of row r every index with
-        alpha_j > 0.  Per row: the value, the row-major flat index of its first
-        maximiser, and the boundary flag (see OmegaEval)."""
+        of ``conjugate``, in blocks of rows run in lanes (``conjugate.in_lanes``).
+        A true zero[r, j] leaves out of row r every index with alpha_j > 0.
+        Per row: the value, the row-major flat index of its first maximiser, and
+        the boundary flag (see OmegaEval)."""
         value, argmax, flag = np.empty(len(W)), np.empty(len(W), int), np.empty(len(W), bool)
-        step = max(1, conjugate._BLOCK_SAMPLES // self._a.size)
-        for r in range(0, len(W), step):
-            w = W[r:r + step]
-            s = w[:, :1] * self._idx[:, 0] - self._a
-            for j in range(1, self.dim):
-                s += w[:, j:j + 1] * self._idx[:, j]
-            if zero is not None:
-                s[(zero[r:r + step, None, :] & (self._idx > 0)).any(axis=2)] = -math.inf
-            v = value[r:r + step] = s.max(axis=1)
-            argmax[r:r + step] = s.argmax(axis=1)
-            inner = s.max(axis=1, where=~self._shell[None, :], initial=-math.inf)
-            flag[r:r + step] = inner < v - TIE_REL_TOL * np.maximum(1.0, np.abs(v))
+        idx, a, inner_only = self._idx, self._a, ~self._shell
+
+        def lane(lo: int, hi: int, step: int) -> None:
+            S = np.empty((min(step, hi - lo), a.size))
+            tmp = np.empty_like(S)
+            for r in range(lo, hi, step):
+                k = min(step, hi - r)
+                w, s, t = W[r:r + k], S[:k], tmp[:k]
+                np.multiply(w[:, :1], idx[:, 0], out=s)
+                s -= a
+                for j in range(1, self.dim):
+                    s += np.multiply(w[:, j:j + 1], idx[:, j], out=t)
+                if zero is not None:
+                    s[(zero[r:r + k, None, :] & (idx > 0)).any(axis=2)] = -math.inf
+                v = s.max(axis=1, out=value[r:r + k])
+                s.argmax(axis=1, out=argmax[r:r + k])
+                inner = s.max(axis=1, where=inner_only, initial=-math.inf)
+                np.less(inner, v - TIE_REL_TOL * np.maximum(1.0, np.abs(v)), out=flag[r:r + k])
+
+        conjugate.in_lanes(len(W), a.size, lane)
         return value, argmax, flag
 
-    def _rows(self, T, name: str) -> np.ndarray:
+    def rows(self, T, name: str = "t") -> np.ndarray:
+        """T as a float (N, d) array of finite rows; DimensionMismatch or
+        OutOfRange, naming ``name``, otherwise."""
         try:
-            T = np.array(T, dtype=float)
+            T = np.asarray(T, dtype=float)
         except ValueError:  # rows of unequal length
             T = np.empty(0)
         if T.ndim != 2 or T.shape[1] != self.dim:
@@ -94,7 +104,7 @@ class AssociatedFunction:
         """omega at each row t of T, (N, d): its values, the row-major flat
         index into the box of an attaining index, and the boundary flags (see
         OmegaEval).  A zero t_j leaves out every index with alpha_j > 0."""
-        T = self._rows(T, "t")
+        T = self.rows(T, "t")
         zero = T == 0.0
         with np.errstate(divide="ignore"):
             W = np.where(zero, 0.0, np.log(np.abs(T)))
@@ -109,7 +119,7 @@ class AssociatedFunction:
 
     def trace(self, k) -> float:
         """A(k) = sup_alpha (<k, alpha> - a_alpha)."""
-        return float(self._scan(self._rows([k], "k"))[0][0])
+        return float(self._scan(self.rows([k], "k"))[0][0])
 
 
 def omega(g: SequenceGrid, t) -> OmegaEval:

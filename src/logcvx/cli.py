@@ -186,6 +186,7 @@ def cmd_assoc(args) -> int:
     warnings = _growth_warnings(g)
     results: dict = {}
     points = [_parse_floats(text, "--t") for text in args.t or []]
+    diagonal = None
     if args.t_grid is not None:
         bounds = _parse_floats(args.t_grid, "--t-grid")
         if len(bounds) != 3:
@@ -194,10 +195,13 @@ def cmd_assoc(args) -> int:
         if not (0 < lo < hi < math.inf and 2 <= n <= conjugate.MAX_SAMPLES and n == int(n)):
             raise OutOfRange(f"--t-grid needs 0 < LO < HI and a whole N from 2 to "
                              f"{conjugate.MAX_SAMPLES}")
-        points += [(t,) * g.dim for t in np.geomspace(lo, hi, int(n)).tolist()]
-    if points:
-        value, argmax, flag = af.evaluate_many(points)
-        results["omega"] = Columns({"t": np.array(points), "omega": value, "argmax": argmax,
+        diagonal = np.repeat(np.geomspace(lo, hi, int(n))[:, None], g.dim, axis=1)
+    if points or diagonal is not None:
+        T = af.rows(points, "t") if points else np.empty((0, g.dim))
+        if diagonal is not None:
+            T = np.concatenate([T, diagonal])
+        value, argmax, flag = af.evaluate_many(T)
+        results["omega"] = Columns({"t": T, "omega": value, "argmax": argmax,
                                     "on_boundary": flag}, index_array(g.box))
         if flag.any():
             warnings.append("some suprema are attained on the outer shell; "

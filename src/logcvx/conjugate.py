@@ -10,8 +10,18 @@ Numer. Algorithms 16:171-185), and never forms the m^d array of A.  The
 forward passes add axis by axis, ((-f_beta + beta_1 s_1) + beta_2 s_2) + ...,
 the order in which ``assoc`` evaluates omega, so both give the same value of
 A at a sample.
+
+Both blocked loops, the last forward pass of ``biconjugate`` fused with its
+first reduction, and ``assoc``'s omega kernel, run through ``in_lanes``: it
+splits the rows into contiguous lanes, one per core, each walking its rows in
+blocks.  Every row's arithmetic is the same whatever the lane count, so the
+results are the same bits on any machine.
 """
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -22,10 +32,55 @@ from .errors import OutOfRange
 # and 600**2 in the benchmark) fit.
 MAX_SAMPLES = 2**22
 
-# Samples per block of ``biconjugate``, and scores per block of ``assoc``'s
-# omega kernel: 512 KiB per float array, so the few arrays of a block stay in
-# a 2 MiB L2 cache.
+# Entries per block summed over the lanes of ``in_lanes`` (samples of
+# ``biconjugate``, scores of ``assoc``'s omega kernel): 512 KiB per float
+# array across the lanes, so the few arrays of each lane's block stay in a
+# 2 MiB L2 cache, and the memory in flight does not grow with the core count.
 _BLOCK_SAMPLES = 2**16
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def in_lanes(rows: int, per_row: int, lane) -> None:
+    """Run ``lane(lo, hi, step)`` over contiguous lanes [lo, hi) covering
+    range(rows); each lane walks its rows in blocks of ``step`` rows.
+
+    A row holds ``per_row`` entries.  There are min(cores, ceil(entries /
+    _BLOCK_SAMPLES), rows) lanes, at least one, and a lane's block holds
+    about _BLOCK_SAMPLES // lanes entries (at least one row).  The first lane
+    runs in the caller, so a single lane starts no thread; each other lane
+    runs in a thread of its own, in a copy of the caller's context (so
+    ``np.errstate`` holds there too), and is joined before this returns.  The
+    first error, in lane order, is raised.
+    """
+    lanes = max(1, min(_cores(), -(-rows * per_row // _BLOCK_SAMPLES), rows))
+    step = max(1, _BLOCK_SAMPLES // lanes // per_row)
+    cuts = [rows * i // lanes for i in range(lanes + 1)]
+    errors: list[BaseException | None] = [None] * lanes
+
+    def run(i: int) -> None:
+        try:
+            lane(cuts[i], cuts[i + 1], step)
+        except BaseException as e:  # re-raised in the caller below
+            errors[i] = e
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, lanes)]
+    for t in helpers:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in helpers:
+            t.join()
+    for e in errors:
+        if e is not None:
+            raise e
 
 
 def check_samples(per_axis: float, dim: int) -> None:
@@ -33,27 +88,47 @@ def check_samples(per_axis: float, dim: int) -> None:
         raise OutOfRange(f"{per_axis:g}**{dim} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
 
 
-def _max_plus(F: np.ndarray, xs: np.ndarray, out=None) -> np.ndarray:
-    """max_b (F[b] + b xs), broadcast, into ``out`` as a running maximum in
-    ascending b.  Each sum is added in place onto a copy of b xs, which runs
-    about twice as fast as adding into a third array."""
-    out = np.empty(np.broadcast_shapes(F.shape[1:], xs.shape)) if out is None else out
-    out.fill(-np.inf)
-    tmp = np.empty_like(out)
-    for b in range(F.shape[0]):
-        np.copyto(tmp, b * xs)
-        tmp += F[b]
+class _Multiples:
+    """b x for b = 0, ..., n - 1, each made when it is reached, never all at
+    once; iterable more than once."""
+
+    def __init__(self, x: np.ndarray, n: int):
+        self.x, self.n = x, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (b * self.x for b in range(self.n))
+
+
+def _max_plus(F: np.ndarray, steps, out=None, tmp=None) -> np.ndarray:
+    """max_b (F[b] + steps[b]), broadcast, where steps[b] = b x (a table or
+    ``_Multiples``), into ``out`` as a running maximum in ascending b, with
+    ``tmp`` of out's shape as scratch.  Each sum is added in place onto a copy
+    of b x, which runs about twice as fast as adding into a third array; the
+    first sum goes straight into ``out``, as max(-inf, v) = v."""
+    pairs = zip(F, steps)
+    F0, s0 = next(pairs)
+    out = np.empty(np.broadcast_shapes(F0.shape, s0.shape)) if out is None else out
+    np.copyto(out, s0)
+    out += F0
+    tmp = np.empty_like(out) if tmp is None else tmp
+    for Fb, sb in pairs:
+        np.copyto(tmp, sb)
+        tmp += Fb
         np.maximum(out, tmp, out=out)
     return out
 
 
-def _reduce_last(V: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """max over the trailing sample axis of V + c x for c = 0, ..., n - 1, as
-    a new trailing axis."""
-    vals = np.empty(V.shape[:-1] + (n,))
-    T = np.empty_like(V)
-    for c in range(n):
-        np.add(V, c * x, out=T)
+def _reduce_last(A: np.ndarray, steps, vals=None, T=None) -> np.ndarray:
+    """max over the trailing sample axis of c x - A for each c x of ``steps``
+    in turn, as a new trailing axis, into ``vals``, with ``T`` of A's shape as
+    scratch."""
+    vals = np.empty(A.shape[:-1] + (len(steps),)) if vals is None else vals
+    T = np.empty_like(A) if T is None else T
+    for c, cx in enumerate(steps):
+        np.subtract(cx, A, out=T)
         T.max(axis=-1, out=vals[..., c])
     return vals
 
@@ -64,24 +139,32 @@ def biconjugate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     Sample axes are reduced last to first.  The last forward pass and the
     reduction over the last sample axis run together, a block of rows of that
-    axis at a time, so the m^d grid of A is never formed.
+    axis at a time, in lanes (``in_lanes``), so the m^d grid of A is never
+    formed.
     """
     check_samples(x.size, f.ndim)
     m, n = x.size, f.shape[-1]
     F = -np.asarray(f, dtype=float)
     for _ in range(f.ndim - 1):
-        F = _max_plus(F[..., None], x)
+        F = _max_plus(F[..., None], _Multiples(x, F.shape[0]))
     F = F.reshape(n, -1, 1)  # (N_d + 1, rows of (s_1, ..., s_{d-1}), 1)
     V = np.empty((F.shape[1], n))
-    step = max(1, _BLOCK_SAMPLES // m)
-    A = np.empty((min(step, F.shape[1]), m))
-    for r in range(0, F.shape[1], step):
-        blk = F[:, r:r + step]
-        a = _max_plus(blk, x, A[:blk.shape[1]])
-        V[r:r + step] = _reduce_last(np.negative(a, out=a), x, n)
+    # b x for b < n: one table shared by the lanes, no larger than F when d > 1;
+    # a 1-D box has a single row, which makes each multiple when it needs it
+    steps = np.arange(n)[:, None] * x if f.ndim > 1 else _Multiples(x, n)
+
+    def lane(lo: int, hi: int, step: int) -> None:
+        A = np.empty((min(step, hi - lo), m))
+        tmp = np.empty_like(A)  # scratch of the forward pass, then of the reduction
+        for r in range(lo, hi, step):
+            k = min(step, hi - r)
+            a = _max_plus(F[:, r:r + k], steps, A[:k], tmp[:k])
+            _reduce_last(a, steps, V[r:r + k], tmp[:k])
+
+    in_lanes(F.shape[1], m, lane)
     V = V.reshape((m,) * (f.ndim - 1) + (n,))
     for j in reversed(range(f.ndim - 1)):
         # V has axes (s_1, ..., s_j, alpha_{j+1}, ...); reduce over a trailing s_j
-        V = np.ascontiguousarray(np.moveaxis(V, j, -1))
-        V = np.moveaxis(_reduce_last(V, x, f.shape[j]), -1, j)
+        A = np.negative(np.moveaxis(V, j, -1), order="C")
+        V = np.moveaxis(_reduce_last(A, _Multiples(x, f.shape[j])), -1, j)
     return V

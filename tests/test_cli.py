@@ -465,6 +465,22 @@ def test_assoc_requires_work_and_valid_points(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["--t", "1,1"], 2, "validation error: t must have length 1\n"),
+    (["--t", "1", "--t", "1,2"], 2, "validation error: t must have length 1\n"),
+    (["--t", "2", "--t=inf"], 2, "validation error: t must be finite, got (inf,)\n"),
+    (["--t", "one"], 3, "parse error: at --t: expected comma-separated numbers, found 'one'\n"),
+])
+def test_a_bad_t_beside_a_t_grid_fails_as_it_does_alone(tmp_path, capsys, argv, code, err):
+    path = fact_file(tmp_path)
+    assert run(capsys, "assoc", path, *argv, "--json") == (code, "", err)
+    assert run(capsys, "assoc", path, *argv, "--t-grid", "0.5,8,5", "--json") == (code, "", err)
+    # a bad --t-grid is reported before the rows are checked, and after --t is parsed
+    grid_err = "parse error: at --t-grid: expected LO,HI,N, found '1,2'\n"
+    want = (code, "", err) if code == 3 else (3, "", grid_err)
+    assert run(capsys, "assoc", path, *argv, "--t-grid", "1,2", "--json") == want
+
+
 def test_assoc_t_grid_needs_three_numbers(tmp_path, capsys):
     path = fact_file(tmp_path)
     for text in ["1,2", "1,2,3,4"]:

@@ -3,8 +3,11 @@ every sample against every point, on random, convex, +inf-holed, 1-D, 3-D and
 zero-extent boxes; the blocked biconjugate and q3 against the unblocked
 forward and backward passes, bit for bit, and the omega kernel against the
 forward pass; why ``check``'s boundary caveat needs no q3 flag; the sample
-cap; and the dual routes built on the kernel."""
+cap; the dual routes built on the kernel; and the lanes both kernels run
+in, which change no bit of any output whatever the core count."""
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,8 +15,10 @@ import pytest
 
 from logcvx import (LOG, AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
                     SequenceGrid, SplitMix64, check_log_convexity, conjugate,
-                    convex_random_grid, minorant_lp, notconvex_grid, random_grid)
+                    convex_random_grid, minorant_lp, notconvex_grid, random_grid,
+                    write_grid)
 from logcvx.assoc import TIE_REL_TOL, _q3_all
+from logcvx.cli import main
 from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples
 from logcvx.core import index_array, order_array, outer_shell_mask
 
@@ -176,16 +181,23 @@ def test_omega_kernel_is_the_forward_pass_at_every_sample():
         assert np.array_equal(flags, want_flags.reshape(-1)), g.box
 
 
-def test_q3_holds_no_sample_grid_in_memory():
+def set_cores(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def test_q3_holds_no_sample_grid_in_memory(monkeypatch):
     g = convex_random_grid((6, 6), seed=11)
     spec = SGridSpec.from_grid(g, points=600)
-    tracemalloc.start()
-    try:
-        _q3_all(g, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # one 600**2 float array is 2.75 MiB
+    for cores in (None, 8):  # this machine's, then 6 lanes (600**2 / 2**16 blocks)
+        if cores is not None:
+            set_cores(monkeypatch, cores)
+        tracemalloc.start()
+        try:
+            _q3_all(g, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, cores  # one 600**2 float array is 2.75 MiB
 
 
 def test_backward_takes_the_maximum_over_tied_samples():
@@ -265,3 +277,160 @@ def test_dual_value_matches_a_dense_slope_scan():
         for alpha, v in zip(index_array(g.box), vals.reshape(-1)):
             want = K @ alpha + h
             assert v == pytest.approx(want.max(), rel=1e-12, abs=1e-12)
+
+
+# ------------------------------------------------------------------ lanes
+
+
+def spy_lanes(monkeypatch):
+    """The (lo, hi) lanes of each ``in_lanes`` call, in the order they start."""
+    calls = []
+    run = conjugate.in_lanes
+
+    def in_lanes(rows, per_row, lane):
+        spans = []
+        calls.append(spans)
+
+        def recorded(lo, hi, step):
+            spans.append((lo, hi))
+            lane(lo, hi, step)
+        run(rows, per_row, recorded)
+    monkeypatch.setattr(conjugate, "in_lanes", in_lanes)
+    return calls
+
+
+def lane_corpus():
+    yield random_grid((4, 3), seed=1), 25  # 25 rows of 25 samples
+    yield holed((3, 3, 3), 2), 6  # 36 rows
+    yield convex_random_grid((5,), seed=2), 40  # one row
+    yield random_grid((2, 2), seed=3), 3  # 3 rows: fewer than 5 lanes
+    yield random_grid((3, 0), seed=4), 4
+
+
+def kernel_outputs():
+    out = []
+    for g, m in lane_corpus():
+        out.append(biconjugate(SGridSpec.from_grid(g, points=m).axis_samples(), g.values))
+    af = AssociatedFunction(random_grid((3, 2), seed=6))  # 12 points per row
+    rng = SplitMix64(7)
+    for n in (25, 3):
+        T = [[rng.uniform(-4.0, 9.0) if rng.random() < 0.7 else 0.0 for _ in range(2)]
+             for _ in range(n)]
+        out.extend(af.evaluate_many(T))
+    out.append(np.array([af.trace([rng.uniform(-2.0, 2.0), -1.0]) for _ in range(5)]))
+    return out
+
+
+@pytest.mark.parametrize("block", [2, 300])
+def test_the_kernels_give_the_same_bits_on_any_lane_count(monkeypatch, block):
+    # 2 entries per block: every row is a block of its own, more blocks than
+    # lanes, and more lanes than rows where a grid has 3 rows or one
+    monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", block)
+    calls = spy_lanes(monkeypatch)
+    want = None
+    for k in (1, 2, 3, 5):
+        set_cores(monkeypatch, k)
+        calls.clear()
+        got = kernel_outputs()
+        lanes = [len(spans) for spans in calls]
+        if block == 2:
+            assert lanes[:7] == [min(k, 25), min(k, 36), 1, min(k, 3), min(k, 4), k, min(k, 3)]
+        else:  # 3 blocks of 25 rows, then a block of 36 and the rest
+            assert lanes[:2] == [min(k, 3), 1]
+        if want is None:
+            want = got
+            continue
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            bits = [np.ascontiguousarray(v).view(np.uint8) for v in (a, b)]
+            assert np.array_equal(*bits), k
+
+
+def test_check_json_is_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys):
+    inputs = []
+    for i, g in enumerate([convex_random_grid((6, 6), 3), random_grid((6, 6), 7)]):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(write_grid(g))
+        inputs.append(str(path))
+    calls = spy_lanes(monkeypatch)
+    outs = {}
+    for k in (1, 2, 3, 5):
+        set_cores(monkeypatch, k)
+        calls.clear()
+        for path in inputs:
+            assert main(["check", path, "--s-points", "600", "--json"]) == 0
+        outs[k] = capsys.readouterr().out
+        assert [len(spans) for spans in calls] == [k, k]  # 600**2 samples: 6 blocks
+    assert outs[1] and all(out == outs[1] for out in outs.values())
+
+
+def test_lanes_cover_every_row_once_and_leave_no_thread(monkeypatch):
+    set_cores(monkeypatch, 4)
+    monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 8)
+    before = threading.active_count()
+    blocks, threads = [], set()
+
+    def lane(lo, hi, step):
+        threads.add(threading.current_thread())
+        blocks.extend(range(r, min(r + step, hi)) for r in range(lo, hi, step))
+
+    conjugate.in_lanes(41, 1, lane)  # 41 entries: 6 blocks' worth, so 4 lanes of 2-row blocks
+    assert sorted(i for b in blocks for i in b) == list(range(41))
+    assert {len(b) for b in blocks} == {1, 2}
+    assert threading.current_thread() in threads and len(threads) == 4
+    assert threading.active_count() == before
+
+
+def test_the_first_error_in_lane_order_reaches_the_caller(monkeypatch):
+    set_cores(monkeypatch, 4)
+    monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 8)
+    before = threading.active_count()
+    started = []
+
+    def helpers_fail(lo, hi, step):
+        started.append(lo)
+        if lo > 0:
+            raise ValueError(f"lane at row {lo}")
+
+    with pytest.raises(ValueError, match="^lane at row 10$"):  # lanes start at 0, 10, 20, 30
+        conjugate.in_lanes(40, 1, helpers_fail)
+    assert sorted(started) == [0, 10, 20, 30]  # every lane ran, and was joined
+    assert threading.active_count() == before
+
+    def all_fail(lo, hi, step):
+        raise KeyError(lo)
+
+    with pytest.raises(KeyError, match="^0$"):  # the caller's own lane comes first
+        conjugate.in_lanes(40, 1, all_fail)
+    assert threading.active_count() == before
+
+
+def test_a_callers_errstate_holds_in_helper_lanes(monkeypatch):
+    set_cores(monkeypatch, 2)
+    monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 2)
+    calls = spy_lanes(monkeypatch)
+    # biconjugate: rows are the samples s_1 = 0 and 0.9e308, one per lane; only
+    # the second row's sums reach 0.9e308 + 0.9e308, beyond the double range
+    x = np.array([0.0, 0.9e308])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        biconjugate(x, np.zeros((2, 2)))
+    assert sorted(calls[-1]) == [(0, 1), (1, 2)]
+    # the omega kernel: only the last row, in the second lane, overflows
+    af = AssociatedFunction(random_grid((2, 2), seed=1))
+    W = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e308, 0.0]])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        af._scan(W)
+    assert sorted(calls[-1]) == [(0, 2), (2, 4)]
+    with np.errstate(over="ignore", invalid="ignore"):  # no RuntimeWarning, which the tests raise
+        assert af._scan(W)[0][-1] == math.inf
+
+
+def test_the_core_count_falls_back_to_cpu_count(monkeypatch):
+    set_cores(monkeypatch, 3)
+    assert conjugate._cores() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert conjugate._cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert conjugate._cores() == 1
