@@ -59,29 +59,28 @@ class AssociatedFunction:
     def _scan(self, W: np.ndarray, zero: np.ndarray | None = None):
         """The sup over the box of ((-a_alpha + alpha_1 w_1) + alpha_2 w_2) + ...
         at each row w of W, summed in that order, the order of a forward pass
-        of ``conjugate``, in blocks of rows run in lanes (``conjugate.in_lanes``).
+        of ``conjugate``, in blocks of rows taken by lanes (``conjugate.in_lanes``).
         A true zero[r, j] leaves out of row r every index with alpha_j > 0.
         Per row: the value, the row-major flat index of its first maximiser, and
         the boundary flag (see OmegaEval)."""
         value, argmax, flag = np.empty(len(W)), np.empty(len(W), int), np.empty(len(W), bool)
         idx, a, inner_only = self._idx, self._a, ~self._shell
 
-        def lane(lo: int, hi: int, step: int) -> None:
-            S = np.empty((min(step, hi - lo), a.size))
+        def lane(blocks, step: int) -> None:
+            S = np.empty((step, a.size))
             tmp = np.empty_like(S)
-            for r in range(lo, hi, step):
-                k = min(step, hi - r)
-                w, s, t = W[r:r + k], S[:k], tmp[:k]
+            for lo, hi in blocks:
+                w, s, t = W[lo:hi], S[:hi - lo], tmp[:hi - lo]
                 np.multiply(w[:, :1], idx[:, 0], out=s)
                 s -= a
                 for j in range(1, self.dim):
                     s += np.multiply(w[:, j:j + 1], idx[:, j], out=t)
                 if zero is not None:
-                    s[(zero[r:r + k, None, :] & (idx > 0)).any(axis=2)] = -math.inf
-                v = s.max(axis=1, out=value[r:r + k])
-                s.argmax(axis=1, out=argmax[r:r + k])
+                    s[(zero[lo:hi, None, :] & (idx > 0)).any(axis=2)] = -math.inf
+                v = s.max(axis=1, out=value[lo:hi])
+                s.argmax(axis=1, out=argmax[lo:hi])
                 inner = s.max(axis=1, where=inner_only, initial=-math.inf)
-                np.less(inner, v - TIE_REL_TOL * np.maximum(1.0, np.abs(v)), out=flag[r:r + k])
+                np.less(inner, v - TIE_REL_TOL * np.maximum(1.0, np.abs(v)), out=flag[lo:hi])
 
         conjugate.in_lanes(len(W), a.size, lane)
         return value, argmax, flag

@@ -12,10 +12,10 @@ the order in which ``assoc`` evaluates omega, so both give the same value of
 A at a sample.
 
 Both blocked loops, the last forward pass of ``biconjugate`` fused with its
-first reduction, and ``assoc``'s omega kernel, run through ``in_lanes``: it
-splits the rows into contiguous lanes, one per core, each walking its rows in
-blocks.  Every row's arithmetic is the same whatever the lane count, so the
-results are the same bits on any machine.
+first reduction, and ``assoc``'s omega kernel, run through ``in_lanes``: one
+lane per core, each taking blocks of rows from a shared queue.  Every row's
+arithmetic is the same whatever the lane and the block, so the results are
+the same bits on any machine.
 """
 from __future__ import annotations
 
@@ -47,25 +47,38 @@ def _cores() -> int:
 
 
 def in_lanes(rows: int, per_row: int, lane) -> None:
-    """Run ``lane(lo, hi, step)`` over contiguous lanes [lo, hi) covering
-    range(rows); each lane walks its rows in blocks of ``step`` rows.
+    """Run ``lane(blocks, step)`` once in each lane: the lanes share one queue
+    of the blocks of ``step`` rows that cover range(rows), in ascending order,
+    and ``blocks`` yields (lo, hi) for each block its lane takes from it.
 
     A row holds ``per_row`` entries.  There are min(cores, ceil(entries /
-    _BLOCK_SAMPLES), rows) lanes, at least one, and a lane's block holds
-    about _BLOCK_SAMPLES // lanes entries (at least one row).  The first lane
-    runs in the caller, so a single lane starts no thread; each other lane
-    runs in a thread of its own, in a copy of the caller's context (so
-    ``np.errstate`` holds there too), and is joined before this returns.  The
-    first error, in lane order, is raised.
+    _BLOCK_SAMPLES), rows) lanes, at least one, and a block holds about
+    _BLOCK_SAMPLES // lanes entries (at least one row), so a lane allocates
+    its scratch for ``step`` rows once.  The first lane runs in the caller, so
+    a single lane starts no thread; each other lane runs in a thread of its
+    own, in a copy of the caller's context (so ``np.errstate`` holds there
+    too), and is joined before this returns.  A lane that starts late or runs
+    slowly takes fewer blocks, so the caller does not wait for a fixed share
+    of rows.  The first error, in lane order, is raised.
     """
     lanes = max(1, min(_cores(), -(-rows * per_row // _BLOCK_SAMPLES), rows))
-    step = max(1, _BLOCK_SAMPLES // lanes // per_row)
-    cuts = [rows * i // lanes for i in range(lanes + 1)]
+    step = max(1, min(rows, _BLOCK_SAMPLES // lanes // per_row))
+    starts = iter(range(0, rows, step))
+    taking = threading.Lock()
+
+    def blocks():
+        while True:
+            with taking:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            yield lo, min(lo + step, rows)
+
     errors: list[BaseException | None] = [None] * lanes
 
     def run(i: int) -> None:
         try:
-            lane(cuts[i], cuts[i + 1], step)
+            lane(blocks(), step)
         except BaseException as e:  # re-raised in the caller below
             errors[i] = e
 
@@ -153,13 +166,13 @@ def biconjugate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     # a 1-D box has a single row, which makes each multiple when it needs it
     steps = np.arange(n)[:, None] * x if f.ndim > 1 else _Multiples(x, n)
 
-    def lane(lo: int, hi: int, step: int) -> None:
-        A = np.empty((min(step, hi - lo), m))
+    def lane(blocks, step: int) -> None:
+        A = np.empty((step, m))
         tmp = np.empty_like(A)  # scratch of the forward pass, then of the reduction
-        for r in range(lo, hi, step):
-            k = min(step, hi - r)
-            a = _max_plus(F[:, r:r + k], steps, A[:k], tmp[:k])
-            _reduce_last(a, steps, V[r:r + k], tmp[:k])
+        for lo, hi in blocks:
+            k = hi - lo
+            a = _max_plus(F[:, lo:hi], steps, A[:k], tmp[:k])
+            _reduce_last(a, steps, V[lo:hi], tmp[:k])
 
     in_lanes(F.shape[1], m, lane)
     V = V.reshape((m,) * (f.ndim - 1) + (n,))

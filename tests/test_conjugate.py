@@ -283,17 +283,24 @@ def test_dual_value_matches_a_dense_slope_scan():
 
 
 def spy_lanes(monkeypatch):
-    """The (lo, hi) lanes of each ``in_lanes`` call, in the order they start."""
+    """For each ``in_lanes`` call, a list with one list per lane of the
+    (lo, hi) blocks it took."""
     calls = []
     run = conjugate.in_lanes
 
     def in_lanes(rows, per_row, lane):
-        spans = []
-        calls.append(spans)
+        lanes = []
+        calls.append(lanes)
 
-        def recorded(lo, hi, step):
-            spans.append((lo, hi))
-            lane(lo, hi, step)
+        def recorded(blocks, step):
+            took = []
+            lanes.append(took)
+
+            def taken():
+                for block in blocks:
+                    took.append(block)
+                    yield block
+            lane(taken(), step)
         run(rows, per_row, recorded)
     monkeypatch.setattr(conjugate, "in_lanes", in_lanes)
     return calls
@@ -332,11 +339,14 @@ def test_the_kernels_give_the_same_bits_on_any_lane_count(monkeypatch, block):
         set_cores(monkeypatch, k)
         calls.clear()
         got = kernel_outputs()
-        lanes = [len(spans) for spans in calls]
+        lanes = [len(call) for call in calls]
         if block == 2:
             assert lanes[:7] == [min(k, 25), min(k, 36), 1, min(k, 3), min(k, 4), k, min(k, 3)]
-        else:  # 3 blocks of 25 rows, then a block of 36 and the rest
+        else:  # 3 blocks' worth of 25 rows, then a block of 36 and the rest
             assert lanes[:2] == [min(k, 3), 1]
+        for call in calls:  # each block once, in ascending order, whichever lane took it
+            taken = sorted(b for took in call for b in took)
+            assert [lo for lo, _ in taken] == [0] + [hi for _, hi in taken[:-1]]
         if want is None:
             want = got
             continue
@@ -361,47 +371,63 @@ def test_check_json_is_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys)
         for path in inputs:
             assert main(["check", path, "--s-points", "600", "--json"]) == 0
         outs[k] = capsys.readouterr().out
-        assert [len(spans) for spans in calls] == [k, k]  # 600**2 samples: 6 blocks
+        assert [len(call) for call in calls] == [k, k]  # 600**2 samples: 6 blocks' worth
     assert outs[1] and all(out == outs[1] for out in outs.values())
 
 
-def test_lanes_cover_every_row_once_and_leave_no_thread(monkeypatch):
+def record_threads(monkeypatch):
+    """The threads ``in_lanes`` starts, in the order it makes them."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(conjugate.threading, "Thread", Recorded)
+    return made
+
+
+def test_lanes_take_every_row_once_and_leave_no_thread(monkeypatch):
     set_cores(monkeypatch, 4)
     monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 8)
+    made = record_threads(monkeypatch)
     before = threading.active_count()
-    blocks, threads = [], set()
+    taken, lanes = [], []
 
-    def lane(lo, hi, step):
-        threads.add(threading.current_thread())
-        blocks.extend(range(r, min(r + step, hi)) for r in range(lo, hi, step))
+    def lane(blocks, step):
+        lanes.append((threading.current_thread(), step))
+        taken.extend(blocks)
 
     conjugate.in_lanes(41, 1, lane)  # 41 entries: 6 blocks' worth, so 4 lanes of 2-row blocks
-    assert sorted(i for b in blocks for i in b) == list(range(41))
-    assert {len(b) for b in blocks} == {1, 2}
-    assert threading.current_thread() in threads and len(threads) == 4
+    assert sorted(taken) == [(lo, min(lo + 2, 41)) for lo in range(0, 41, 2)]
+    assert len(made) == 3 and len(lanes) == 4
+    assert {t for t, _ in lanes} == {threading.current_thread(), *made}
+    assert {step for _, step in lanes} == {2}
+    assert not any(t.is_alive() for t in made)
     assert threading.active_count() == before
 
 
 def test_the_first_error_in_lane_order_reaches_the_caller(monkeypatch):
     set_cores(monkeypatch, 4)
     monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 8)
+    made = record_threads(monkeypatch)
     before = threading.active_count()
-    started = []
+    ran = []
 
-    def helpers_fail(lo, hi, step):
-        started.append(lo)
-        if lo > 0:
-            raise ValueError(f"lane at row {lo}")
+    def helpers_fail(blocks, step):
+        ran.append(threading.current_thread())
+        if threading.current_thread() in made:
+            raise ValueError(f"lane {made.index(threading.current_thread()) + 1}")
 
-    with pytest.raises(ValueError, match="^lane at row 10$"):  # lanes start at 0, 10, 20, 30
+    with pytest.raises(ValueError, match="^lane 1$"):
         conjugate.in_lanes(40, 1, helpers_fail)
-    assert sorted(started) == [0, 10, 20, 30]  # every lane ran, and was joined
+    assert len(ran) == 4  # every lane ran, and was joined
     assert threading.active_count() == before
 
-    def all_fail(lo, hi, step):
-        raise KeyError(lo)
+    def all_fail(blocks, step):
+        raise KeyError(threading.current_thread() in made)
 
-    with pytest.raises(KeyError, match="^0$"):  # the caller's own lane comes first
+    with pytest.raises(KeyError, match="^False$"):  # the caller's own lane comes first
         conjugate.in_lanes(40, 1, all_fail)
     assert threading.active_count() == before
 
@@ -409,21 +435,29 @@ def test_the_first_error_in_lane_order_reaches_the_caller(monkeypatch):
 def test_a_callers_errstate_holds_in_helper_lanes(monkeypatch):
     set_cores(monkeypatch, 2)
     monkeypatch.setattr(conjugate, "_BLOCK_SAMPLES", 2)
-    calls = spy_lanes(monkeypatch)
-    # biconjugate: rows are the samples s_1 = 0 and 0.9e308, one per lane; only
-    # the second row's sums reach 0.9e308 + 0.9e308, beyond the double range
+    made = record_threads(monkeypatch)
+    samples = np.array([0.9e308, 1.7e308])
+
+    def helper_overflows(blocks, step):
+        if threading.current_thread() in made:
+            _ = samples[:1] * 2.0  # beyond the double range
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        conjugate.in_lanes(2, 2, helper_overflows)
+    with np.errstate(over="ignore"):  # no RuntimeWarning, which the tests raise
+        conjugate.in_lanes(2, 2, helper_overflows)
+    assert len(made) == 2
+    # through the kernels: the row of s_1 = 0.9e308 sums 0.9e308 + 0.9e308,
+    # in whichever lane takes it
     x = np.array([0.0, 0.9e308])
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         biconjugate(x, np.zeros((2, 2)))
-    assert sorted(calls[-1]) == [(0, 1), (1, 2)]
-    # the omega kernel: only the last row, in the second lane, overflows
     af = AssociatedFunction(random_grid((2, 2), seed=1))
-    W = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e308, 0.0]])
+    W = np.array([[1e308, 0.0]] * 4)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         af._scan(W)
-    assert sorted(calls[-1]) == [(0, 2), (2, 4)]
-    with np.errstate(over="ignore", invalid="ignore"):  # no RuntimeWarning, which the tests raise
-        assert af._scan(W)[0][-1] == math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (af._scan(W)[0] == math.inf).all()
 
 
 def test_the_core_count_falls_back_to_cpu_count(monkeypatch):
