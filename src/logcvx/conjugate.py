@@ -47,20 +47,14 @@ def _cores() -> int:
 
 
 def in_lanes(rows: int, per_row: int, lane) -> None:
-    """Run ``lane(blocks, step)`` once in each lane: the lanes share one queue
-    of the blocks of ``step`` rows that cover range(rows), in ascending order,
-    and ``blocks`` yields (lo, hi) for each block its lane takes from it.
-
-    A row holds ``per_row`` entries.  There are min(cores, ceil(entries /
-    _BLOCK_SAMPLES), rows) lanes, at least one, and a block holds about
-    _BLOCK_SAMPLES // lanes entries (at least one row), so a lane allocates
-    its scratch for ``step`` rows once.  The first lane runs in the caller, so
-    a single lane starts no thread; each other lane runs in a thread of its
-    own, in a copy of the caller's context (so ``np.errstate`` holds there
-    too), and is joined before this returns.  A lane that starts late or runs
-    slowly takes fewer blocks, so the caller does not wait for a fixed share
-    of rows.  The first error, in lane order, is raised.
-    """
+    """Run ``lane(blocks, step)`` once in each of min(cores, ceil(rows *
+    per_row / _BLOCK_SAMPLES), rows) lanes, at least one.  The lanes take
+    blocks of ``step`` rows (about _BLOCK_SAMPLES // lanes entries) in
+    ascending order from one shared queue, so a lane that starts late takes
+    fewer; ``blocks`` yields (lo, hi) for each block its lane takes.  The
+    caller runs the first lane; each other runs in a thread, in a copy of the
+    caller's context (so ``np.errstate`` holds there), joined before this
+    returns.  The first error in lane order is raised."""
     lanes = max(1, min(_cores(), -(-rows * per_row // _BLOCK_SAMPLES), rows))
     step = max(1, min(rows, _BLOCK_SAMPLES // lanes // per_row))
     starts = iter(range(0, rows, step))
@@ -86,11 +80,9 @@ def in_lanes(rows: int, per_row: int, lane) -> None:
                for i in range(1, lanes)]
     for t in helpers:
         t.start()
-    try:
-        run(0)
-    finally:
-        for t in helpers:
-            t.join()
+    run(0)
+    for t in helpers:
+        t.join()
     for e in errors:
         if e is not None:
             raise e
@@ -116,11 +108,11 @@ class _Multiples:
 
 
 def _max_plus(F: np.ndarray, steps, out=None, tmp=None) -> np.ndarray:
-    """max_b (F[b] + steps[b]), broadcast, where steps[b] = b x (a table or
-    ``_Multiples``), into ``out`` as a running maximum in ascending b, with
-    ``tmp`` of out's shape as scratch.  Each sum is added in place onto a copy
-    of b x, which runs about twice as fast as adding into a third array; the
-    first sum goes straight into ``out``, as max(-inf, v) = v."""
+    """max_b (F[b] + b x), broadcast, with b x the b-th item of ``steps`` (a
+    table or ``_Multiples``), into ``out`` as a running maximum in ascending
+    b, with ``tmp`` of out's shape as scratch.  Each sum is added in place onto
+    a copy of b x, which runs about twice as fast as adding into a third
+    array; the first sum goes straight into ``out``, as max(-inf, v) = v."""
     pairs = zip(F, steps)
     F0, s0 = next(pairs)
     out = np.empty(np.broadcast_shapes(F0.shape, s0.shape)) if out is None else out

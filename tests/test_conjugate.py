@@ -188,7 +188,7 @@ def set_cores(monkeypatch, k):
 def test_q3_holds_no_sample_grid_in_memory(monkeypatch):
     g = convex_random_grid((6, 6), seed=11)
     spec = SGridSpec.from_grid(g, points=600)
-    for cores in (None, 8):  # this machine's, then 6 lanes (600**2 / 2**16 blocks)
+    for cores in (None, 8):  # the real core count, then 8: 6 lanes (600**2 / 2**16 blocks)
         if cores is not None:
             set_cores(monkeypatch, cores)
         tracemalloc.start()
