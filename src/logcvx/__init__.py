@@ -20,11 +20,10 @@ from .envelope import (KGridSpec, MinorantResult, StabilityReport, audit_minoran
                        axis_slope_range, boundary_restriction, minorant_lp,
                        stability_probe)
 from .envelope1d import NewtonPolygon, PolygonSegment, evaluate, sweep
-from .errors import (BoxTooSmall, DimensionMismatch, EmptyKGrid,
-                     EmptySGrid, EmptyShell, GridMismatch,
-                     GridValidationError, LevelNotFound, LogcvxError,
-                     NonPositiveEntry, NotNormalized, NumericBreakdown,
-                     OutOfRange, ScaleMismatch, SchemaError, WitnessError)
+from .errors import (DimensionMismatch, EmptyKGrid, EmptySGrid, EmptyShell,
+                     GridMismatch, GridValidationError, LevelNotFound, LogcvxError,
+                     NotNormalized, NumericBreakdown, OutOfRange, ScaleMismatch,
+                     SchemaError, WitnessError)
 from .generators import (SplitMix64, convex_random_grid, factorial_grid,
                          log_convex_random_1d, notconvex_grid, random_grid)
 from .io import (fmt_float, read_condition_witness, read_grid, read_matrix,

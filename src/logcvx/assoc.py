@@ -52,7 +52,7 @@ class AssociatedFunction:
             raise NotNormalized(f"grid must be normalized ({want})")
         self.box = g.box
         self.dim = g.dim
-        self._a = g.log_flat()
+        self._a = as_log_grid(g).flat
         self._idx = index_array(g.box).astype(float)
         self._shell = outer_shell_mask(g.box)
 

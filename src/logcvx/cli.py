@@ -6,7 +6,10 @@ function of the input bytes and flags (no timestamps, no durations), so two
 runs on identical inputs are byte-identical.  Exit codes: 0 success,
 1 stdout closed by its reader, 2 validation failure, 3 parse/usage failure on
 input files (unreadable, not UTF-8, malformed) or an --out path that cannot be
-written, 4 numeric breakdown inside a solver.
+written, 4 numeric breakdown: a solver that cannot go on, an EXP-scale overflow,
+or a floating-point overflow, division by zero or invalid operation (numpy
+raises these while a command runs, except in the local np.errstate blocks of
+the code that expects them).
 """
 from __future__ import annotations
 
@@ -399,7 +402,8 @@ def main(argv=None) -> int:
     args._inputs = []  # filled by _read_file
     try:
         # looked up by name at each call, so a replaced cmd_* function is the one run
-        code = globals()[f"cmd_{args.cmd}"](args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = globals()[f"cmd_{args.cmd}"](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
@@ -415,7 +419,7 @@ def main(argv=None) -> int:
         for v in e.violations:
             print(f"  at {v.index}: {v.rule}: {v.message}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except (NumericBreakdown, OverflowError) as e:
+    except (NumericBreakdown, OverflowError, FloatingPointError) as e:
         print(f"numeric breakdown: {e}", file=sys.stderr)
         return _EXIT_NUMERIC
     except LogcvxError as e:

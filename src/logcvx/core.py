@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyShell, GridValidationError, NonPositiveEntry,
-                     ScaleMismatch)
+from .errors import DimensionMismatch, EmptyShell, GridValidationError, ScaleMismatch
 
 LOG = "log"
 EXP = "exp"
@@ -43,6 +42,14 @@ WEIGHT_TOL = 1e-9  # a simplex weight above this is positive (phase-1 residue, s
 
 # The largest log value that still fits a double after exp().
 EXP_LIMIT = 709.0
+
+
+def require_exp_range(log_max: float, what: str) -> None:
+    """Raise OverflowError when exp(log_max) does not fit a double: the one
+    range check of every generator that writes EXP values."""
+    if log_max > EXP_LIMIT:
+        raise OverflowError(f"{what} overflows the EXP scale (log max {log_max:.1f})")
+
 
 MultiIndex = tuple[int, ...]
 
@@ -148,13 +155,6 @@ class SequenceGrid:
         target = 0.0 if self.scale == LOG else 1.0
         return abs(origin - target) <= TIE_REL_TOL  # max(1, |target|) = 1
 
-    def log_flat(self) -> np.ndarray:
-        """a_alpha flat and row-major, whichever scale the grid is stored in."""
-        if self.scale == LOG:
-            return self.flat
-        with np.errstate(divide="ignore"):
-            return np.log(self.flat)
-
     @classmethod
     def from_function(cls, box, fn: Callable[[MultiIndex], float], scale: str = LOG) -> "SequenceGrid":
         box = tuple(int(n) for n in box)
@@ -252,12 +252,10 @@ def growth_check(g: SequenceGrid) -> GrowthDiagnostic:
 
 
 def to_log(g: SequenceGrid) -> SequenceGrid:
-    """Entrywise log of an EXP grid; +inf maps to +inf."""
+    """Entrywise log of an EXP grid, which must pass require_valid; +inf maps to +inf."""
     if g.scale != EXP:
         raise ScaleMismatch("to_log expects an EXP-scale grid")
-    with np.errstate(invalid="ignore"):
-        if np.any(g.flat <= 0.0):
-            raise NonPositiveEntry("cannot take log of a non-positive entry")
+    require_valid(g)
     return SequenceGrid(g.box, np.log(g.values), LOG)
 
 

@@ -22,10 +22,6 @@ class EmptyShell(LogcvxError):
     """The box has too few order shells for the growth heuristic."""
 
 
-class NonPositiveEntry(LogcvxError):
-    pass
-
-
 class EmptyKGrid(LogcvxError):
     pass
 
@@ -51,10 +47,6 @@ class WitnessError(LogcvxError, ValueError):
 
 
 class LevelNotFound(LogcvxError):
-    pass
-
-
-class BoxTooSmall(LogcvxError):
     pass
 
 

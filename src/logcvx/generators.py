@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .core import EXP, EXP_LIMIT, LOG, SequenceGrid, index_array, order_array, to_exp
+from .core import (EXP, LOG, SequenceGrid, index_array, order_array, require_exp_range,
+                   to_exp)
 from .errors import DimensionMismatch, OutOfRange
 
 _MASK = (1 << 64) - 1
@@ -66,10 +67,7 @@ def random_grid(box: tuple[int, ...], seed: int, scale: str = LOG,
     a -= a[0]
     g = SequenceGrid(box, a, LOG)
     if scale == EXP:
-        if float(a.max()) > EXP_LIMIT:
-            raise OverflowError(
-                f"log values reach {a.max():.1f}; EXP scale overflows above "
-                f"{EXP_LIMIT:.0f}, request LOG instead")
+        require_exp_range(float(a.max()), f"box {box}")
         return to_exp(g)
     return g
 
@@ -87,23 +85,19 @@ def notconvex_grid(box: tuple[int, int] = (4, 4), scale: str = EXP) -> SequenceG
     a = ((idx[:, 0] + 1.0) * (idx[:, 1] + 1.0)) ** 2 - 1.0
     g = SequenceGrid(box, a, LOG)
     if scale == EXP:
-        if float(a.max()) > EXP_LIMIT:
-            raise OverflowError(
-                f"box {box} overflows the EXP scale (log max {a.max():.0f}); "
-                f"request LOG instead")
+        require_exp_range(float(a.max()), f"box {box}")
         return to_exp(g)
     return g
 
 
 def factorial_grid(n: int, scale: str = EXP) -> SequenceGrid:
     """One-dimensional M_p = p! for p = 0..n; on the LOG scale a_p = lgamma(p + 1),
-    which has no cap on n."""
+    which has no cap on n.  On the EXP scale n! overflows past n = 170."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
     if scale != EXP:
         return SequenceGrid((n,), [math.lgamma(p + 1) for p in range(n + 1)], LOG)
-    if n > 170:
-        raise OverflowError("p! exceeds double precision beyond p = 170")
+    require_exp_range(math.lgamma(n + 1), f"{n}!")
     return SequenceGrid((n,), [float(math.factorial(p)) for p in range(n + 1)], EXP)
 
 
@@ -132,7 +126,7 @@ def log_convex_random_1d(n: int, seed: int) -> SequenceGrid:
     are cumulative sums of nondecreasing increments, each increment adding a
     draw from [0, 0.5), with a_0 = 0 (so M_0 = 1 and M_p M_q <= M_{p+q}).
     Both sums run left to right, as np.cumsum adds, and the draws stop at the
-    first log value past EXP_LIMIT."""
+    first log value that overflows the EXP scale."""
     if n < 0:
         raise OutOfRange("n must be nonnegative")
     rng = SplitMix64(seed)
@@ -140,6 +134,5 @@ def log_convex_random_1d(n: int, seed: int) -> SequenceGrid:
     for _ in range(n):
         step += 0.5 * rng.random()
         a.append(a[-1] + step)
-        if a[-1] > EXP_LIMIT:
-            raise OverflowError("log values overflow the EXP scale; shrink n")
+        require_exp_range(a[-1], f"n = {n}")
     return SequenceGrid((n,), np.exp(a), EXP)

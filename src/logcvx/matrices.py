@@ -39,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP, EXP_LIMIT, SLACK_TOL, TIE_REL_TOL, Columns, MultiIndex, SequenceGrid,
-                   index_array, multi_indices, order_array, require_valid,
+from .core import (EXP, SLACK_TOL, TIE_REL_TOL, Columns, MultiIndex, SequenceGrid, as_log_grid,
+                   index_array, multi_indices, order_array, require_exp_range,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
-from .errors import (BoxTooSmall, DimensionMismatch, LevelNotFound, NotNormalized,
-                     WitnessError)
+from .errors import DimensionMismatch, LevelNotFound, NotNormalized, WitnessError
 
 ROUMIEU = "roumieu"
 BEURLING = "beurling"
@@ -76,10 +75,9 @@ class WeightMatrix:
                 raise DimensionMismatch("all grids must share one box")
             if g.scale != EXP:
                 raise WitnessError("matrix grids must be EXP scale")
-            require_valid(g)
+            logs.append(as_log_grid(g).flat)  # validates g
             if not g.is_normalized():
                 raise NotNormalized(f"grid at level {levels[i]} is not normalized")
-            logs.append(g.log_flat())
         for i in range(len(logs) - 1):
             with np.errstate(invalid="ignore"):
                 if np.any(logs[i] > logs[i + 1] + SLACK_TOL):
@@ -421,9 +419,7 @@ def l37r_counterexample_matrix(box: tuple[int, int] = (12, 12)) -> WeightMatrix:
     """
     if len(box) != 2:
         raise DimensionMismatch("the counterexample is two-dimensional")
-    top = _log_counterexample(box[0], box[1])
-    if top > EXP_LIMIT:
-        raise BoxTooSmall(f"box {box} overflows the EXP scale (log max {top:.1f})")
+    require_exp_range(_log_counterexample(box[0], box[1]), f"box {box}")
     g = SequenceGrid.from_function(
         box, lambda a: math.exp(_log_counterexample(a[0], a[1])), EXP)
     return WeightMatrix((1.0,), (g,))

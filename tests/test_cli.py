@@ -74,6 +74,45 @@ def test_gen_random_overflow_exits_numeric(capsys):
     assert "numeric breakdown" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--box", "30,30"],
+    ["gen", "notconvex", "--box", "5,5"],
+    ["gen", "factorial", "--n", "171"],
+    ["gen", "log-convex-1d", "--n", "1000"],
+    ["gen", "l37r-counterexample", "--box", "26,26"],
+    ["matrix", "counterexample", "--box", "26,26"],
+])
+def test_every_exp_overflow_exits_numeric(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric breakdown: ")
+    assert "overflows the EXP scale" in err
+
+
+def _two_by_two(m):
+    return {"box": [2, 2], "dim": 2, "scale": "log", "values": [0, 1, -m, 2, 3, 4, m, 5, 6]}
+
+
+@pytest.mark.parametrize("grid, argv", [
+    ({"box": [4], "dim": 1, "scale": "log", "values": [0, 4.01, 6.66, 9.29, 1e308]},
+     ["minorant", "--method", "sweep"]),
+    (_two_by_two(1e300), ["minorant"]),
+    (_two_by_two(1e308), ["minorant"]),
+    (_two_by_two(1e308), ["check"]),
+    (None, ["gen", "random", "--box", "2,2", "--amplitude", "1e308", "--lift", "1e308",
+            "--scale", "log"]),
+])
+def test_a_floating_point_error_exits_numeric(tmp_path, capsys, grid, argv):
+    if grid is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        argv = [argv[0], str(path), *argv[1:], "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric breakdown: ")
+    assert "Warning" not in err
+
+
 def test_grid_integer_too_large_for_a_float_exits_numeric(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"box": [2], "dim": 1, "scale": "log", "values": [0, 1, 1'
@@ -109,7 +148,7 @@ def test_gen_factorial_on_the_log_scale_has_no_double_cap(capsys):
     assert g.flat.tolist() == [math.lgamma(p + 1) for p in range(201)]
     code, out, err = run(capsys, "gen", "factorial", "--n", "171")
     assert (code, out) == (4, "")
-    assert "170" in err
+    assert err == "numeric breakdown: 171! overflows the EXP scale (log max 711.7)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from logcvx.core import (EXP, LOG, SequenceGrid, as_log_grid,
                          boundary_infinities, growth_check, index_array,
                          order_array, outer_shell_mask, to_exp, to_log,
                          validate_grid)
-from logcvx.errors import (DimensionMismatch, EmptyShell, NonPositiveEntry,
+from logcvx.errors import (DimensionMismatch, EmptyShell, GridValidationError,
                            ScaleMismatch)
 
 INF = math.inf
@@ -151,8 +151,9 @@ def test_log_exp_round_trip():
 
 
 def test_to_log_rejects_nonpositive():
-    with pytest.raises(NonPositiveEntry):
+    with pytest.raises(GridValidationError) as err:
         to_log(SequenceGrid((1,), [1.0, -2.0], EXP))
+    assert [(v.index, v.rule) for v in err.value.violations] == [((1,), "lower_bound")]
 
 
 def test_to_exp_maps_inf_to_inf():

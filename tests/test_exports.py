@@ -24,7 +24,7 @@ KEEP = {
         "the type of an exported function's result, for annotations and isinstance"),
     **dict.fromkeys(["BEURLING", "ROUMIEU", "TRIANGLE"],
                     "a relation kind of verify_relation and search_relation, by name"),
-    "omega": "the paper's omega_M at one point, without building an AssociatedFunction",
+    "omega": "the paper's omega_M at one point, in one call",
     "q3_supremum": "the paper's sampled q3 supremum at one index",
     "q3_supremum_log": "q3_supremum on the log scale, where it cannot overflow",
     "log_convex_minorant": "the paper's log-convex regularization exp((log M)^c)",

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logcvx import (BoxTooSmall, ConditionEntry, ConditionWitness,
+from logcvx import (ConditionEntry, ConditionWitness,
                     DimensionMismatch, GridValidationError, LevelNotFound,
                     NotNormalized, RelationEntry, RelationWitness,
                     SequenceGrid, WeightMatrix, WitnessError, convex_random_grid,
@@ -658,7 +658,7 @@ def test_counterexample_passes_the_shift_but_not_the_pairwise_condition():
 
 
 def test_counterexample_box_guards():
-    with pytest.raises(BoxTooSmall):
+    with pytest.raises(OverflowError, match="overflows the EXP scale"):
         l37r_counterexample_matrix((27, 27))
     with pytest.raises(DimensionMismatch):
         l37r_counterexample_matrix((3,))

@@ -2,7 +2,8 @@
 
 A float literal in (0, 0.1) anywhere in ``src/logcvx`` is a tolerance, unless
 it is one of the definitions in that block; so is any module-level name ending
-in ``_TOL``.
+in ``_TOL``.  The EXP range is decided once too: only ``core`` names
+``EXP_LIMIT``, and every other module calls ``core.require_exp_range``.
 """
 import ast
 from pathlib import Path
@@ -54,3 +55,17 @@ def test_each_tolerance_in_the_block_is_a_positive_float_with_its_rule():
         value = getattr(core, name)
         assert type(value) is float and 0 < value < 0.1, name
         assert "#" in lines[node.lineno - 1], f"{name} has no comment saying what it decides"
+
+
+def test_only_core_names_the_exp_limit():
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "EXP_LIMIT":
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
