@@ -108,31 +108,50 @@ class MinorantResult:
     boundary: np.ndarray  # (n,) bool
 
 
+def _pick_starts(rows, finite, nbr, lo, hi):
+    """Start bases at ``rows`` from one finite point per axis, ``nbr``, and the
+    finite points below and above on each axis, ``lo`` and ``hi`` (-1: none)."""
+    starts = np.full((len(rows), nbr.shape[1] + 1), -1)
+    has = nbr >= 0
+    pick = finite & has.all(axis=1)
+    starts[pick] = np.column_stack([rows, nbr])[pick]
+    pair = ~finite[:, None] & (lo >= 0) & (hi >= 0)
+    for j in np.flatnonzero(pair.any(axis=0)):
+        rest = np.arange(nbr.shape[1]) != j
+        pick = (starts[:, 0] < 0) & pair[:, j] & has[:, rest].all(axis=1)
+        starts[pick] = np.column_stack([lo[:, j], hi[:, j], nbr[:, rest]])[pick]
+    return starts
+
+
 def _start_bases(finite: np.ndarray, box: MultiIndex) -> np.ndarray:
     """Flat indices of a feasible start basis at every index of the box,
     shape (n, d+1), with a row of -1 where phase 1 runs.
 
-    A finite alpha (weight 1) with one finite neighbour alpha -/+ e_j per
-    axis; at a hole, alpha -/+ e_j on the first axis that has both (weights
-    1/2, 1/2), with one neighbour per other axis.
+    From the neighbours alpha -/+ e_j, else from the nearest finite points
+    on each axis line, below first: a finite alpha (weight 1) with one point
+    per axis; a hole with alpha - p e_j, alpha + q e_j on the first axis
+    that has both (weights q/(p+q), p/(p+q)) and one point per other axis.
+    Phase 1 runs only where an axis line through alpha has no other finite
+    point (a zero extent, say) or, at a hole, no axis has finite points on
+    both sides (outside the hull, say).
     """
     idx = index_array(box)
-    flat = np.arange(idx.shape[0])
-    strides = [math.prod(n + 1 for n in box[j + 1:]) for j in range(len(box))]
-    nbr = np.full(idx.shape, -1)
-    both = np.zeros(idx.shape, dtype=bool)
-    for j, st in enumerate(strides):
-        down = (idx[:, j] > 0) & finite[np.maximum(flat - st, 0)]
-        up = (idx[:, j] < box[j]) & finite[np.minimum(flat + st, flat.size - 1)]
-        nbr[:, j] = np.where(down, flat - st, np.where(up, flat + st, -1))
-        both[:, j] = down & up
-    starts = np.full((flat.size, len(box) + 1), -1)
-    pick = finite & (nbr >= 0).all(axis=1)
-    starts[pick] = np.column_stack([flat, nbr])[pick]
-    for j, st in enumerate(strides):
-        others = np.delete(nbr, j, axis=1)
-        pick = (starts[:, 0] < 0) & ~finite & both[:, j] & (others >= 0).all(axis=1)
-        starts[pick] = np.column_stack([flat - st, flat + st, others])[pick]
+    flat = np.arange(idx.shape[0])[:, None]
+    step = np.array([math.prod(n + 1 for n in box[j + 1:]) for j in range(len(box))])
+    lo = np.where((idx > 0) & finite[np.maximum(flat - step, 0)], flat - step, -1)
+    hi = np.where((idx < box) & finite[np.minimum(flat + step, flat.size - 1)], flat + step, -1)
+    nbr = np.where(lo >= 0, lo, hi)
+    starts = _pick_starts(flat[:, 0], finite, nbr, lo, hi)
+    rows = np.flatnonzero(starts[:, 0] < 0)
+    if rows.size:  # every point of each axis line through the rows, by flat index
+        k = np.minimum(np.arange(max(box) + 1), np.array(box)[:, None])  # ends repeat
+        line = rows[:, None, None] + (k - idx[rows, :, None]) * step[:, None]
+        on = finite[line]
+        lo = np.where(on & (line < rows[:, None, None]), line, -1).max(axis=2)
+        hi = np.where(on & (line > rows[:, None, None]), line, flat.size).min(axis=2)
+        hi[hi == flat.size] = -1
+        near = np.where(nbr[rows] >= 0, nbr[rows], np.where(lo >= 0, lo, hi))
+        starts[rows] = _pick_starts(rows, finite[rows], near, lo, hi)
     return starts
 
 
@@ -162,7 +181,7 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     the value is +inf exactly where the plane row is not finite; each plane
     lies under every finite data point and meets the value at its own alpha,
     both relative also to the plane's terms |h| + sum_j |k_j| (alpha_j + beta_j)
-    at that point;
+    at that point (terms that overflow to +inf never flag their row);
     ``touching`` is exactly the set of finite points tight at the plane;
     ``contact`` is the finite indices whose value meets the data within
     FEAS_TOL; ``boundary`` is the indices without a plane or whose plane
@@ -188,7 +207,8 @@ def audit_minorant(g: SequenceGrid, result: MinorantResult) -> tuple[str, ...]:
     tol = FEAS_TOL * size
     # the plane's value at beta is h + <k, beta> with h = y_0 - <k, alpha>, whose
     # rounding grows with |h| + sum_j |k_j| (alpha_j + beta_j), not with |a_beta|
-    terms = (np.abs(h) + (np.abs(K) * P).sum(axis=1))[:, None] + np.abs(K) @ P.T
+    with np.errstate(over="ignore"):
+        terms = (np.abs(h) + (np.abs(K) * P).sum(axis=1))[:, None] + np.abs(K) @ P.T
     above = gap < -FEAS_TOL * np.maximum(size, terms)
     with np.errstate(invalid="ignore"):
         meets = finite & (np.abs(a - values) <= FEAS_TOL * np.maximum(1.0, np.abs(a)))

@@ -9,8 +9,10 @@ import json
 import math
 import warnings
 
-from logcvx import SplitMix64
+from logcvx import SequenceGrid, SplitMix64, as_log_grid, audit_minorant, minorant_lp
 from logcvx.cli import main
+from logcvx.core import LOG
+from logcvx.io import read_grid
 
 EDGES = (0, -0.0, 1e-320, 1e308, -1e308, "inf", "nan", None, 2 ** 70, 709.8, -745)
 EDGE_SHARE = 0.15
@@ -44,6 +46,21 @@ def _commands(path: str, dim: int) -> list[list[str]]:
                ["assoc", path, "--trace-k", twos]])
 
 
+def _audit_findings(g: SequenceGrid) -> list[str]:
+    """What audit_minorant reports on the LP minorant of g, and any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        work = as_log_grid(g)
+        found = list(audit_minorant(work, minorant_lp(work)))
+    return found + [f"audit warned {w.message}" for w in caught]
+
+
+def test_the_audit_is_quiet_where_its_rounding_scale_overflows():
+    # the plane through (0, 0) and (1, 1e308) has k = 1e308, so its terms
+    # |h| + |k| (alpha + beta) overflow to +inf at alpha = beta = 1
+    assert _audit_findings(SequenceGrid((1,), [0.0, 1e308], LOG)) == []
+
+
 def test_edge_values_reach_a_documented_exit_code(tmp_path, capsys):
     rng = SplitMix64(20240624)
     failures, codes = [], []
@@ -71,6 +88,8 @@ def test_edge_values_reach_a_documented_exit_code(tmp_path, capsys):
                         json.loads(out)
                     except ValueError:
                         bad.append("--json stdout does not parse")
+                if code == 0 and argv[2:] == ["--method", "lp"] and not json_flag:
+                    bad += _audit_findings(read_grid(path.read_text()))
                 if bad:
                     failures.append((obj, [argv[0], *argv[2:], *json_flag], bad))
     assert failures == []

@@ -381,7 +381,7 @@ MINORANT_JSON_SHA256 = {
     "corner_hole": "8f0a6602436d5eeec78bafa144e6db5e20b0e8539ba39af9611de7d9ff1c654b",
     "tilted": "647fb8ab6e493851ced0ee5195dc18a24533ffeb5b5f8475e9002090c9e44e6f",
     "zero_extent": "8066dff2d85cf9d001506df8cac97fbacdc1283ebd6dcde4ea0c26f3614999d6",
-    "holed_3d": "339210067d413d590798d21a585986a77c902194091e291ffe0156e98e5257c0",
+    "holed_3d": "da0403c9b76227a23e4825c0f55079bec5dd4154d2539803a1df76f61968c9b6",
 }
 
 

@@ -16,6 +16,7 @@ from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
 from logcvx import conjugate, lpsolve
 from logcvx.core import FEAS_TOL, index_array, outer_shell_mask
 from logcvx.envelope import _start_bases
+from test_cli import certificate_path_grids
 from test_conjugate import ref_forward
 
 REF = SequenceGrid((3,), [0.0, 2.0, 1.0, 6.0], LOG)
@@ -450,6 +451,13 @@ def test_zero_extent_box_has_no_start_basis():
     assert np.allclose(res.minorant.flat, sweep.minorant, atol=1e-12)
 
 
+def accepts(P, alpha, start):
+    """_solve_block's test of a start basis: [1; P_S - alpha] is not
+    singular and the first column of its inverse, the weights, is >= 0."""
+    M = np.vstack([np.ones(len(start)), (P[start] - alpha).T])
+    return np.linalg.det(M) != 0.0 and (np.linalg.inv(M)[:, 0] >= 0.0).all()
+
+
 def test_start_bases_are_feasible_where_given():
     g = random_grid((5, 4, 3), seed=9)
     a = g.flat.copy()
@@ -458,9 +466,73 @@ def test_start_bases_are_feasible_where_given():
     starts = _start_bases(np.isfinite(a), g.box)
     given = starts[:, 0] >= 0
     assert given.any() and not given.all()
+    # some starts reach past the neighbours to the nearest finite points
+    assert (np.abs(P[starts[given]] - P[given, None, :]).max(axis=(1, 2)) > 1).any()
     for target, start in zip(P[given], starts[given]):
         assert np.isfinite(a[start]).all()
         # the target is a convex combination of its start points
         M = np.vstack([np.ones(4), P[start].T])
         lam = np.linalg.solve(M, np.concatenate([[1.0], target]))
         assert (lam >= -1e-12).all()
+        assert accepts(P, target, start)
+
+
+def test_start_bases_take_neighbours_first_then_the_nearest_points():
+    # the line 0 . . 3 4 . 6, with holes at 1, 2 and 5
+    starts = _start_bases(np.array([1, 0, 0, 1, 1, 0, 1], dtype=bool), (6,))
+    assert starts[4].tolist() == [4, 3]  # the neighbour below first
+    assert starts[3].tolist() == [3, 4]  # then above, before the far point 0 below
+    assert starts[6].tolist() == [6, 4]  # no neighbour: the nearest point below
+    assert starts[0].tolist() == [0, 3]  # then the nearest above
+    assert starts[5].tolist() == [4, 6]  # a hole between neighbours
+    assert starts[1].tolist() == starts[2].tolist() == [0, 3]  # between the nearest points
+    P = np.arange(7.0)[:, None]
+    assert np.linalg.solve(np.vstack([[1.0, 1.0], P[[0, 3]].T]), [1.0, 1.0]).tolist() == \
+        pytest.approx([2 / 3, 1 / 3], abs=1e-15)
+    # at a hole in 2-D, the first axis with both neighbours wins, with one
+    # neighbour per other axis (flat index 3 alpha_0 + alpha_1 on the (2, 2) box)
+    finite = np.ones(9, dtype=bool)
+    finite[4] = False
+    assert _start_bases(finite, (2, 2))[4].tolist() == [1, 7, 3]
+    finite[1] = False  # (0, 1): axis 0 loses its pair, and (2, 1) is the neighbour above
+    assert _start_bases(finite, (2, 2))[4].tolist() == [3, 5, 7]
+    P = index_array((4, 4)).astype(float)
+    finite = np.ones(25, dtype=bool)
+    finite[[7, 11, 12, 13, 17]] = False  # (2, 2) and its four neighbours are holes
+    start = _start_bases(finite, (4, 4))[12]
+    assert start.tolist() == [2, 22, 10]  # (0, 2), (4, 2) and the nearest (2, 0)
+    assert accepts(P, P[12], start)
+
+
+def holed_workload_grids():
+    """The benchmark's minorant inputs: random_grid (10, 10) and (4, 4, 4)
+    with 8% of the entries off the outer shell, the origin excluded, set to
+    +inf."""
+    for seed in range(5):
+        for box in ((10, 10), (4, 4, 4)):
+            a = random_grid(box, seed=seed).flat.copy()
+            interior = np.flatnonzero(~outer_shell_mask(box))[1:]
+            rng = np.random.default_rng(seed)
+            a[rng.choice(interior, round(0.08 * interior.size), replace=False)] = math.inf
+            yield SequenceGrid(box, a, LOG)
+    yield certificate_path_grids()["holed_3d"]
+
+
+def test_every_index_of_the_holed_workload_grids_has_a_start_basis():
+    for g in holed_workload_grids():
+        P = index_array(g.box).astype(float)
+        starts = _start_bases(np.isfinite(g.flat), g.box)
+        assert (starts >= 0).all()
+        assert all(accepts(P, alpha, start) for alpha, start in zip(P, starts))
+
+
+def test_a_contact_next_to_holes_meets_its_data_bit_for_bit():
+    # (0, 2) has no finite neighbour on axis 0; solved through phase 1, its
+    # value missed the data by an ulp: 10.000206898911156 against ...154
+    g = convex_random_grid((4, 4), 0)
+    v = g.values.copy()
+    for alpha in ((1, 2), (2, 2), (3, 0), (3, 3)):
+        v[alpha] = math.inf
+    res = minorant_lp(SequenceGrid((4, 4), v, LOG))
+    assert res.contact.reshape(5, 5)[0, 2]
+    assert res.minorant.values[0, 2].tobytes() == v[0, 2].tobytes()
