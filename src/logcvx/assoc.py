@@ -11,9 +11,9 @@ function A(k) = sup_alpha (<k, alpha> - a_alpha) satisfies A(k) = omega(e^k)
 identically, which is a cheap cross-check used by the tests.
 
 The log-convex regularization M^lc = exp(a^c) comes from the LP minorant, and
-q3_supremum samples sup_{s>0} s^alpha / exp(omega(s)), which never exceeds
-M_alpha and recovers it exactly iff a is convex (up to truncation caveats).
-Suprema are computed in log scale and only exponentiated for presentation.
+q3 = sup_{s>0} s^alpha / exp(omega(s)), which recovers M_alpha iff a is convex,
+is exact: at s = e^k, k the slope of alpha's certificate plane, log q3 =
+<alpha, k> - A(k) = a^c_alpha by duality.  Suprema stay in log scale.
 """
 from __future__ import annotations
 
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate
-from .core import (EXP, LOG, Q3_REL_TOL, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid,
+from .core import (EXP, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, to_exp,
                    as_log_grid, index_array, multi_indices, outer_shell_mask, require_valid,
-                   to_exp,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
-from .errors import DimensionMismatch, EmptySGrid, NotNormalized, OutOfRange
+from .errors import DimensionMismatch, NotNormalized, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,8 @@ def omega(g: SequenceGrid, t) -> OmegaEval:
 
 @dataclass(frozen=True)
 class SGridSpec:
-    """Log-uniform sampling grid for s > 0: ``points`` samples per axis with
-    log s ranging over [lo, hi] (the same range on every axis).
+    """Log-uniform sampling grid for s > 0, read only by perfbench/tracer.py:
+    ``points`` samples per axis with log s in [lo, hi] on every axis.
 
     By default ``points`` is 200 for d <= 2 and 50 beyond, lowered to the
     largest count whose product grid fits ``conjugate.MAX_SAMPLES`` (45 for
@@ -147,32 +146,31 @@ class SGridSpec:
                 points -= 1
         return cls(lo, hi, points)
 
-    def axis_samples(self) -> np.ndarray:
-        if self.points < 1:
-            raise EmptySGrid("need at least one sample per axis")
-        conjugate.check_samples(self.points, 1)
-        return np.linspace(self.lo, self.hi, self.points)
+
+def _q3(af: AssociatedFunction, planes: np.ndarray) -> np.ndarray:
+    """log q3 at every box index: <alpha, k> - A(k) at the slope k of the row
+    of ``planes``, +inf at a NaN row (outside the hull: unbounded)."""
+    has = np.isfinite(planes).all(axis=1)
+    k = planes[has, :-1]
+    q3 = np.full(len(planes), math.inf)
+    q3[has] = (af._idx[has] * k).sum(axis=1) - af._scan(k)[0]
+    return q3
 
 
-def _q3_all(lg: SequenceGrid, spec: SGridSpec) -> np.ndarray:
-    """log q3 supremum of a LOG grid at every box index, in row-major order."""
-    return conjugate.biconjugate(spec.axis_samples(), lg.values).reshape(-1)
-
-
-def q3_supremum_log(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> float:
-    """log of the sampled sup_s s^alpha / exp(omega(s)) at one index, a float."""
+def q3_supremum_log(g: SequenceGrid, alpha) -> float:
+    """log of sup_s s^alpha / exp(omega(s)) at one index, a float, taken at
+    the slope of its certificate plane (as ``check_log_convexity`` does)."""
     af = AssociatedFunction(g)
     alpha = tuple(int(c) for c in alpha)
     if len(alpha) != af.dim or any(c < 0 or c > n for c, n in zip(alpha, af.box)):
         raise DimensionMismatch(f"alpha {alpha} not in box {af.box}")
-    spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
-    vals = _q3_all(as_log_grid(g), spec)
+    vals = _q3(af, minorant_lp(as_log_grid(g)).planes)
     return float(vals[np.ravel_multi_index(alpha, tuple(n + 1 for n in af.box))])
 
 
-def q3_supremum(g: SequenceGrid, alpha, s_grid: SGridSpec | None = None) -> float:
+def q3_supremum(g: SequenceGrid, alpha) -> float:
     try:
-        return math.exp(q3_supremum_log(g, alpha, s_grid))
+        return math.exp(q3_supremum_log(g, alpha))
     except OverflowError:
         return math.inf
 
@@ -205,12 +203,12 @@ class LogConvexityReport:
 
     ``max_gap`` is max(a - a^c) over finite entries; ``interior_max_gap``
     restricts to indices whose certificate stays off the truncation faces and
-    is what ``globally_convex`` is decided on.  ``q3_holds`` compares the
-    sampled supremum against the data on the same interior indices within
-    Q3_REL_TOL * max(1, |a_alpha|).  ``boundary_caveat`` is decided by the LP
-    certificates alone: it is set when some certificate touches the outer
-    shell (``minorant.boundary.any()``), or when nothing is interior and the
-    convexity verdicts are vacuous.
+    is what ``globally_convex`` is decided on; ``q3_holds`` compares q3 with
+    the data there within SLACK_TOL.  ``q3_duality_gap``, max |a^c - q3| where
+    a plane exists, is rounding when every certificate is optimal.
+    ``boundary_caveat`` is decided by the LP certificates alone: it is set
+    when some certificate touches the outer shell (``minorant.boundary.any()``),
+    or when nothing is interior and the convexity verdicts are vacuous.
     """
 
     coordinatewise_ok: bool
@@ -222,6 +220,7 @@ class LogConvexityReport:
     q3_max_shortfall: float
     q3_worst: MultiIndex | None
     q3_failures: tuple[MultiIndex, ...]
+    q3_duality_gap: float
     boundary_caveat: bool
     minorant: MinorantResult
 
@@ -249,21 +248,15 @@ def _coordinatewise(a: np.ndarray, box) -> tuple[MultiIndex, int] | None:
     return multi_indices(box, [best[0]])[0], best[1]
 
 
-def check_log_convexity(g: SequenceGrid,
-                        s_grid: SGridSpec | None = None) -> LogConvexityReport:
-    """Coordinatewise, global (LP-exact), and sampled-supremum convexity checks.
+def check_log_convexity(g: SequenceGrid) -> LogConvexityReport:
+    """Coordinatewise, global (LP-exact), and supremum convexity checks.
 
-    The grid must be normalized; EXP input is logged internally.  The three
-    verdicts agree on log-convex data; the sampled one carries the relative
-    slack Q3_REL_TOL because its supremum over continuous s is only sampled.
+    The grid must be normalized; EXP input is logged internally.  q3 is taken
+    at the certificate slopes of the LP, so the three verdicts agree.
     """
-    AssociatedFunction(g)  # validation + normalization
+    af = AssociatedFunction(g)  # validation + normalization
     lg = as_log_grid(g)
-    a = lg.values
-
-    cw = _coordinatewise(a, lg.box)
-    spec = s_grid if s_grid is not None else SGridSpec.from_grid(g)
-    q3_log = _q3_all(lg, spec)  # a bad sample grid fails here, before the LP
+    cw = _coordinatewise(lg.values, lg.box)
 
     result = minorant_lp(lg)
     flat_a = lg.flat
@@ -276,9 +269,10 @@ def check_log_convexity(g: SequenceGrid,
     interior_max_gap = float(gaps[interior].max()) if interior.any() else 0.0
     globally_convex = bool(interior_max_gap <= SLACK_TOL)
 
-    shortfall = flat_a - q3_log
-    slack = Q3_REL_TOL * np.maximum(1.0, np.abs(flat_a))
-    q3_bad = interior & (shortfall > slack)
+    q3_log = _q3(af, result.planes)  # +inf only outside the hull, where a is +inf too
+    has = np.isfinite(q3_log)
+    shortfall = np.subtract(flat_a, q3_log, out=np.full(flat_a.size, -math.inf), where=finite)
+    q3_bad = interior & (shortfall > SLACK_TOL)
     q3_holds = not bool(q3_bad.any())
     q3_failures = multi_indices(lg.box, q3_bad)
     if interior.any():
@@ -299,6 +293,7 @@ def check_log_convexity(g: SequenceGrid,
         q3_max_shortfall=q3_max_shortfall,
         q3_worst=q3_worst,
         q3_failures=q3_failures,
+        q3_duality_gap=float(np.abs(ac[has] - q3_log[has]).max(initial=0.0)),
         boundary_caveat=bool(result.boundary.any()) or not interior.any(),
         minorant=result,
     )

@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import EmptySGrid, OutOfRange
 
 # Most samples one product grid may hold (m**d): the time of ``biconjugate``
 # grows as m**d.  The default grids (200**2 and 50**3, at most 45**4 beyond,
@@ -89,6 +89,8 @@ def in_lanes(rows: int, per_row: int, lane) -> None:
 
 
 def check_samples(per_axis: float, dim: int) -> None:
+    if per_axis < 1:
+        raise EmptySGrid("need at least one sample per axis")
     if per_axis > MAX_SAMPLES or per_axis ** dim > MAX_SAMPLES:
         raise OutOfRange(f"{per_axis:g}**{dim} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
 

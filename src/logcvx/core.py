@@ -35,7 +35,6 @@ EXP = "exp"
 TIE_REL_TOL = 1e-12  # two floats v, w tie when |v - w| <= TIE_REL_TOL * max(1, |v|)
 FEAS_TOL = 1e-9  # v meets data a (a point is tight) when |a - v| <= FEAS_TOL * max(1, |a|)
 SLACK_TOL = 1e-9  # a log-scale inequality lhs <= rhs holds when lhs <= rhs + SLACK_TOL
-Q3_REL_TOL = 0.02  # sampled q3 may fall short of a_alpha by Q3_REL_TOL * max(1, |a_alpha|)
 RED_TOL = 1e-9  # a simplex column enters when its reduced cost < -RED_TOL * max(1, |a_beta|)
 PIVOT_TOL = 1e-11  # the smallest direction entry the simplex ratio test accepts as a pivot
 WEIGHT_TOL = 1e-9  # a simplex weight above this is positive (phase-1 residue, shell weight)

@@ -142,9 +142,11 @@ def _start_bases(finite: np.ndarray, box: MultiIndex) -> np.ndarray:
     hi = np.where((idx < box) & finite[np.minimum(flat + step, flat.size - 1)], flat + step, -1)
     nbr = np.where(lo >= 0, lo, hi)
     starts = _pick_starts(flat[:, 0], finite, nbr, lo, hi)
-    rows = np.flatnonzero(starts[:, 0] < 0)
-    if rows.size:  # every point of each axis line through the rows, by flat index
-        k = np.minimum(np.arange(max(box) + 1), np.array(box)[:, None])  # ends repeat
+    left = np.flatnonzero(starts[:, 0] < 0)
+    k = np.minimum(np.arange(max(box) + 1), np.array(box)[:, None])  # ends repeat
+    size = max(1, lpsolve.BLOCK_ENTRIES // k.size)  # rows per block, as for LP targets
+    for rows in (left[i:i + size] for i in range(0, left.size, size)):
+        # every point of each axis line through the rows, by flat index
         line = rows[:, None, None] + (k - idx[rows, :, None]) * step[:, None]
         on = finite[line]
         lo = np.where(on & (line < rows[:, None, None]), line, -1).max(axis=2)

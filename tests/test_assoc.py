@@ -1,5 +1,6 @@
-"""Associated weight function omega, its trace identity, sampled q3 suprema,
-log-convex regularization and the three convexity verdicts."""
+"""Associated weight function omega, its trace identity, q3 suprema at the
+certificate slopes, log-convex regularization and the three convexity
+verdicts."""
 import math
 import warnings
 
@@ -9,9 +10,12 @@ import pytest
 from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     EmptySGrid, GridValidationError, NotNormalized, OutOfRange,
                     SGridSpec, SequenceGrid, SplitMix64, check_log_convexity,
-                    factorial_grid, log_convex_minorant, notconvex_grid,
-                    omega, q3_supremum, q3_supremum_log, random_grid, to_exp)
-from logcvx import assoc
+                    convex_random_grid, factorial_grid, log_convex_minorant,
+                    minorant_lp, notconvex_grid, omega, q3_supremum, q3_supremum_log,
+                    random_grid, read_report, to_exp, write_grid)
+from logcvx import assoc, conjugate
+from logcvx.cli import main
+from logcvx.core import FEAS_TOL, index_array
 from logcvx.envelope import boundary_restriction
 
 FACT = factorial_grid(8)
@@ -135,13 +139,12 @@ def test_trace_is_convex_along_lines():
 
 
 def test_sgrid_samples_shape_and_guards():
-    spec = SGridSpec(-1.0, 1.0, 5)
-    ax = spec.axis_samples()
-    assert ax.shape == (5,)
-    assert ax[0] == pytest.approx(-1.0)
-    assert ax[-1] == pytest.approx(1.0)
+    spec = SGridSpec.from_grid(FACT, points=5)
+    assert (spec.lo, spec.hi, spec.points) == (0.0, pytest.approx(math.log(8.0)), 5)
+    # the sample count check that check --s-points still meets
+    conjugate.check_samples(5, 1)
     with pytest.raises(EmptySGrid):
-        SGridSpec(0.0, 1.0, 0).axis_samples()
+        conjugate.check_samples(0, 1)
 
 
 def test_sgrid_default_density_depends_on_dimension():
@@ -158,8 +161,8 @@ def test_q3_recovers_factorial_value_exactly():
 
 
 def test_q3_factorial_with_explicit_wide_grid():
-    spec = SGridSpec(-3.0, 6.0, 400)
-    assert q3_supremum(FACT, (2,), spec) == pytest.approx(2.0, rel=0.02)
+    # the slope at (2,) has the same two touching points on any wider box
+    assert q3_supremum(factorial_grid(60), (2,)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_q3_never_exceeds_the_data():
@@ -183,6 +186,38 @@ def test_q3_is_inf_where_its_log_overflows_a_double():
     assert q3_supremum_log(g, (2,)) == pytest.approx(800.0, rel=1e-12)
     assert q3_supremum(g, (1,)) == pytest.approx(math.exp(400.0), rel=1e-9)
     assert q3_supremum(g, (2,)) == math.inf
+
+
+def holed_outside_the_hull():
+    g = random_grid((3, 3), 1)
+    a = g.values.copy()
+    a[3, 3] = math.inf
+    return SequenceGrid(g.box, a.reshape(-1), g.scale)
+
+
+def test_q3_meets_the_minorant_at_every_certificate_slope():
+    # duality: at the slope k of alpha's certificate, <alpha, k> - A(k) = a^c_alpha
+    notjoint = notconvex_grid((6, 6), scale="log").flat + convex_random_grid((6, 6), 4).flat
+    grids = [notconvex_grid(), FACT, convex_random_grid((6, 6), 3),
+             SequenceGrid((6, 6), notjoint, LOG), random_grid((6, 6), seed=7),
+             random_grid((30, 30), 3), holed_outside_the_hull()]
+    outside = 0
+    for g in grids:
+        report = check_log_convexity(g)
+        planes, ac = report.minorant.planes, report.minorant.minorant.flat
+        has = np.isfinite(planes).all(axis=1)
+        outside += int((~has).sum())
+        q3 = assoc._q3(AssociatedFunction(g), planes)
+        # the same, from one matrix of every slope against every finite point
+        a = assoc.as_log_grid(g).flat
+        P, K, fin = index_array(g.box).astype(float), planes[has, :-1], np.isfinite(a)
+        dense = (P[has] * K).sum(axis=1) - (K @ P[fin].T - a[fin]).max(axis=1)
+        assert np.isposinf(q3[~has]).all()
+        assert np.allclose(q3[has], dense, rtol=1e-12, atol=1e-12), g.box
+        gap = np.abs(ac[has] - q3[has])
+        assert (gap <= FEAS_TOL * np.maximum(1.0, np.abs(ac[has]))).all(), g.box
+        assert report.q3_duality_gap == gap.max()
+    assert outside == 1  # (3, 3) of the holed grid
 
 
 def test_q3_index_guards():
@@ -264,29 +299,34 @@ def test_check_reports_first_coordinatewise_violation():
     assert report.coordinatewise_violation == ((1,), 0)
 
 
-def test_check_accepts_explicit_s_grid():
-    spec = SGridSpec(0.0, 3.0, 50)
-    report = check_log_convexity(FACT, s_grid=spec)
-    assert report.globally_convex
+def test_check_accepts_explicit_s_grid(tmp_path, capsys):
+    # --s-points is range-checked and changes nothing: q3 samples no grid
+    path = tmp_path / "fact.json"
+    path.write_text(write_grid(FACT))
+    outs = []
+    for flags in ([], ["--s-points", "50"], ["--s-points", "600"]):
+        assert main(["check", str(path), "--json", *flags]) == 0
+        outs.append(read_report(capsys.readouterr().out)["results"])
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0]["globally_convex"] is True
 
 
 def test_check_is_quiet_when_a_hole_lies_outside_the_hull():
-    g = random_grid((3, 3), 1)
-    a = g.values.copy()
-    a[3, 3] = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = check_log_convexity(SequenceGrid(g.box, a.reshape(-1), g.scale))
+        report = check_log_convexity(holed_outside_the_hull())
     assert math.isfinite(report.max_gap)
     assert report.boundary_caveat
 
 
-def test_check_rejects_an_oversized_s_grid_before_the_lp(monkeypatch):
+def test_check_rejects_an_oversized_s_grid_before_the_lp(monkeypatch, tmp_path, capsys):
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP ran before the sample cap was checked")
 
     monkeypatch.setattr(assoc, "minorant_lp", no_lp)
-    with pytest.raises(OutOfRange):
-        check_log_convexity(notconvex_grid((2, 2)), s_grid=SGridSpec(0.0, 1.0, 3000))
-    with pytest.raises(EmptySGrid):
-        check_log_convexity(notconvex_grid((2, 2)), s_grid=SGridSpec(0.0, 1.0, 0))
+    path = tmp_path / "nc.json"
+    path.write_text(write_grid(notconvex_grid((2, 2))))
+    for points, message in [("3000", "3000**2 samples exceed MAX_SAMPLES"),
+                            ("0", "need at least one sample per axis")]:
+        assert main(["check", str(path), "--s-points", points]) == 2
+        assert message in capsys.readouterr().err

@@ -312,7 +312,7 @@ def test_minorant_dual_grid_equals_per_index_dual_value(tmp_path, capsys):
         assert code == 0
         got = read_report(out)["results"]["minorant"]["values"]
         x = KGridSpec.from_grid(g, step=0.5).axis_samples()
-        want, _ = ref_backward(x, ref_forward(x, g.values), g.box)
+        want = ref_backward(x, ref_forward(x, g.values), g.box)
         assert got == pytest.approx(want.reshape(-1).tolist(), rel=1e-12, abs=1e-12)
 
 
@@ -577,7 +577,7 @@ def test_check_caps_the_sample_count(tmp_path, capsys):
 
 
 def test_check_defaults_fit_the_sample_cap_in_four_dimensions(tmp_path, capsys):
-    # 50**4 samples exceed MAX_SAMPLES; the default drops to 45 per axis
+    # 50**4 samples would exceed MAX_SAMPLES; check samples nothing in any dimension
     path = tmp_path / "c4.json"
     assert run(capsys, "gen", "convex", "--box", "1,1,1,1", "--out", str(path))[0] == 0
     code, out, _ = run(capsys, "check", str(path), "--json")
@@ -1081,9 +1081,9 @@ TOLERANCE_PIN_COMMANDS = {
 TOLERANCE_PIN_SHA256 = {
     "assoc": "090786372e3228f40b35e1713609685825cc376a14ec5d921745b05089f512e5",
     "assoc_notjoint": "b1287f28a542275cb3db4fc2935dd39c5957d80cf8c9e6fbea459448f9778181",
-    "check_convex": "971cff7d1594fa49db3adce78347a192ff6148134001cb8ea31ddb7e63ec73db",
-    "check_linebreak": "00ef62684195305a64aae2a82a0dac12b2821723e967b9366babb5692473908e",
-    "check_notjoint": "6eaa983680ac01cece977b991f684f30b0195d7bfb6db57ef8f80e45098ae6c8",
+    "check_convex": "ee2f6d027ddefc6e862107722ae45c8ccac2d06deee592191a5e6a6541080df9",
+    "check_linebreak": "4a38606522970548f14c7028c25601bb25dd53cea86da44ebea0e826d438a8e2",
+    "check_notjoint": "355b63e45382ea1a45271dc0e075b7afe6247d5d3ba2257870a1e657bb18cc83",
     "dual_grid": "aa6d9cbe01a7f2190f0e3ef63712350981089994ba328bba0d319732039abec1",
     "dual_grid_line": "f80cb70c2b5a383b8e4db099916ab62adaeb3437aa85d6ff084f606d633e59b9",
     "oracle": "d7275eef6fe49b2248f81aac7ee7ca459afecf4cd12f3a6815f8f6d0df938fca",

@@ -1,10 +1,10 @@
 """The per-axis conjugate kernel and the omega kernel against a dense scan of
 every sample against every point, on random, convex, +inf-holed, 1-D, 3-D and
-zero-extent boxes; the blocked biconjugate and q3 against the unblocked
-forward and backward passes, bit for bit, and the omega kernel against the
-forward pass; why ``check``'s boundary caveat needs no q3 flag; the sample
-cap; the dual routes built on the kernel; and the lanes both kernels run
-in, which change no bit of any output whatever the core count."""
+zero-extent boxes; the blocked biconjugate against the unblocked forward and
+backward passes, bit for bit, and the omega kernel against the forward pass;
+``check``'s q3 failures and boundary caveat against its LP certificates; the
+sample cap; the dual routes built on the kernel; and the lanes both kernels
+run in, which change no bit of any output whatever the core count."""
 import math
 import os
 import threading
@@ -13,14 +13,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logcvx import (LOG, AssociatedFunction, KGridSpec, OutOfRange, SGridSpec,
+from logcvx import (LOG, AssociatedFunction, EmptySGrid, KGridSpec, OutOfRange, SGridSpec,
                     SequenceGrid, SplitMix64, check_log_convexity, conjugate,
                     convex_random_grid, minorant_lp, notconvex_grid, random_grid,
                     write_grid)
-from logcvx.assoc import TIE_REL_TOL, _q3_all
+from logcvx.assoc import SLACK_TOL, TIE_REL_TOL
 from logcvx.cli import main
 from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples
-from logcvx.core import index_array, order_array, outer_shell_mask
+from logcvx.core import index_array, multi_indices, order_array, outer_shell_mask
+
+
+def s_samples(g, m):
+    """m log-uniform samples per axis over the grid's axis slope range."""
+    spec = SGridSpec.from_grid(g, points=m)
+    return np.linspace(spec.lo, spec.hi, spec.points)
 
 
 def product(x, d):
@@ -71,21 +77,19 @@ def every_sample(m, d):
 def test_kernel_matches_the_dense_scan():
     for g, m in corpus():
         af = AssociatedFunction(g)
-        x = SGridSpec.from_grid(g, points=m).axis_samples()
+        x = s_samples(g, m)
         om, flags, q3 = dense_q3(g.flat, g.box, x)
         k_om, _, k_flags = af._scan(x[every_sample(m, g.dim)])
-        k_q3 = _q3_all(g, SGridSpec.from_grid(g, points=m))
+        k_q3 = biconjugate(x, g.values).reshape(-1)
         assert k_om.shape == k_flags.shape == (m ** g.dim,)
         assert close(k_om, om), g.box
         assert np.array_equal(k_flags, flags), g.box
         assert close(k_q3, q3), g.box
 
 
-# The unblocked kernel that ``biconjugate`` and ``_q3_all`` replace: one
-# forward pass over the m^d samples of the box, one over the sub-box for the
-# boundary flags, and one backward pass over all of them.  The flag of q3 at
-# an index is omega's flag at its first maximising sample; the library keeps
-# no such flag (see test_a_q3_flag_off_the_shell_implies_a_shell_certificate).
+# The unblocked kernel that ``biconjugate`` replaces: one forward pass over
+# the m^d samples of the box, one over the sub-box for omega's boundary flags,
+# and one backward pass over all of them.
 
 
 def ref_forward(x, f):
@@ -101,22 +105,17 @@ def ref_forward(x, f):
 
 
 def ref_backward(x, A, box):
-    V, P = -A, None
+    V = -A
     for j in reversed(range(A.ndim)):
         V = np.ascontiguousarray(np.moveaxis(V, j, -1))
-        P = None if P is None else np.ascontiguousarray(np.moveaxis(P, j, -1))
         vals = np.empty(V.shape[:j] + (box[j] + 1,) + V.shape[j:-1])
-        args = np.empty(vals.shape, dtype=np.intp)
         T = np.empty_like(V)
         for c in range(box[j] + 1):
             np.add(V, c * x, out=T)
-            i = T.argmax(axis=-1)[..., None]
-            at = (slice(None),) * j + (c,)
-            vals[at] = T.max(axis=-1)  # as biconjugate: a tie of 0.0 and -0.0 may keep either
-            args[at] = (i[..., 0] + x.size * np.arange(i.size).reshape(i.shape[:-1])
-                        if P is None else np.take_along_axis(P, i, -1)[..., 0])
-        V, P = vals, args
-    return V, P
+            # as biconjugate: a tie of 0.0 and -0.0 may keep either
+            vals[(slice(None),) * j + (c,)] = T.max(axis=-1)
+        V = vals
+    return V
 
 
 def ref_omega_grid(af, x):
@@ -126,12 +125,6 @@ def ref_omega_grid(af, x):
         return om, np.ones(om.shape, dtype=bool)
     oi = ref_forward(x, a[tuple(slice(0, n) for n in af.box)])
     return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
-
-
-def ref_q3_all(af, x):
-    om, flags = ref_omega_grid(af, x)
-    vals, arg = ref_backward(x, om, af.box)
-    return vals.reshape(-1), flags.reshape(-1)[arg.reshape(-1)]
 
 
 def same_bits(got, want):
@@ -150,14 +143,13 @@ def identity_corpus(wide=True):
 
 def assert_kernel_is_the_reference(wide=True):
     for g, m in identity_corpus(wide):
-        spec = SGridSpec.from_grid(g, points=m)
-        x = spec.axis_samples()
-        want = ref_backward(x, ref_forward(x, g.values), g.box)[0]
+        x = s_samples(g, m)
+        want = ref_backward(x, ref_forward(x, g.values), g.box)
         assert same_bits(biconjugate(x, g.values), want), g.box
-        assert same_bits(_q3_all(g, spec), want.reshape(-1)), g.box
 
 
 def test_biconjugate_and_q3_are_the_unblocked_kernel_bit_for_bit():
+    # the sampled q3 of the dual-grid route is biconjugate itself
     assert_kernel_is_the_reference()
 
 
@@ -173,7 +165,7 @@ def test_omega_kernel_is_the_forward_pass_at_every_sample():
         if m ** g.dim > 40_000:
             continue
         af = AssociatedFunction(g)
-        x = SGridSpec.from_grid(g, points=m).axis_samples()
+        x = s_samples(g, m)
         om, _, flags = af._scan(x[every_sample(m, g.dim)])
         want_om, want_flags = ref_omega_grid(af, x)
         # equal values; a maximum over a tie of 0.0 and -0.0 may keep either
@@ -186,14 +178,15 @@ def set_cores(monkeypatch, k):
 
 
 def test_q3_holds_no_sample_grid_in_memory(monkeypatch):
+    # the sampled q3 of the dual-grid route, biconjugate, at 600 samples per axis
     g = convex_random_grid((6, 6), seed=11)
-    spec = SGridSpec.from_grid(g, points=600)
+    x = s_samples(g, 600)
     for cores in (None, 8):  # the real core count, then 8: 6 lanes (600**2 / 2**16 blocks)
         if cores is not None:
             set_cores(monkeypatch, cores)
         tracemalloc.start()
         try:
-            _q3_all(g, spec)
+            biconjugate(x, g.values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,7 +211,6 @@ def guard_corpus():
         yield convex_random_grid((6, 6), seed=seed), 600
     yield SequenceGrid((6, 6), 0.7 * order_array((6, 6)), LOG), 200  # every sample ties
     yield notconvex_grid((4, 4), LOG), 200
-    # each with a q3 flag at an index whose certificate stays off the shell
     yield random_grid((6, 6), seed=0), 200
     yield random_grid((8,), seed=9), 200
     yield convex_random_grid((4, 4), seed=6), 200
@@ -226,22 +218,21 @@ def guard_corpus():
 
 
 def test_a_q3_flag_off_the_shell_implies_a_shell_certificate():
-    # omega's flag at a sample s says max_beta (<beta, s> - a_beta) is attained
-    # on the outer shell only, at some beta.  The plane of slope s through
-    # (beta, a_beta) lies below the data, so beta is a contact, and beta's own
-    # certificate touches beta on the shell: the LP reports a boundary at
-    # whatever alpha took its q3 flag from s.
-    flagged = 0
-    for g, m in guard_corpus():
-        spec = SGridSpec.from_grid(g, points=m)
-        boundary = minorant_lp(g).boundary
-        interior = np.isfinite(g.flat) & ~boundary
-        flags = ref_q3_all(AssociatedFunction(g), spec.axis_samples())[1]
-        flagged += bool(flags[interior].any())
-        assert boundary.any() or not flags[interior].any(), g.box
-        report = check_log_convexity(g, s_grid=spec)
-        assert report.boundary_caveat == (boundary.any() or not interior.any()), g.box
-    assert flagged >= 4  # the first assertion is not vacuous
+    # q3 is taken at each certificate slope, where it equals a^c up to
+    # rounding, so its failures are exactly the interior gaps above SLACK_TOL,
+    # and the boundary caveat comes from the certificates alone
+    failing = 0
+    for g, _ in guard_corpus():
+        res = minorant_lp(g)
+        interior = np.isfinite(g.flat) & ~res.boundary
+        with np.errstate(invalid="ignore"):
+            gap = g.flat - res.minorant.flat
+        report = check_log_convexity(g)
+        assert report.q3_failures == multi_indices(g.box, interior & (gap > SLACK_TOL)), g.box
+        assert report.q3_holds == report.globally_convex, g.box
+        assert report.boundary_caveat == (res.boundary.any() or not interior.any()), g.box
+        failing += bool(report.q3_failures)
+    assert failing >= 4  # the first assertion is not vacuous
 
 
 def test_forward_with_infinite_data_imposes_nothing():
@@ -260,7 +251,9 @@ def test_sample_cap_fits_the_defaults_and_allocates_nothing_beyond_it():
     with pytest.raises(OutOfRange):
         KGridSpec(0.0, 1.0, 1e-320).axis_samples()
     with pytest.raises(OutOfRange):
-        SGridSpec(0.0, 1.0, 10**12).axis_samples()
+        check_samples(10**12, 1)
+    with pytest.raises(EmptySGrid):
+        check_samples(0, 2)
 
 
 def test_dual_value_matches_a_dense_slope_scan():
@@ -317,7 +310,7 @@ def lane_corpus():
 def kernel_outputs():
     out = []
     for g, m in lane_corpus():
-        out.append(biconjugate(SGridSpec.from_grid(g, points=m).axis_samples(), g.values))
+        out.append(biconjugate(s_samples(g, m), g.values))
     af = AssociatedFunction(random_grid((3, 2), seed=6))  # 12 points per row
     rng = SplitMix64(7)
     for n in (25, 3):
@@ -357,7 +350,7 @@ def test_the_kernels_give_the_same_bits_on_any_lane_count(monkeypatch, block):
             assert np.array_equal(*bits), k
 
 
-def test_check_json_is_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys):
+def test_check_and_assoc_json_are_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys):
     inputs = []
     for i, g in enumerate([convex_random_grid((6, 6), 3), random_grid((6, 6), 7)]):
         path = tmp_path / f"g{i}.json"
@@ -370,8 +363,10 @@ def test_check_json_is_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys)
         calls.clear()
         for path in inputs:
             assert main(["check", path, "--s-points", "600", "--json"]) == 0
+            assert main(["assoc", path, "--t-grid", "0.1,30,4000", "--json"]) == 0
         outs[k] = capsys.readouterr().out
-        assert [len(call) for call in calls] == [k, k]  # 600**2 samples: 6 blocks' worth
+        # check scans omega at 49 slopes, one block; assoc at 4000 points, 3 blocks' worth
+        assert [len(call) for call in calls] == [1, min(k, 3)] * 2
     assert outs[1] and all(out == outs[1] for out in outs.values())
 
 

@@ -504,6 +504,20 @@ def test_start_bases_take_neighbours_first_then_the_nearest_points():
     assert accepts(P, P[12], start)
 
 
+def test_start_bases_are_the_same_in_blocks_of_any_size(monkeypatch):
+    masks = [(np.array([1, 0, 0, 1, 1, 0, 1], dtype=bool), (6,))]
+    for seed, box in enumerate([(40,), (6, 5), (4, 3, 5), (5, 0, 3)]):
+        finite = np.random.default_rng(seed).random(math.prod(n + 1 for n in box)) < 0.4
+        finite[0] = True
+        masks.append((finite, box))
+    whole = [_start_bases(finite, box) for finite, box in masks]
+    assert any((s[:, 0] >= 0).sum() > 3 for s in whole)
+    for entries in (1, 7, 50):  # one row per block, then a few, with a ragged last block
+        monkeypatch.setattr(lpsolve, "BLOCK_ENTRIES", entries)
+        for (finite, box), want in zip(masks, whole):
+            assert np.array_equal(_start_bases(finite, box), want), (entries, box)
+
+
 def holed_workload_grids():
     """The benchmark's minorant inputs: random_grid (10, 10) and (4, 4, 4)
     with 8% of the entries off the outer shell, the origin excluded, set to

@@ -25,7 +25,7 @@ KEEP = {
     **dict.fromkeys(["BEURLING", "ROUMIEU", "TRIANGLE"],
                     "a relation kind of verify_relation and search_relation, by name"),
     "omega": "the paper's omega_M at one point, in one call",
-    "q3_supremum": "the paper's sampled q3 supremum at one index",
+    "q3_supremum": "the paper's q3 supremum at one index, exact at its certificate slope",
     "q3_supremum_log": "q3_supremum on the log scale, where it cannot overflow",
     "log_convex_minorant": "the paper's log-convex regularization exp((log M)^c)",
     "evaluate": "the 1-D sweep's minorant at a real abscissa",

@@ -11,7 +11,7 @@ from pathlib import Path
 from logcvx import core
 
 SRC = Path(core.__file__).parent
-MAX_TOLERANCES = 7
+MAX_TOLERANCES = 6
 
 
 def _tolerance_block(tree: ast.Module) -> list[ast.Assign]:

@@ -57,6 +57,8 @@ def test_the_tracer_reads_one_op_of_each_workload(tracer, tmp_path, capsys):
     assert codes == [0, 0, 0]
     layer = {k: v["value"] for k, v in tracer.per_layer(t.spans, 1, 0).items()}
     assert layer["matrices.candidates"] == 3 * 3 * 11 * 25  # lam, kappa, h, C
-    assert layer["assoc.samples_x_points"] == inputs.S_POINTS ** 2 * 7 * 7
+    # check samples nothing, and the tracer, reading no s grid from the call,
+    # counts the default one: 200 per axis on (6, 6)
+    assert layer["assoc.samples_x_points"] == 200 ** 2 * 7 * 7
     assert layer["io.read_bytes"] == sum(Path(f).stat().st_size for op in ops for f in op.files)
     assert layer["cli.render_ms"] > 0
