@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugate
-from .core import (EXP, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, to_exp,
+from .core import (EXP, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, to_exp,
                    as_log_grid, index_array, multi_indices, outer_shell_mask, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
@@ -252,7 +252,7 @@ def check_log_convexity(g: SequenceGrid) -> LogConvexityReport:
     """Coordinatewise, global (LP-exact), and supremum convexity checks.
 
     The grid must be normalized; EXP input is logged internally.  q3 is taken
-    at the certificate slopes of the LP, so the three verdicts agree.
+    at the certificate slopes of the LP, so it agrees with the LP up to rounding.
     """
     af = AssociatedFunction(g)  # validation + normalization
     lg = as_log_grid(g)

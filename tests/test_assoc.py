@@ -9,9 +9,9 @@ import pytest
 
 from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     EmptySGrid, GridValidationError, NotNormalized, OutOfRange,
-                    SGridSpec, SequenceGrid, SplitMix64, check_log_convexity,
+                    SGridSpec, SequenceGrid, SplitMix64, as_log_grid, check_log_convexity,
                     convex_random_grid, factorial_grid, log_convex_minorant,
-                    minorant_lp, notconvex_grid, omega, q3_supremum, q3_supremum_log,
+                    notconvex_grid, omega, q3_supremum, q3_supremum_log,
                     random_grid, read_report, to_exp, write_grid)
 from logcvx import assoc, conjugate
 from logcvx.cli import main
@@ -209,7 +209,7 @@ def test_q3_meets_the_minorant_at_every_certificate_slope():
         outside += int((~has).sum())
         q3 = assoc._q3(AssociatedFunction(g), planes)
         # the same, from one matrix of every slope against every finite point
-        a = assoc.as_log_grid(g).flat
+        a = as_log_grid(g).flat
         P, K, fin = index_array(g.box).astype(float), planes[has, :-1], np.isfinite(a)
         dense = (P[has] * K).sum(axis=1) - (K @ P[fin].T - a[fin]).max(axis=1)
         assert np.isposinf(q3[~has]).all()

@@ -17,10 +17,10 @@ from logcvx import (LOG, AssociatedFunction, EmptySGrid, KGridSpec, OutOfRange, 
                     SequenceGrid, SplitMix64, check_log_convexity, conjugate,
                     convex_random_grid, minorant_lp, notconvex_grid, random_grid,
                     write_grid)
-from logcvx.assoc import SLACK_TOL, TIE_REL_TOL
+from logcvx.assoc import TIE_REL_TOL
 from logcvx.cli import main
 from logcvx.conjugate import MAX_SAMPLES, biconjugate, check_samples
-from logcvx.core import index_array, multi_indices, order_array, outer_shell_mask
+from logcvx.core import SLACK_TOL, index_array, multi_indices, order_array, outer_shell_mask
 
 
 def s_samples(g, m):
