@@ -167,7 +167,7 @@ def minorant_lp(g: SequenceGrid) -> MinorantResult:
     P = index_array(g.box).astype(float)
     finite = np.isfinite(a)
     shell = outer_shell_mask(g.box)
-    lp = lpsolve.solve_batch(P, a, P, shell, _start_bases(finite, g.box))
+    lp = lpsolve.solve_batch(g.box, a, P, shell, _start_bases(finite, g.box))
     with np.errstate(invalid="ignore"):
         meets = finite & (np.abs(a - lp.optimum) <= FEAS_TOL * np.maximum(1.0, np.abs(a)))
     return MinorantResult(SequenceGrid(g.box, lp.optimum, LOG), lp.point, lp.tight, meets,

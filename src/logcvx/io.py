@@ -34,7 +34,6 @@ import csv
 import dataclasses
 import json
 import math
-from itertools import compress
 
 import numpy as np
 
@@ -134,8 +133,11 @@ def _table_text(table: Columns) -> str:
             slot = "null"
         elif col.dtype == bool and col.ndim == 1:
             cells.append([("false", "true")[v] for v in col.tolist()])
-        elif col.dtype == bool:
-            cells.append(["[" + ",".join(compress(texts, row)) + "]" for row in col.tolist()])
+        elif col.dtype == bool:  # each row's points, read off the nonzeros
+            rows, at = np.nonzero(col)
+            picked = [texts[i] for i in at.tolist()]
+            cut = np.searchsorted(rows, np.arange(len(col) + 1)).tolist()
+            cells.append(["[" + ",".join(picked[i:j]) + "]" for i, j in zip(cut, cut[1:])])
         elif col.dtype.kind in "iu":
             cells.append([texts[i] for i in col.tolist()])
         else:  # each distinct value once, unless most are distinct and all finite

@@ -1,24 +1,27 @@
 """Convex-combination simplex for envelope values, and a brute-force oracle.
 
-``solve_batch`` computes the lower convex envelope of data (beta, a_beta) at
-each of T targets alpha as the best convex combination of data points,
+``solve_batch`` computes the lower convex envelope of data (beta, a_beta) on
+the lattice of a box, in row-major order, at each of T targets alpha as the
+best convex combination of data points,
 
     minimize  sum lam_beta a_beta   s.t.  sum lam_beta [1; beta] = [1; alpha],  lam >= 0,
 
-by a revised simplex with d+1 rows and an explicit basis inverse per target,
-so a pivot costs O(d n).  The targets pivot in lockstep: each step prices
-every live target against every point, then pivots them all together, and a
-target leaves the batch once nothing prices out.  Columns are stored as
-[1; beta - alpha]: the right-hand side is e_0 and the basic weights are the
-first column of the inverse.  The dual is the supporting-plane LP
+by a revised simplex with d+1 rows and an explicit basis inverse per target.
+The targets pivot in lockstep: each step prices every live target against
+every lattice point, then pivots them all together, and a target leaves the
+batch once nothing prices out.  Columns are stored as [1; beta - alpha]: the
+right-hand side is e_0 and the basic weights are the first column of the
+inverse.  The dual is the supporting-plane LP
 max <k, alpha> + h  s.t.  <k, beta> + h <= a_beta, and the final basis gives
-its solution (h, k) = c_B B^-1, the certificate.  In pricing and pivoting,
-every sum over the d+1 rows and every plane h + k_1 beta_1 + ... + k_d beta_d
-is taken in a fixed order with elementwise operations, never a matrix
+its solution (h, k) = c_B B^-1, the certificate.  A plane is priced one axis
+at a time, k_l (beta_l - alpha_l) on the N_l + 1 values of axis l and one
+broadcast add per axis: about one pass over the n points, whatever d.  Every
+sum over the d+1 rows and every plane h + k_1 beta_1 + ... + k_d beta_d is
+taken in that fixed order with elementwise operations, never a matrix
 product, so a target's arithmetic does not depend on the other targets of
-its batch or on the number of BLAS threads; only the start inverses come from
-LAPACK, one matrix at a time.  ``solve`` is the batch of one.  The pivot
-rules are deterministic, so identical inputs give bit-identical output.
+its batch or on the BLAS kernel and threads; only the start inverses come
+from LAPACK, one matrix at a time.  ``solve`` is the batch of one.  The
+pivot rules are deterministic, so identical inputs give bit-identical output.
 
 ``brute_force_batch`` is an independent cross-check on integer abscissae: it
 enumerates the subsets of at most d+1 points with their exact barycentric
@@ -30,11 +33,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FEAS_TOL, PIVOT_TOL, RED_TOL, TIE_REL_TOL, WEIGHT_TOL
+from .core import FEAS_TOL, PIVOT_TOL, RED_TOL, TIE_REL_TOL, WEIGHT_TOL, index_array
 from .errors import NumericBreakdown
 
 OPTIMAL = "optimal"
@@ -89,24 +93,25 @@ def _vecmat(c, B):
     return y
 
 
-def _relative(P, alpha, y):
-    """Values y_0 + y_1 (P_1 - alpha_1) + ... + y_d (P_d - alpha_d) of the
-    target-relative planes y at every point, summed in that order."""
-    vals = np.repeat(y[:, :1], P.shape[0], axis=1)
-    for l in range(P.shape[1]):
-        vals += y[:, l + 1, None] * (P[:, l] - alpha[:, l, None])
-    return vals
+def _planes(box, first, slopes, offsets):
+    """Values first + s_1 (x_1 - o_1) + ... + s_d (x_d - o_d) of T planes at
+    every point x of the lattice of ``box``, row-major: a (T, n) array.
+
+    Each axis term s_l (x_l - o_l) is formed on that axis's N_l + 1 values
+    alone, and the sum grows one axis at a time by a broadcast add, so every
+    entry gets the products and the left-to-right sums of the formula."""
+    T, vals = len(first), first
+    for l, N in enumerate(box):
+        term = slopes[:, l, None] * (np.arange(N + 1.0) - offsets[:, l, None])
+        vals = vals[..., None] + term.reshape((T,) + (1,) * l + (N + 1,))
+    return vals.reshape(T, math.prod(vals.shape[1:]))
 
 
-def _certificates(P, alpha, y):
+def _certificates(box, alpha, y):
     """Certificate planes (k, h) of the target-relative planes y = (y_0, k),
-    with h = y_0 - <k, alpha>, and their values h + k_1 P_1 + ... + k_d P_d
-    at every point, summed in that order."""
+    with h = y_0 - <k, alpha>, and their values at every lattice point."""
     h = y[:, 0] - _vecmat(y[:, 1:], alpha[:, :, None])[:, 0]
-    vals = np.repeat(h[:, None], P.shape[0], axis=1)
-    for l in range(P.shape[1]):
-        vals += y[:, l + 1, None] * P[:, l]
-    return np.column_stack([y[:, 1:], h]), vals
+    return np.column_stack([y[:, 1:], h]), _planes(box, h, y[:, 1:], np.zeros_like(alpha))
 
 
 def _basic(cost, basis):
@@ -114,20 +119,20 @@ def _basic(cost, basis):
     return cost[basis] if cost.ndim == 1 else cost[np.arange(len(basis))[:, None], basis]
 
 
-def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
+def _simplex(box, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
     """Pivots every target in lockstep, in place, until none prices out.
 
-    Target t has the point columns [1; P_j - alpha_t], with costs ``cost``
-    (shape (n,) shared, or (T, n)), and the artificial columns e_i.  A point
-    enters only when its reduced cost is below -``tol``; +inf costs never do.
-    In phase 1 an artificial costs 1 and may enter, with tolerance FEAS_TOL;
-    otherwise it costs 0 and never enters.  A basic column never re-enters.
-    Each target takes the column with the most negative reduced cost relative
-    to tol; after BLAND_AFTER degenerate pivots in a row, Bland's
-    smallest-index rule takes over for that target for good, so no target
-    can cycle.
+    Target t has a column [1; P_j - alpha_t] per point P_j of the lattice of
+    ``box``, with costs ``cost`` (shape (n,) shared, or (T, n)), and the
+    artificial columns e_i.  A point enters only when its reduced cost is
+    below -``tol``; +inf costs never do.  In phase 1 an artificial costs 1
+    and may enter, with tolerance FEAS_TOL; otherwise it costs 0 and never
+    enters.  A basic column never re-enters.  Each target takes the column
+    with the most negative reduced cost relative to tol; after BLAND_AFTER
+    degenerate pivots in a row, Bland's smallest-index rule takes over for
+    that target for good, so no target can cycle.
     """
-    n, m = P.shape[0], basis.shape[1]
+    P, n, m = index_array(box), cost.shape[-1], basis.shape[1]
     if not len(basis):
         return
     art = np.full(cost.shape[:-1] + (m,), 1.0 if phase_one else 0.0)
@@ -136,7 +141,7 @@ def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
     B, bas, degenerate = Binv.copy(), basis.copy(), np.zeros(len(basis), dtype=np.int64)
     for _ in range(limit):
         y = _vecmat(_basic(cost, bas), B)
-        score = (cost[..., :n] - _relative(P, alpha, y)) / tol
+        score = (cost[..., :n] - _planes(box, y[:, 0], y[:, 1:], alpha)) / tol
         if phase_one:
             score = np.concatenate([score, (1.0 - y) / FEAS_TOL], axis=1)
         # a basic column prices at zero only up to rounding
@@ -183,7 +188,7 @@ def _simplex(P, alpha, basis, Binv, cost, tol, phase_one, limit) -> None:
     raise NumericBreakdown(f"no convergence within {limit} pivots")
 
 
-def _tilt(P, a, tol_a, shell, alpha, basis, Binv, y, tight, limit):
+def _tilt(box, a, tol_a, shell, alpha, basis, Binv, y, tight, limit):
     """Certificates for targets whose optimal plane y touches the shell while
     their weights do not; ``basis`` is phase 2's optimal one and ``tight``
     marks the points tight at y.
@@ -195,31 +200,30 @@ def _tilt(P, a, tol_a, shell, alpha, basis, Binv, y, tight, limit):
     Returns, per target, whether the tilted plane clears the shell, with its
     certificate and the points tight at it.
     """
-    n = P.shape[0]
+    n = len(a)
     band = tight.copy()
     rows, cols = np.nonzero(basis < n)
     band[rows, basis[rows, cols]] = True
     lift = np.where(band, np.where(shell, -1.0, 0.0), math.inf)
-    _simplex(P, alpha, basis, Binv, lift, FEAS_TOL, False, limit)
+    _simplex(box, alpha, basis, Binv, lift, FEAS_TOL, False, limit)
     c = np.where(basis < n, _basic(lift, np.minimum(basis, n - 1)), 0.0)
     go = _vecmat(c, Binv[:, :, :1])[:, 0] >= -WEIGHT_TOL
     tilt = _vecmat(c, Binv)
-    delta = _relative(P, alpha, tilt)
-    gap = a - _relative(P, alpha, y)
+    delta = _planes(box, tilt[:, 0], tilt[:, 1:], alpha)
+    gap = a - _planes(box, y[:, 0], y[:, 1:], alpha)
     # half the largest step keeping every point under the data and every
     # other shell point off the tight band, at most 1; a step too short
     # to clear the tight shell points (delta <= -1) is dropped below
     room = np.full(delta.shape, math.inf)
     np.divide(np.where(shell, gap - tol_a, gap + tol_a), delta, out=room, where=delta > 0.0)
     eps = np.minimum(0.5 * room.min(axis=1), 1.0)
-    point, vals = _certificates(P, alpha, y + eps[:, None] * tilt)
+    point, vals = _certificates(box, alpha, y + eps[:, None] * tilt)
     tight = np.abs(a - vals) <= tol_a
     return go & ~(tight & shell).any(axis=1), point, tight
 
 
-def _solve_block(P, a, alpha, shell, starts) -> LPBatch:
-    T, (n, d) = len(alpha), P.shape
-    m = d + 1
+def _solve_block(box, a, alpha, shell, starts) -> LPBatch:
+    T, n, m = len(alpha), len(a), len(box) + 1
     finite = np.isfinite(a)
     scale = np.maximum(1.0, np.abs(np.where(finite, a, 0.0)))
     tol_a = FEAS_TOL * scale
@@ -230,7 +234,7 @@ def _solve_block(P, a, alpha, shell, starts) -> LPBatch:
     given = np.flatnonzero((starts >= 0).all(axis=1))
     S = starts[given]
     M = np.ones((len(given), m, m))
-    M[:, 1:] = (P[S] - alpha[given, None, :]).transpose(0, 2, 1)
+    M[:, 1:] = (index_array(box)[S] - alpha[given, None, :]).transpose(0, 2, 1)
     ok = np.linalg.det(M) != 0.0  # a zero pivot of the LU factors, where inv would raise
     inv = np.linalg.inv(np.where(ok[:, None, None], M, np.eye(m)))
     ok &= finite[S].all(axis=1) & (inv[:, :, 0] >= 0.0).all(axis=1)
@@ -241,7 +245,7 @@ def _solve_block(P, a, alpha, shell, starts) -> LPBatch:
     cold[given[ok]] = False
     cold = np.flatnonzero(cold)
     b, Bi = basis[cold], Binv[cold]
-    _simplex(P, alpha[cold], b, Bi, np.where(finite, 0.0, math.inf), FEAS_TOL, True, limit)
+    _simplex(box, alpha[cold], b, Bi, np.where(finite, 0.0, math.inf), FEAS_TOL, True, limit)
     residue = np.zeros(len(cold))
     for i in range(m):
         residue += np.where(b[:, i] >= n, Bi[:, i, 0], 0.0)
@@ -251,15 +255,15 @@ def _solve_block(P, a, alpha, shell, starts) -> LPBatch:
 
     live = np.flatnonzero(~unbounded)
     b, Bi, al = basis[live], Binv[live], alpha[live]
-    _simplex(P, al, b, Bi, a, RED_TOL * scale, False, limit)
+    _simplex(box, al, b, Bi, a, RED_TOL * scale, False, limit)
     y = _vecmat(np.where(b < n, a[np.minimum(b, n - 1)], 0.0), Bi)
-    point, vals = _certificates(P, al, y)
+    point, vals = _certificates(box, al, y)
     tight = np.abs(a - vals) <= tol_a
     if shell is not None:
         real = b < n
         weighs = (real & shell[np.minimum(b, n - 1)] & (Bi[:, :, 0] > WEIGHT_TOL)).any(axis=1)
         t = np.flatnonzero((tight & shell).any(axis=1) & ~weighs)
-        clear, tilted, tilted_tight = _tilt(P, a, tol_a, shell, al[t], b[t], Bi[t], y[t],
+        clear, tilted, tilted_tight = _tilt(box, a, tol_a, shell, al[t], b[t], Bi[t], y[t],
                                             tight[t], limit)
         point[t[clear]], tight[t[clear]] = tilted[clear], tilted_tight[clear]
 
@@ -272,28 +276,36 @@ def _solve_block(P, a, alpha, shell, starts) -> LPBatch:
     return LPBatch(unbounded, optimum, planes, touching)
 
 
-def solve_batch(points, values, targets, shell=None, starts=None) -> LPBatch:
+def solve_batch(box, values, targets, shell=None, starts=None) -> LPBatch:
     """Envelope values and certificate planes at every row of ``targets``.
 
-    ``points`` is an (n, d) array of abscissae, ``values`` their data (+inf
-    means no constraint), ``targets`` a (T, d) array.  ``starts``, a
-    (T, d+1) integer array, optionally names for each target d+1 points
-    forming a feasible basis; a row with a negative entry names none.  Where
-    there is none, or it is singular or infeasible, phase 1 runs from d+1
-    artificial columns.  With a boolean ``shell`` mask, a returned plane
-    touches a shell point only if every optimal plane does, that is, if some
-    optimal convex combination puts weight on the shell.  The targets are
-    solved in blocks of at most BLOCK_ENTRIES // (n + d + 1).
+    The points are the lattice of ``box`` = (N_1, ..., N_d) in row-major
+    order (the rows of :func:`core.index_array`), ``values`` their data (+inf
+    means no constraint), ``targets`` a (T, d) array.  ``starts``, a (T, d+1)
+    integer array, optionally names for each target d+1 points forming a
+    feasible basis; a row with a negative entry names none.  Where there is
+    none, or it is singular or infeasible, phase 1 runs from d+1 artificial
+    columns.  With a boolean ``shell`` mask, a returned plane touches a shell
+    point only if every optimal plane does, that is, if some optimal convex
+    combination puts weight on the shell.  Each step prices the live targets
+    one lattice axis at a time, with the sums of a loop over the points.  The
+    targets are solved in blocks of at most BLOCK_ENTRIES // (n + d + 1).
+    Raises ValueError on a negative or non-integer extent and on arrays of
+    the wrong shape.
     """
-    P = np.asarray(points, dtype=float)
+    try:
+        box = tuple(operator.index(N) for N in box)
+    except TypeError:
+        raise ValueError(f"the extents of the box must be integers: {box!r}") from None
+    if any(N < 0 for N in box):
+        raise ValueError(f"the extents of the box must not be negative: {box!r}")
     a = np.asarray(values, dtype=float)
     A = np.asarray(targets, dtype=float)
-    if (P.ndim != 2 or a.shape != (P.shape[0],) or A.ndim != 2
-            or A.shape[1] != P.shape[1]):
+    n, m = math.prod(N + 1 for N in box), len(box) + 1
+    if a.shape != (n,) or A.ndim != 2 or A.shape[1] != m - 1:
         raise ValueError("inconsistent LP shapes")
     if not (a > -math.inf).all():
         raise ValueError("values must not be NaN or -inf")
-    n, m = P.shape[0], P.shape[1] + 1
     S = (np.full((len(A), m), -1, dtype=np.int64) if starts is None
          else np.asarray(starts, dtype=np.int64))
     if S.shape != (len(A), m) or (S >= n).any():
@@ -303,7 +315,7 @@ def solve_batch(points, values, targets, shell=None, starts=None) -> LPBatch:
         if shell.shape != (n,):
             raise ValueError("inconsistent LP shapes")
     size = max(1, BLOCK_ENTRIES // (n + m))
-    blocks = [_solve_block(P, a, A[s:s + size], shell, S[s:s + size])
+    blocks = [_solve_block(box, a, A[s:s + size], shell, S[s:s + size])
               for s in range(0, max(len(A), 1), size)]
     if len(blocks) == 1:
         return blocks[0]
@@ -311,9 +323,9 @@ def solve_batch(points, values, targets, shell=None, starts=None) -> LPBatch:
                      for f in dataclasses.fields(LPBatch)))
 
 
-def solve(points, values, target, shell=None, start=None) -> LPSolution:
-    """Envelope value and certificate plane at ``target``, a length-d point:
-    :func:`solve_batch` on a batch of one.
+def solve(box, values, target, shell=None, start=None) -> LPSolution:
+    """Envelope value and certificate plane at ``target``, a length-d point,
+    over the lattice of ``box``: :func:`solve_batch` on a batch of one.
 
     ``start`` optionally names d+1 points forming a feasible basis.
     """
@@ -321,7 +333,7 @@ def solve(points, values, target, shell=None, start=None) -> LPSolution:
     starts = None if start is None else np.asarray(start, dtype=np.int64)[None]
     if alpha.ndim != 1 or (starts is not None and (starts < 0).any()):
         raise ValueError("inconsistent LP shapes")
-    out = solve_batch(points, values, alpha[None], shell, starts)
+    out = solve_batch(box, values, alpha[None], shell, starts)
     if out.unbounded[0]:
         return LPSolution(UNBOUNDED, math.inf, None, ())
     return LPSolution(OPTIMAL, float(out.optimum[0]), out.point[0],

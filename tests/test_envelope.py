@@ -433,7 +433,7 @@ def test_minorant_lp_rows_equal_single_solves_bit_for_bit():
         shell = outer_shell_mask(g.box)
         starts = _start_bases(np.isfinite(a), g.box)
         for i in range(len(P)):
-            sol = lpsolve.solve(P, a, P[i], shell, starts[i] if starts[i, 0] >= 0 else None)
+            sol = lpsolve.solve(g.box, a, P[i], shell, starts[i] if starts[i, 0] >= 0 else None)
             assert np.float64(sol.optimum).tobytes() == res.minorant.flat[i].tobytes()
             if np.isnan(res.planes[i]).all():
                 assert sol.status == lpsolve.UNBOUNDED

@@ -400,6 +400,18 @@ def table_cases():
         Columns({"z": None, "%d": np.array([1.5, 2.5]), "a": np.empty((2, 0))}),
         Columns({"t": np.stack([FEW, FINITE_COLUMN], axis=1), "omega": EDGE_COLUMN,
                  "argmax": np.arange(8) % 4, "on_boundary": FEW > 0.5}, POINTS),
+        # touching sets, written from their nonzeros: empty rows first, last and
+        # between full ones; no point in any row; one point; no rows
+        Columns({"alpha": np.array([2, 0, 1, 3]),
+                 "touching": np.array([[False] * 4, [True] * 4, [False] * 4,
+                                       [True, False, False, True]])}, POINTS),
+        Columns({"alpha": np.array([1, 2, 3]), "touching": np.array([[True, True, False, False],
+                                                                     [False] * 4, [False] * 4])},
+                POINTS),
+        Columns({"touching": np.zeros((3, 4), dtype=bool)}, POINTS),
+        Columns({"alpha": np.zeros(3, dtype=int), "touching": np.array([[True], [False], [True]])},
+                POINTS[:1]),
+        Columns({"alpha": np.empty(0, dtype=int), "touching": np.empty((0, 4), dtype=bool)}, POINTS),
     ]
 
 

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +16,15 @@ INF = math.inf
 
 
 def on_line(values):
-    """Points 0..n-1 of a line carrying ``values``."""
-    return np.arange(len(values), dtype=float)[:, None], np.asarray(values, dtype=float)
+    """The box (n-1,), whose lattice is the points 0..n-1 of a line, carrying ``values``."""
+    return (len(values) - 1,), np.asarray(values, dtype=float)
 
 
 def test_unbounded():
     # the target lies outside the hull of the finite points: no convex
     # combination reaches it, and the plane LP is unbounded
-    P, a = on_line([0.0, 1.0, INF])
-    sol = lps.solve(P, a, [2.0])
+    box, a = on_line([0.0, 1.0, INF])
+    sol = lps.solve(box, a, [2.0])
     assert sol.status == lps.UNBOUNDED
     assert math.isinf(sol.optimum)
     assert sol.point is None
@@ -32,8 +34,8 @@ def test_unbounded():
 def test_infinite_rhs_row_is_dropped():
     # a +inf value is a plane constraint with right-hand side +inf: the point
     # never enters a combination and is never tight
-    P, a = on_line([0.0, INF, 1.0])
-    sol = lps.solve(P, a, [1.0])
+    box, a = on_line([0.0, INF, 1.0])
+    sol = lps.solve(box, a, [1.0])
     assert sol.status == lps.OPTIMAL
     assert sol.optimum == pytest.approx(0.5, abs=1e-12)
     assert sol.active_rows == (0, 2)
@@ -42,18 +44,18 @@ def test_infinite_rhs_row_is_dropped():
 def test_negative_rhs_needs_phase_one():
     # the plane constraints <k, beta> + h <= a_beta have negative right-hand
     # sides, and the hole target has no finite pair around it: phase 1 runs
-    P, a = on_line([-1.0, 3.0, INF, INF, -3.0])
-    sol = lps.solve(P, a, [2.0])
+    box, a = on_line([-1.0, 3.0, INF, INF, -3.0])
+    sol = lps.solve(box, a, [2.0])
     assert sol.status == lps.OPTIMAL
     assert sol.optimum == pytest.approx(-2.0, abs=1e-12)
     assert sol.active_rows == (0, 4)
 
 
 def test_infeasible_start_falls_back_to_phase_one():
-    P, a = on_line([0.0, 2.0, 1.0, 6.0])
+    box, a = on_line([0.0, 2.0, 1.0, 6.0])
     # columns 2 and 3 do not bracket the target 1: negative weights
-    cold = lps.solve(P, a, [1.0], start=[2, 3])
-    warm = lps.solve(P, a, [1.0], start=[1, 0])
+    cold = lps.solve(box, a, [1.0], start=[2, 3])
+    warm = lps.solve(box, a, [1.0], start=[1, 0])
     assert warm.optimum == 0.5
     assert cold.optimum == pytest.approx(0.5, abs=1e-12)
     assert cold.active_rows == warm.active_rows == (0, 2)
@@ -70,7 +72,7 @@ def test_degenerate_vertex_terminates():
     for target, start, want in (([2.0, 2.0], [12, 7, 11], 3.75),
                                 ([1.0, 3.0], None, 3.875),
                                 ([4.0, 4.0], None, 8.0)):
-        sol = lps.solve(P, a, target, start=start)
+        sol = lps.solve(box, a, target, start=start)
         assert sol.status == lps.OPTIMAL
         assert sol.optimum == pytest.approx(want, abs=1e-12)
         k, h = sol.point[:2], sol.point[2]
@@ -82,7 +84,7 @@ def test_active_rows_are_tight():
     g = random_grid((4, 3), seed=3)
     P = index_array(g.box).astype(float)
     a = g.flat
-    sol = lps.solve(P, a, [2.0, 1.0])
+    sol = lps.solve(g.box, a, [2.0, 1.0])
     k, h = sol.point[:2], sol.point[2]
     gap = a - (P @ k + h)
     tight = np.flatnonzero(np.abs(gap) <= lps.FEAS_TOL * np.maximum(1.0, np.abs(a)))
@@ -93,8 +95,8 @@ def test_active_rows_are_tight():
 def test_contact_value_is_the_data_bit_for_bit():
     # 1 is a contact; the start plane through 1 and 2 rises above the point 3,
     # and the degenerate pivot that fixes it keeps the weight 1 on the target
-    P, a = on_line([0.0, 0.1, 5.0, 0.9])
-    sol = lps.solve(P, a, [1.0], start=[1, 2])
+    box, a = on_line([0.0, 0.1, 5.0, 0.9])
+    sol = lps.solve(box, a, [1.0], start=[1, 2])
     assert sol.optimum == a[1]
     assert sol.active_rows == (1, 3)
 
@@ -107,8 +109,8 @@ def test_repeats_are_bit_identical():
     a[[7, 13]] = INF
     shell = outer_shell_mask(box)
     for target in P:
-        one = lps.solve(P, a, target, shell)
-        two = lps.solve(P, a, target, shell)
+        one = lps.solve(box, a, target, shell)
+        two = lps.solve(box, a, target, shell)
         assert one.status == two.status
         assert one.point.tobytes() == two.point.tobytes()
         assert np.float64(one.optimum).tobytes() == np.float64(two.optimum).tobytes()
@@ -118,40 +120,56 @@ def test_repeats_are_bit_identical():
 def test_shell_is_avoided_when_some_optimal_plane_does():
     # a = [0, 0, 1, 2]: at 1 the slopes 0..1 are all optimal; slope 1 touches
     # the shell point 3, slope 0 does not
-    P, a = on_line([0.0, 0.0, 1.0, 2.0])
+    box, a = on_line([0.0, 0.0, 1.0, 2.0])
     shell = np.array([False, False, False, True])
-    sol = lps.solve(P, a, [1.0], shell, start=[1, 2])
+    sol = lps.solve(box, a, [1.0], shell, start=[1, 2])
     assert sol.optimum == 0.0
     assert 3 not in sol.active_rows
     # at 2 every optimal plane has slope 1 and touches 3
-    assert 3 in lps.solve(P, a, [2.0], shell).active_rows
+    assert 3 in lps.solve(box, a, [2.0], shell).active_rows
 
 
 def test_validation_rejects_bad_shapes():
-    P, a = on_line([0.0, 1.0])
+    box, a = on_line([0.0, 1.0])
     with pytest.raises(ValueError):
-        lps.solve(P, a[:1], [0.0])
+        lps.solve(box, a[:1], [0.0])
     with pytest.raises(ValueError):
-        lps.solve(P, a, [0.0, 1.0])
+        lps.solve(box, a, [0.0, 1.0])
     with pytest.raises(ValueError):
-        lps.solve(P, np.array([0.0, np.nan]), [0.0])
+        lps.solve(box, np.array([0.0, np.nan]), [0.0])
     with pytest.raises(ValueError):
-        lps.solve(P, np.array([0.0, -INF]), [0.0])
+        lps.solve(box, np.array([0.0, -INF]), [0.0])
+    # the values, one per lattice point of the box: 3 * 2 = 6 on (2, 1)
+    for values in (np.zeros(5), np.zeros(7), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="shapes"):
+            lps.solve_batch((2, 1), values, np.zeros((1, 2)))
+    # the extents: integers, none negative
+    for bad in ((-1,), (2, -1), (1.0,), (np.float64(2.0), 1), (1.5,), ("1",)):
+        with pytest.raises(ValueError, match="extents"):
+            lps.solve_batch(bad, np.zeros(2), np.zeros((1, len(bad))))
+    assert lps.solve_batch((np.int64(1),), a, np.zeros((1, 1))).optimum.tolist() == [0.0]
+    # the targets d wide, the starts d+1
+    for targets in (np.zeros((1, 1)), np.zeros((1, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="shapes"):
+            lps.solve_batch((2, 1), np.zeros(6), targets)
+    for starts in ([[0, 1]], [[0, 1, 2, 3]], [[0, 1, 2]] * 2, [[0, 1, 6]]):
+        with pytest.raises(ValueError, match="starts"):
+            lps.solve_batch((2, 1), np.zeros(6), np.zeros((1, 2)), None, starts)
 
 
 def test_brute_force_1d_example():
-    P, a = on_line([0.0, 2.0, 1.0, 6.0])
-    assert lps.brute_force_batch(P, a, [[1], [2]]).tolist() == [0.5, 1.0]
+    box, a = on_line([0.0, 2.0, 1.0, 6.0])
+    assert lps.brute_force_batch(index_array(box), a, [[1], [2]]).tolist() == [0.5, 1.0]
 
 
 def test_brute_force_ignores_infinite_points():
-    P, a = on_line([0.0, INF, 1.0])
-    assert lps.brute_force_batch(P, a, [[1]])[0] == 0.5
+    box, a = on_line([0.0, INF, 1.0])
+    assert lps.brute_force_batch(index_array(box), a, [[1]])[0] == 0.5
 
 
 def test_brute_force_outside_hull():
-    P, a = on_line([0.0, 2.0, INF])
-    assert lps.brute_force_batch(P, a, [[2]])[0] == INF
+    box, a = on_line([0.0, 2.0, INF])
+    assert lps.brute_force_batch(index_array(box), a, [[2]])[0] == INF
 
 
 def test_brute_force_no_finite_points():
@@ -183,7 +201,7 @@ def test_brute_force_matches_lp_on_random_grids():
         vals[0] = 0.0
         P = np.arange(n + 1, dtype=float)[:, None]
         for target in range(n + 1):
-            sol = lps.solve(P, vals, [float(target)])
+            sol = lps.solve((int(n),), vals, [float(target)])
             bf = lps.brute_force_batch(P, vals, [[target]])[0]
             assert sol.status == lps.OPTIMAL
             assert bf == pytest.approx(sol.optimum, abs=1e-8)
@@ -223,43 +241,44 @@ def test_batch_rows_equal_single_solves_bit_for_bit():
         P, a = holed_lattice(box, seed + 40)
         shell = outer_shell_mask(box)
         starts = _start_bases(np.isfinite(a), box)
-        batch = lps.solve_batch(P, a, P, shell, starts)
+        batch = lps.solve_batch(box, a, P, shell, starts)
         assert batch.unbounded.any() and not batch.unbounded.all()
         assert (starts < 0).any() and (starts >= 0).any()
         for t in range(len(P)):
             start = starts[t] if starts[t, 0] >= 0 else None
-            assert_same(lps.solve(P, a, P[t], shell, start), batch, t)
+            assert_same(lps.solve(box, a, P[t], shell, start), batch, t)
 
 
 def test_blocks_do_not_change_the_results(monkeypatch):
-    P, a = holed_lattice((6, 5), 3)
-    shell = outer_shell_mask((6, 5))
-    whole = lps.solve_batch(P, a, P, shell)
+    box = (6, 5)
+    P, a = holed_lattice(box, 3)
+    shell = outer_shell_mask(box)
+    whole = lps.solve_batch(box, a, P, shell)
     # blocks of 2 targets: 2 * (n + d + 1) entries
     monkeypatch.setattr(lps, "BLOCK_ENTRIES", 2 * (len(P) + 3))
-    split = lps.solve_batch(P, a, P, shell)
+    split = lps.solve_batch(box, a, P, shell)
     for f in ("unbounded", "optimum", "point", "tight"):
         assert getattr(whole, f).tobytes() == getattr(split, f).tobytes()
 
 
 def test_empty_batch():
-    P, a = on_line([0.0, 1.0, 3.0])
-    out = lps.solve_batch(P, a, np.empty((0, 1)), np.array([True, False, True]))
+    box, a = on_line([0.0, 1.0, 3.0])
+    out = lps.solve_batch(box, a, np.empty((0, 1)), np.array([True, False, True]))
     assert out.optimum.shape == (0,) and out.point.shape == (0, 2)
     assert out.tight.shape == (0, 3) and out.unbounded.shape == (0,)
 
 
 def test_singular_and_infeasible_starts_run_phase_one_in_a_batch():
-    P, a = on_line([0.0, 2.0, 1.0, 6.0])
+    box, a = on_line([0.0, 2.0, 1.0, 6.0])
     starts = np.array([[1, 0], [2, 2], [2, 3], [-1, -1]])  # fine, singular, infeasible, none
-    batch = lps.solve_batch(P, a, np.ones((4, 1)), None, starts)
+    batch = lps.solve_batch(box, a, np.ones((4, 1)), None, starts)
     assert batch.optimum[0] == 0.5
     assert batch.optimum[1:] == pytest.approx([0.5] * 3, abs=1e-12)
     assert batch.tight.tolist() == [[True, False, True, False]] * 4
     with pytest.raises(ValueError):
-        lps.solve_batch(P, a, np.ones((1, 1)), None, np.array([[0, 4]]))
+        lps.solve_batch(box, a, np.ones((1, 1)), None, np.array([[0, 4]]))
     with pytest.raises(ValueError):
-        lps.solve(P, a, [1.0], start=[-1, 0])
+        lps.solve(box, a, [1.0], start=[-1, 0])
 
 
 def test_bland_rule_ends_a_cycle(monkeypatch):
@@ -274,18 +293,18 @@ def test_bland_rule_ends_a_cycle(monkeypatch):
     a -= a[0]
     shell = outer_shell_mask(box)
     i, start = 9 * 17 + 9, [9 * 17 + 9, 8 * 17 + 9, 9 * 17 + 8]
-    sol = lps.solve(P, a, P[i], shell, start=start)
+    sol = lps.solve(box, a, P[i], shell, start=start)
     assert sol.status == lps.OPTIMAL
     assert sol.optimum == a[i]
     k, h = sol.point[:2], sol.point[2]
     assert np.all(P @ k + h <= a + 1e-9)
     assert i in sol.active_rows
     # the same target inside a batch whose other targets never switch
-    batch = lps.solve_batch(P, a, P[[0, i, 40]], shell, [[0, 1, 17], start, [40, 39, 23]])
+    batch = lps.solve_batch(box, a, P[[0, i, 40]], shell, [[0, 1, 17], start, [40, 39, 23]])
     assert_same(sol, batch, 1)
     monkeypatch.setattr(lps, "BLAND_AFTER", 10**9)
     with pytest.raises(NumericBreakdown, match="no convergence"):
-        lps.solve(P, a, P[i], shell, start=start)
+        lps.solve(box, a, P[i], shell, start=start)
 
 
 def test_a_basic_column_never_reenters():
@@ -356,3 +375,75 @@ def test_brute_force_refuses_coordinates_past_the_int64_bound():
     for points, target in ((P * 2 ** 20, [[0, 0]]), (P, [[2 ** 20, 0]])):
         with pytest.raises(ValueError, match="int64"):
             lps.brute_force_batch(points, [0.0, 1.0, 2.0], target)
+
+
+# ------------------------------------------------------ the pricing kernel
+
+
+def reference_relative(P, alpha, y):
+    """Values y_0 + y_1 (P_1 - alpha_1) + ... + y_d (P_d - alpha_d) of the
+    target-relative planes y at every row of the point array P, summed in
+    that order: the simplex's pricing on general points."""
+    vals = np.repeat(y[:, :1], P.shape[0], axis=1)
+    for l in range(P.shape[1]):
+        vals += y[:, l + 1, None] * (P[:, l] - alpha[:, l, None])
+    return vals
+
+
+def reference_certificates(P, alpha, y):
+    """Certificate planes (k, h), h = y_0 - <k, alpha>, and their values
+    h + k_1 P_1 + ... + k_d P_d at every row of P, summed in that order."""
+    h = y[:, 0] - lps._vecmat(y[:, 1:], alpha[:, :, None])[:, 0]
+    vals = np.repeat(h[:, None], P.shape[0], axis=1)
+    for l in range(P.shape[1]):
+        vals += y[:, l + 1, None] * P[:, l]
+    return np.column_stack([y[:, 1:], h]), vals
+
+
+def kernel_cases(box, seed):
+    """Planes y (T, d+1) and offsets (T, d): slopes of mixed signs and
+    magnitudes up to 1e15, so that a sum taken in another order rounds
+    differently; integer offsets on and off the box, then non-integer ones."""
+    rng = np.random.default_rng(seed)
+    d = len(box)
+    for T in (0, 1, 9):
+        y = rng.standard_normal((T, d + 1)) * 10.0 ** rng.integers(-3, 16, (T, d + 1))
+        lattice = rng.integers(-1, np.array(box) + 2, (T, d)).astype(float)
+        yield y, lattice
+        yield y, lattice + rng.uniform(-0.5, 0.5, (T, d)) * 10.0 ** rng.integers(-8, 3, (T, d))
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("box", [(7,), (4, 0), (0, 3), (3, 0, 2), (10, 10), (4, 4, 4),
+                                 (2, 1, 1, 3)])
+def test_pricing_on_the_axes_equals_the_point_loop_bit_for_bit(box):
+    P = index_array(box).astype(float)
+    for seed in range(3):
+        for y, alpha in kernel_cases(box, seed):
+            assert_bits(lps._planes(box, y[:, 0], y[:, 1:], alpha),
+                        reference_relative(P, alpha, y))
+            point, vals = lps._certificates(box, alpha, y)
+            want_point, want_vals = reference_certificates(P, alpha, y)
+            assert_bits(point, want_point)
+            assert_bits(vals, want_vals)
+
+
+def test_no_matrix_product_outside_the_oracle():
+    # the simplex sums every plane and every row in a fixed order with
+    # elementwise operations, so its results do not depend on the BLAS kernel;
+    # only the oracle, exact in int64, and its determinants may multiply matrices
+    products = {"dot", "matmul", "einsum", "inner", "tensordot"}
+    found = set()
+    for node in ast.parse(Path(lps.__file__).read_text()).body:
+        for inner in ast.walk(node):
+            if (isinstance(inner, (ast.BinOp, ast.AugAssign)) and isinstance(inner.op, ast.MatMult)
+                    or isinstance(inner, ast.Attribute) and inner.attr in products
+                    or isinstance(inner, ast.Name) and inner.id in products):
+                found.add(getattr(node, "name", "<module>"))
+    assert "brute_force_batch" in found  # the check sees the oracle's einsum
+    assert found <= {"brute_force_batch", "_det", "_adjugate"}
