@@ -269,8 +269,7 @@ def cmd_matrix(args) -> int:
         out = matrices.search_relation(M, N, args.kind)
         results = {
             "found": out.witness is not None,
-            "witness": io.read_report(io.write_relation_witness(out.witness))
-                       if out.witness is not None else None,
+            "witness": io.witness_obj(out.witness) if out.witness is not None else None,
             "table": out.table,
         }
     else:  # verify-condition

@@ -11,7 +11,7 @@ serializes to identical bytes:
 One encoder, write_report, writes it in a single recursive walk appending
 strings to a list: plain data, dataclasses, sets and non-str keys alike.  A
 column table (a core.Columns: the certificates of a minorant, omega at many
-t, the candidates of a relation search) is written in one %-format over n
+t, the keys of a relation search) is written in one %-format over n
 copies of a row template with its keys sorted: a float column with at most
 half its values distinct, or with a non-finite one, formats each distinct
 value once; any other float column goes into the format as %.17g.
@@ -429,17 +429,19 @@ def _witness_entries(obj: dict):
                _num(_require(e, "kappa", p), f"{p}/kappa"))
 
 
-def _write_witness(head: dict, entries, fields: tuple[str, ...]) -> str:
-    """A witness document: each entry's lambda, kappa and those of ``fields``
-    that are not None."""
-    return write_report(dict(head, entries=[
-        {"lambda": e.lam, "kappa": e.kappa,
-         **{n: getattr(e, n) for n in fields if getattr(e, n) is not None}}
-        for e in entries]))
+def witness_obj(w: RelationWitness | ConditionWitness) -> dict:
+    """A witness document as plain data, keys in the sorted order write_report
+    writes and read_report reads back: the kind (or condition), and each
+    entry's lambda, kappa and those of its constants that are not None."""
+    head = ("kind", w.kind) if isinstance(w, RelationWitness) else ("condition", w.condition)
+    entries = [dict(sorted([("lambda", e.lam), ("kappa", e.kappa)] + [
+        (n, v) for n, v in vars(e).items() if n not in ("lam", "kappa") and v is not None]))
+        for e in w.entries]
+    return dict(sorted([head, ("entries", entries)]))
 
 
 def write_relation_witness(w: RelationWitness) -> str:
-    return _write_witness({"kind": w.kind}, w.entries, ("C", "h"))
+    return write_report(witness_obj(w))
 
 
 def read_condition_witness(source: str) -> ConditionWitness:
@@ -466,7 +468,7 @@ def read_condition_witness(source: str) -> ConditionWitness:
 
 
 def write_condition_witness(w: ConditionWitness) -> str:
-    return _write_witness({"condition": w.condition}, w.entries, ("A", "B", "C", "H", "pairs"))
+    return write_report(witness_obj(w))
 
 
 def _load_obj(source: str) -> dict:

@@ -8,7 +8,8 @@ here they become finite-truncation checks:
 
 * a verifier takes an explicit witness (levels and constants) and confirms
   every stored inequality on the full box within the log-scale slack SLACK_TOL,
-* a search scans fixed constant grids for the smallest workable witness.
+* a search takes each relation key's exact minimal constant C* on the box
+  and, from it, the smallest workable witness on fixed constant grids.
 
 A failed search at a truncation is evidence, not proof, that the relation
 fails; a verified witness, conversely, certifies the box it was checked on.
@@ -240,55 +241,74 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
 # as verify_relation takes them, so a found witness re-verifies bit for bit.
 C_GRID = tuple(np.logspace(0.0, 6.0, 25).tolist())
 H_GRID = tuple((2.0 ** -np.arange(10, -1, -1)).tolist())
-_LOG_C = np.array([math.log(c) for c in C_GRID])[:, None]
-_LOG_H = np.array([math.log(h) for h in H_GRID])[:, None, None]
+_LOG_C = np.array([math.log(c) for c in C_GRID])
+_LOG_H = np.array([math.log(h) for h in H_GRID])[:, None]
 
 
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
-    """The smallest-C witness (None when some level has none), and every
-    candidate's max_slack as a Columns of float64 columns, one row per
-    candidate, keys lam, kappa, C, h, max_slack; rows run over lam (outer),
-    kappa, h, C, and h is None for roumieu and beurling."""
+    """The smallest-C witness (None when some level has none), and a Columns
+    of float64 columns lam, kappa, C, h, max_slack, C_min with one row per
+    key, over lam (outer), kappa, h; h is None for roumieu and beurling.  C is
+    the key's first passing C_GRID entry (else the last), max_slack the slack
+    there, and C_min the exact minimal constant on the box: maybe below 1,
+    +inf when none exists or exp overflows, 0 when no index constrains it."""
 
     witness: RelationWitness | None
     table: Columns
 
 
 def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcome:
-    """Scan C_GRID (and H_GRID for triangle) for the smallest-C witness, level by level.
+    """The smallest-C witness on C_GRID (and H_GRID for triangle), level by level.
 
-    Each (lam, kappa) pair is one slack block over (h,) C and the box.  A
-    roumieu or beurling level takes the smallest C at which some kappa passes,
-    and the smallest such kappa; a triangle (lam, kappa, h) takes its smallest
-    passing C.  Returns witness=None when some required level admits no
-    candidate; the table records every candidate's max_slack either way, so
-    near-misses are visible.
+    Each key, (lam, kappa, h) or (lam, kappa), takes log C* in one reduction
+    over the box under _slack's conventions: max_a (m - n - |a| log h) for
+    triangle, max_{|a|>0} (m - n)/|a| (+inf if a = 0 fails) otherwise.  Along
+    C_GRID the slack falls by at least its log step, 0.576, at every |a| > 0
+    (at a = 0 too for triangle), far more than rounding; so the first passing
+    entry is the first with log C >= log C* - SLACK_TOL, or one of its two
+    neighbours, where the slack is evaluated as verify_relation does.  A level
+    of roumieu or beurling takes the smallest C at which some kappa passes and
+    the smallest such kappa.  witness=None when some required level has none.
     """
     _check_pair(M, N, kind)
-    lams, kappas = (N.levels, M.levels) if kind == BEURLING else (M.levels, N.levels)
-    triangle = kind == TRIANGLE
-    # N's side of the slack depends on N's level alone: build it once per level
-    scaled = _scaled_orders(M.box, _LOG_C, _LOG_H if triangle else None)
-    worst = np.array([[_slack(m, rhs).max(axis=-1) for m in M._logs]
-                      for rhs in (scaled + n for n in N._logs)])
-    if kind != BEURLING:  # axes (lam, kappa, (h,) C), lam of M
-        worst = worst.swapaxes(0, 1)
-    axes = [axis.reshape(-1) for axis in np.meshgrid(
-        lams, kappas, *([H_GRID] if triangle else []), C_GRID, indexing="ij")]
-    table = Columns({"lam": axes[0], "kappa": axes[1], "C": axes[-1],
-                     "h": axes[2] if triangle else None, "max_slack": worst.reshape(-1)})
-    ok = worst <= SLACK_TOL
+    beurling, triangle = kind == BEURLING, kind == TRIANGLE
+    lams, kappas = (N.levels, M.levels) if beurling else (M.levels, N.levels)
+    # M's and N's log levels on axes (lam, kappa, h, box); lam is N's for beurling
+    m, n = np.array(M._logs)[:, None, None], np.array(N._logs)[:, None, None]
+    m, n = (m.swapaxes(0, 1), n) if beurling else (m, n.swapaxes(0, 1))
+    orders = order_array(M.box)
+    if triangle:
+        log_min = _slack(m, orders * _LOG_H + n).max(axis=-1)
+    else:
+        d = _slack(m, n)
+        log_min = np.max(d[..., 1:] / orders[1:], axis=-1, initial=-math.inf)
+        log_min[d[..., 0] > SLACK_TOL] = math.inf
+    last = len(C_GRID) - 1
+    near = np.clip(np.searchsorted(_LOG_C, log_min - SLACK_TOL)[..., None] + (-1, 0, 1), 0, last)
+    rhs = _scaled_orders(M.box, _LOG_C[near][..., None], _LOG_H[:, None] if triangle else None)
+    slacks = _slack(m[..., None, :], rhs + n[..., None, :]).max(axis=-1)  # (lam, kappa, h, near)
+    ok = slacks <= SLACK_TOL
+    hit = ok.any(axis=-1)
+    pick = np.where(hit, ok.argmax(axis=-1), 2)[..., None]  # none passes: near[..., 2] is last
+    first = np.take_along_axis(near, pick, axis=-1)[..., 0]
+    with np.errstate(over="ignore"):
+        c_min = np.exp(log_min).reshape(-1)
+    keys = [k.reshape(-1) for k in np.meshgrid(lams, kappas, *([H_GRID] if triangle else []),
+                                                indexing="ij")]
+    table = Columns({"lam": keys[0], "kappa": keys[1], "C": np.array(C_GRID)[first].reshape(-1),
+                     "h": keys[2] if triangle else None,
+                     "max_slack": np.take_along_axis(slacks, pick, axis=-1).reshape(-1),
+                     "C_min": c_min})
     if triangle:  # each (lam, kappa, h) at its smallest passing C
-        hit, first = ok.any(axis=-1), ok.argmax(axis=-1)
         found_all = bool(hit.all())
         entries = [RelationEntry(lams[l], kappas[k], C_GRID[first[l, k, i]], H_GRID[i])
                    for l, k, i in zip(*np.nonzero(hit))]
     else:  # each lam at its smallest C that some kappa passes, and the smallest such kappa
-        hit = ok.any(axis=1)  # (lam, C)
-        found_all = bool(hit.any(axis=-1).all())
-        entries = [RelationEntry(lams[l], kappas[int(ok[l, :, c].argmax())], C_GRID[c])
-                   for l, c in enumerate(hit.argmax(axis=-1)) if hit[l, c]]
+        c = np.where(hit, first, last + 1)[..., 0]  # (lam, kappa)
+        found_all = bool((c.min(axis=1) <= last).all())
+        entries = [RelationEntry(lams[l], kappas[k], C_GRID[c[l, k]])
+                   for l, k in enumerate(c.argmin(axis=1)) if c[l, k] <= last]
     witness = RelationWitness(kind, tuple(entries)) if found_all else None
     return SearchOutcome(witness, table)
 

@@ -889,18 +889,18 @@ RELATION_PIN_CASES = {
 }
 # sha256 of the --json stdout, and of the human stdout less its duration line
 RELATION_SHA256 = {
-    "beurling": ("118cf262dc5db74f22c328b1d6135f2c008c3d5d8086bfb9d89fb140982730d6",
-                 "fe54c087ad2d2ec9f0c3d61142c258afb6e1c072421bf5ecb8f5abb77b21b6ca"),
-    "beurling_holed": ("44af2004ad8064b24ee94dede4a11f484bd97b579f3f828b8b2aaa85709b5781",
-                       "166eb93aa67ced2836451e907202f7103fb380ed94bbd57f82409c76f6ed7df0"),
-    "roumieu": ("8ccd0c075df8e2c836023f20a6834e8d1d766753d9eada085f63cd3e72088a09",
-                "c9fe5caaccdd3750aac826c9a662eb4aeba628d63e6679a50df8f29b11ee4bf2"),
-    "roumieu_holed": ("42da9eaf89e6056ca0c02222f6581b5738ff64df88de96a48ec1adb6fd12749f",
-                      "12e0922d471a0abac7d802f2575d9af44441fb849b9637339180bdb4a28113f9"),
-    "triangle": ("f0a7fc8345fb957e5da7394ea376f2fb4c810bc0e057c1a351597cb5510008c2",
-                 "c7a71c7bfa52a98f1d5322e23e3754ebf4a6c8580e16a0364f02e63afeab285d"),
-    "triangle_holed": ("fd868754102505e1da95a2837c142a7f8f198774c6b8b9502975ec4f3a0005a2",
-                       "bdd6674fdf1732ae74711f9ebe8c23c99d0b6c055a0db2f8f856e6f1c0b47d55"),
+    "beurling": ("8fe55c5eeef9b3c818248feea8c7496320f1de3503f2a584fa15e81511275b38",
+                 "96887111d04dee583eca3978107f0881a18832db64e09b35c9900b4aaabcadc5"),
+    "beurling_holed": ("6afbec8fae3c9b77b6719cc482650b948aad5e544f6929f89c480b8324b26a59",
+                       "6147e3f6770c7233c8f16582bf1091747b711d04fc2c0126ceeb79022e2eeedd"),
+    "roumieu": ("7cc46c5ef69be78b93fc940db2a612860a195292b061e45fe7c8ccd8fd89e832",
+                "1bb132a79f94aa24cccd2d209c45f2bb6e43494ab96335bf2714ed96def6b845"),
+    "roumieu_holed": ("1bb561f4626a6c5336ee135ccefaa099b72fbee255e05f403003b288d0c6cdd8",
+                      "d5e3b98163396068a1bcfc9eccc8bda02e7a70e72df2cc1baa287b1b3452c930"),
+    "triangle": ("c248f7550f84a27c02cb9351c806c809277c94d94cf4fd94db5749b046f56da9",
+                 "f7427d0719c4d6d7b9e459828d73ead0c18c658fed1d34c5d5b61c14256ac0b7"),
+    "triangle_holed": ("37bbdff4355d6d00f6dabc9f3f3ab65133b1f53bcc880dcb2524b195f61e0607",
+                       "64a7948cd5d61efd653d7bd2679434734994a0e792c932824c627aaeb8b7c94d"),
 }
 
 
@@ -920,14 +920,51 @@ def test_search_relation_output_bytes_are_pinned(name, tmp_path, monkeypatch, ca
     assert code == 0
     lines = human.splitlines()
     assert lines[-1].startswith("duration:")
-    assert sum(line.startswith("  lam: ") for line in lines) == 40
-    assert [line for line in lines if line.startswith("  ... ")] == [
-        f"  ... {len(read_report(out)['results']['table']) - 40} more"]
+    rows = len(read_report(out)["results"]["table"])
+    assert sum(line.startswith("  lam: ") for line in lines) == min(40, rows)
+    assert [line for line in lines if line.startswith("  ... ")] == (
+        [f"  ... {rows - 40} more"] if rows > 40 else [])
     human = "\n".join(lines[:-1])
     assert ('"max_slack":"inf"' in out) == name.endswith("_holed")
     assert ('"h":null' in out) == (kind != "triangle")
     assert (hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(human.encode()).hexdigest()) == RELATION_SHA256[name]
+
+
+# one level each on a 1-D box: (M's values, N's values)
+RELATION_EDGE_PAIRS = {
+    "one_point": ([1.0], [1.0]),
+    "inf_off_origin": ([1.0] + [math.inf] * 4, [1.0] + [math.inf] * 4),
+    "inf_over_finite": ([1.0] + [math.inf] * 4, [1.0, 2.0, 6.0, 24.0, 120.0]),
+    "finite_over_inf": ([1.0, 2.0, 6.0, 24.0, 120.0], [1.0] + [math.inf] * 4),
+    # triangle at h = 2^-10: log C* = 120 * 10 log 2 = 831.8, past exp's range
+    "overflow": ([1.0] * 121, [1.0] * 121),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_EDGE_PAIRS))
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+def test_search_relation_edge_inputs_print_every_c_min(name, kind, tmp_path, capsys):
+    from logcvx import WeightMatrix, write_matrix
+    paths = []
+    for side, values in zip("MN", RELATION_EDGE_PAIRS[name]):
+        grid = SequenceGrid((len(values) - 1,), values, "exp")
+        (tmp_path / f"{side}.json").write_text(write_matrix(WeightMatrix((1.0,), (grid,))))
+        paths.append(str(tmp_path / f"{side}.json"))
+    code, out, err = run(capsys, "matrix", "search-relation", *paths, "--kind", kind, "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["warnings"] == []
+    c_min = [row["C_min"] for row in payload["results"]["table"]]
+    assert all(isinstance(c, (int, float)) or c == "inf" for c in c_min)
+    assert ("inf" in c_min) == (name == "overflow" and kind == "triangle"
+                                or name == "inf_over_finite")
+    code, human, err = run(capsys, "matrix", "search-relation", *paths, "--kind", kind)
+    assert (code, err) == (0, "")
+    assert "warning" not in human
+    shown = [line.split(": ")[1] for line in human.splitlines() if line.startswith("  C_min: ")]
+    assert len(shown) == len(c_min)
+    assert all(c == "inf" or math.isfinite(float(c)) for c in shown)
 
 
 # ------------------------------------------------------ one parser per process

@@ -34,6 +34,7 @@ KEEP = {
     "boundary_restriction": "the face alpha_j = 0 of a grid as a (d-1)-dimensional grid",
     "to_log": "the inverse of to_exp",
     "write_condition_witness": "the writer paired with read_condition_witness",
+    "write_relation_witness": "the writer paired with read_relation_witness",
     "SplitMix64": "the seeded PRNG whose update formula the generators document",
 }
 

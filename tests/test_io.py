@@ -710,6 +710,21 @@ def test_relation_witness_round_trip():
     assert back.entries[0].h is None
 
 
+def test_witness_obj_is_the_written_document_read_back():
+    for w, write in ((RelationWitness("triangle", (RelationEntry(1.0, 2.0, 64.0, 0.5),)),
+                      write_relation_witness),
+                     (RelationWitness("roumieu", (RelationEntry(1.0, 1.0, 10.0),)),
+                      write_relation_witness),
+                     (ConditionWitness("L12B", (ConditionEntry(1.0, 2.0, H=2.0,
+                                                               pairs=((1.0, 3.0),)),)),
+                      write_condition_witness)):
+        obj, back = io.witness_obj(w), read_report(write(w))
+        assert write_report(obj) == write(w)
+        assert json.loads(json.dumps(obj)) == back
+        # the same keys in the same order: the human report prints them in this order
+        assert [list(obj), *map(list, obj["entries"])] == [list(back), *map(list, back["entries"])]
+
+
 def test_relation_witness_schema_errors():
     cases = [
         ('{"kind": "sideways", "entries": []}', "/kind"),

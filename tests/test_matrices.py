@@ -214,7 +214,7 @@ def test_search_finds_the_smallest_grid_constant():
     assert entry.C == pytest.approx(10.0, rel=1e-12)
     assert entry.kappa == 1.0
     assert verify_relation(M, N, "roumieu", out.witness).holds
-    assert len(out.table) == len(C_GRID)
+    assert len(out.table) == 1
 
 
 def test_search_reports_failure_beyond_the_constant_grid():
@@ -286,6 +286,36 @@ def reference_search(M, N, kind):
     return witness, tuple(table)
 
 
+def reference_log_min(M, N, kind, lam, kappa, h):
+    """log C* of one key, index by index: for triangle the max over alpha of
+    m - |alpha| log h - n, otherwise the max over |alpha| > 0 of (m - n)/|alpha|
+    (+inf when alpha = 0 fails), each slack under the +inf conventions."""
+    lhs, rhs = ((M.log_flat(kappa), N.log_flat(lam)) if kind == "beurling"
+                else (M.log_flat(lam), N.log_flat(kappa)))
+    out = -math.inf
+    for o, m, n in zip(order_array(M.box).tolist(), lhs.tolist(), rhs.tolist()):
+        if kind == "triangle":
+            out = max(out, float(masked_slack(np.float64(m), o * math.log(h) + n)))
+        elif o:
+            out = max(out, float(masked_slack(np.float64(m), np.float64(n))) / o)
+        elif float(masked_slack(np.float64(m), np.float64(n))) > 1e-9:
+            return math.inf
+    return out
+
+
+def cut_to_keys(M, N, kind, table):
+    """The reference table with one row per (lam, kappa, h): its first passing
+    row, else its last, with the key's C_min = exp(log C*)."""
+    rows = {}
+    for row in table:
+        key = (row["lam"], row["kappa"], row["h"])
+        if key not in rows or rows[key]["max_slack"] > 1e-9:
+            rows[key] = row
+    with np.errstate(over="ignore"):
+        return [dict(row, C_min=float(np.exp(reference_log_min(M, N, kind, *key))))
+                for key, row in rows.items()]
+
+
 def ladder(base, slopes, quads=None):
     """Levels 1, 2, ... of exp(base + c|a| + q|a|^2) on the box of base."""
     orders = order_array(base.box)
@@ -317,7 +347,7 @@ QUAD = ladder(BASE, (0.0, 0.1), (2.0, 3.0))
 def test_search_matches_the_per_candidate_scan(kind, M, N, found):
     witness, table = reference_search(M, N, kind)
     out = search_relation(M, N, kind)
-    assert write_report(out.table) == write_report(table)
+    assert write_report(out.table) == write_report(cut_to_keys(M, N, kind, table))
     assert write_report(out.witness) == write_report(witness)
     assert (out.witness is not None) == found
     assert any(c["max_slack"] <= 1e-9 for c in table)
@@ -347,20 +377,75 @@ HOLED_HIGH = with_holes(HIGH, ([], [24, 3], [12]))
 def test_search_on_ladders_with_holes_matches_the_per_candidate_scan(kind, M, N):
     witness, table = reference_search(M, N, kind)
     out = search_relation(M, N, kind)
-    assert write_report(out.table) == write_report(table)
+    assert write_report(out.table) == write_report(cut_to_keys(M, N, kind, table))
     assert write_report(out.witness) == write_report(witness)
+
+
+def random_ladder(rng, box, levels, holes):
+    """A normalized ladder of 1-3 levels with random log steps, nondecreasing
+    from level to level; with holes, +inf from a random level up at a few
+    indices off the origin."""
+    orders = order_array(box)
+    flat = rng.uniform(-1.0, 4.0) * orders + rng.uniform(0.0, 1.0, orders.size) * (orders > 0)
+    grids = []
+    for i in range(levels):
+        flat = flat + rng.uniform(0.0, 0.6) * orders
+        if holes and orders.size > 1 and rng.random() < 0.5:
+            flat[rng.integers(1, orders.size, 2)] = math.inf
+        grids.append(SequenceGrid(box, np.exp(flat), EXP))
+    return WeightMatrix(tuple(float(i + 1) for i in range(levels)), tuple(grids))
+
+
+RANDOM_BOXES = [(0,), (1,), (6,), (0, 2), (2, 3), (3, 1, 0), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
+def test_search_on_random_ladders_matches_the_per_candidate_scan(kind):
+    rng = np.random.default_rng(["roumieu", "beurling", "triangle"].index(kind))
+    for case in range(14):
+        box = RANDOM_BOXES[case % len(RANDOM_BOXES)]
+        holes = case >= len(RANDOM_BOXES)
+        M, N = (random_ladder(rng, box, int(rng.integers(1, 4)), holes) for _ in "MN")
+        witness, table = reference_search(M, N, kind)
+        out = search_relation(M, N, kind)
+        assert write_report(out.table) == write_report(cut_to_keys(M, N, kind, table)), box
+        assert write_report(out.witness) == write_report(witness), box
+        t = out.table.columns
+        with np.errstate(divide="ignore"):
+            floor = np.log(t["C_min"]) - 1e-9
+        for C, slack, low in zip(t["C"].tolist(), t["max_slack"].tolist(), floor.tolist()):
+            if slack <= 1e-9:  # the first grid constant at or past C_min is the row's
+                assert C == next(c for c in C_GRID if math.log(c) >= low), box
+
+
+@pytest.mark.parametrize("kind, m, n, h, shift", [
+    # triangle: the slack at C_GRID[k] is 1e-9 plus rounding, so C_GRID[k + 1] is first
+    ("triangle", [1.0, 45.3684422180651], [1.0, 1.1477408892748764], H_GRID[7], 1),
+    # triangle: the slack at C_GRID[k - 1] is 1e-9 less rounding, so it passes
+    ("triangle", [1.0, 0.029778334112148506], [1.0, 8.573740979118583], H_GRID[1], -1),
+    # roumieu at |a| = 2: log C* - 1e-9 <= log C_GRID[k] < log C* - 1e-9 / 2 fails
+    ("roumieu", [1.0, 1.0, math.exp(2.0 * math.log(C_GRID[9]) + 1.5e-9)], [1.0] * 3, None, 1),
+])
+def test_search_confirms_the_neighbours_of_the_exact_constant(kind, m, n, h, shift):
+    M, N = (WeightMatrix((1.0,), (SequenceGrid((len(v) - 1,), v, EXP),)) for v in (m, n))
+    witness, table = reference_search(M, N, kind)
+    out = search_relation(M, N, kind)
+    assert write_report(out.table) == write_report(cut_to_keys(M, N, kind, table))
+    assert write_report(out.witness) == write_report(witness)
+    low = reference_log_min(M, N, kind, 1.0, 1.0, h) - 1e-9
+    k = next(i for i, c in enumerate(C_GRID) if math.log(c) >= low)
+    assert out.table.columns["C"][H_GRID.index(h) if h else 0] == C_GRID[k + shift]
 
 
 @pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
 def test_search_table_has_one_column_entry_per_candidate(kind):
     M = ladder(BASE, (0.0, 0.3))
     out = search_relation(M, HIGH, kind)
-    rows = len(M.levels) * len(HIGH.levels) * len(C_GRID) * (
-        len(H_GRID) if kind == "triangle" else 1)
+    rows = len(M.levels) * len(HIGH.levels) * (len(H_GRID) if kind == "triangle" else 1)
     assert len(out.table) == rows
     t = out.table.columns
-    assert list(t) == ["lam", "kappa", "C", "h", "max_slack"]
-    for col in (t["lam"], t["kappa"], t["C"], t["max_slack"]) + (
+    assert list(t) == ["lam", "kappa", "C", "h", "max_slack", "C_min"]
+    for col in (t["lam"], t["kappa"], t["C"], t["max_slack"], t["C_min"]) + (
             (t["h"],) if kind == "triangle" else ()):
         assert isinstance(col, np.ndarray) and col.shape == (rows,) and col.dtype == float
     assert (t["h"] is None) == (kind != "triangle")
