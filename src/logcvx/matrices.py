@@ -201,11 +201,11 @@ def _check_pair(M: WeightMatrix, N: WeightMatrix, kind: str) -> None:
         raise WitnessError(f"unknown relation kind {kind!r}")
 
 
-def _scaled_orders(box, log_c, log_h=None) -> np.ndarray:
-    """The constants' part of N's side of a relation slack: |alpha| log C, or
-    log C + |alpha| log h for triangle, along a last axis over the box."""
-    orders = order_array(box)
-    return orders * log_c if log_h is None else log_c + orders * log_h
+def _relation_slack(m, n, tilt, log_c, triangle) -> np.ndarray:
+    """The relation slack m - (|alpha| log C + n), or m - ((log C + |alpha| log h)
+    + n) for triangle, elementwise under _slack's conventions; tilt is |alpha|,
+    or |alpha| log h for triangle."""
+    return _slack(m, (log_c + tilt if triangle else tilt * log_c) + n)
 
 
 def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
@@ -229,10 +229,10 @@ def verify_relation(M: WeightMatrix, N: WeightMatrix, kind: str,
         covers = len(set(at)) == len(M.levels) * len(N.levels)
     else:  # every lam: a level of N for beurling, of M otherwise
         covers = len({p[beurling] for p in at}) == len((N if beurling else M).levels)
-    rows = range(len(M._logs[0]))
-    blocks = ((_slack(M._logs[m], _scaled_orders(M.box, math.log(e.C),
-                                                 math.log(e.h) if triangle else None)
-                      + N._logs[n]), rows, None, None, e.lam, e.kappa, e.C, e.h)
+    orders, rows = order_array(M.box), range(len(M._logs[0]))
+    blocks = ((_relation_slack(M._logs[m], N._logs[n], orders * math.log(e.h) if triangle
+                               else orders, math.log(e.C), triangle),
+               rows, None, None, e.lam, e.kappa, e.C, e.h)
               for e, (m, n) in zip(witness.entries, at))
     return RelationReport(kind, covers_all_levels=covers, **_reduce(M.box, blocks))
 
@@ -250,7 +250,8 @@ class SearchOutcome:
     """The smallest-C witness (None when some level has none), and a Columns
     of float64 columns lam, kappa, C, h, max_slack, C_min with one row per
     key, over lam (outer), kappa, h; h is None for roumieu and beurling.  C is
-    the key's first passing C_GRID entry (else the last), max_slack the slack
+    the key's first passing C_GRID entry (else the last), found from C* with
+    no tolerance added (see search_relation), max_slack the box's slack
     there, and C_min the exact minimal constant on the box: maybe below 1,
     +inf when none exists or exp overflows, 0 when no index constrains it."""
 
@@ -263,13 +264,20 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcom
 
     Each key, (lam, kappa, h) or (lam, kappa), takes log C* in one reduction
     over the box under _slack's conventions: max_a (m - n - |a| log h) for
-    triangle, max_{|a|>0} (m - n)/|a| (+inf if a = 0 fails) otherwise.  Along
-    C_GRID the slack falls by at least its log step, 0.576, at every |a| > 0
-    (at a = 0 too for triangle), far more than rounding; so the first passing
-    entry is the first with log C >= log C* - SLACK_TOL, or one of its two
-    neighbours, where the slack is evaluated as verify_relation does.  A level
-    of roumieu or beurling takes the smallest C at which some kappa passes and
-    the smallest such kappa.  witness=None when some required level has none.
+    triangle, max_{|a|>0} (m - n)/|a| (+inf if a = 0 fails) otherwise, first
+    taken at a_star.  Along C_GRID the slack falls by at least its log step,
+    0.576, at every |a| > 0 (at a = 0 too for triangle), far more than rounding;
+    so the first passing entry is first, the first with log C >= log C* -
+    SLACK_TOL, or a neighbour.  The box is evaluated at first, as
+    verify_relation does.  Each IEEE rounding step of a slack term is monotone
+    and _slack's masks do not depend on C, so the box max never rises along
+    C_GRID and the passing entries are an up-set: where first fails, first + 1
+    is taken; where it passes, first - 1 fails if its slack at a_star does.
+    Only the keys left are evaluated over the box at that neighbour, by the same
+    elementwise expression, so every row is the whole-grid scan's, bit for bit;
+    no tolerance is added.  A level of roumieu or beurling takes the smallest C
+    at which some kappa passes and the smallest such kappa.  witness=None when
+    some required level has none.
     """
     _check_pair(M, N, kind)
     beurling, triangle = kind == BEURLING, kind == TRIANGLE
@@ -278,27 +286,41 @@ def search_relation(M: WeightMatrix, N: WeightMatrix, kind: str) -> SearchOutcom
     m, n = np.array(M._logs)[:, None, None], np.array(N._logs)[:, None, None]
     m, n = (m.swapaxes(0, 1), n) if beurling else (m, n.swapaxes(0, 1))
     orders = order_array(M.box)
-    if triangle:
-        log_min = _slack(m, orders * _LOG_H + n).max(axis=-1)
-    else:
+    tilt = orders * _LOG_H if triangle else orders  # (h, box): |a| log h, or |a|
+    if triangle:  # m - n - |a| log h
+        q = _slack(m, tilt + n)
+    else:  # (m - n)/|a| at |a| > 0; +inf if a = 0 fails
         d = _slack(m, n)
-        log_min = np.max(d[..., 1:] / orders[1:], axis=-1, initial=-math.inf)
-        log_min[d[..., 0] > SLACK_TOL] = math.inf
+        q = d / np.maximum(orders, 1.0)
+        q[..., 0] = np.where(d[..., 0] > SLACK_TOL, math.inf, -math.inf)
+    log_min, a_star = q.max(axis=-1), q.argmax(axis=-1)  # log C*, and where it is taken
     last = len(C_GRID) - 1
-    near = np.clip(np.searchsorted(_LOG_C, log_min - SLACK_TOL)[..., None] + (-1, 0, 1), 0, last)
-    rhs = _scaled_orders(M.box, _LOG_C[near][..., None], _LOG_H[:, None] if triangle else None)
-    slacks = _slack(m[..., None, :], rhs + n[..., None, :]).max(axis=-1)  # (lam, kappa, h, near)
-    ok = slacks <= SLACK_TOL
-    hit = ok.any(axis=-1)
-    pick = np.where(hit, ok.argmax(axis=-1), 2)[..., None]  # none passes: near[..., 2] is last
-    first = np.take_along_axis(near, pick, axis=-1)[..., 0]
+    r = np.searchsorted(_LOG_C, log_min - SLACK_TOL)
+    m, n, tilt = (np.broadcast_to(a, log_min.shape + orders.shape) for a in (m, n, tilt))
+
+    def slack(at, c):  # the slack at the keys (and box points) at, at C_GRID entries c
+        return _relation_slack(m[at], n[at], tilt[at], _LOG_C[c], triangle)
+
+    first = np.minimum(r, last)
+    slacks = slack(..., first[..., None]).max(axis=-1)
+    up = (slacks > SLACK_TOL) & (first < last)  # first fails, so does first - 1: take first + 1
+    low = (slacks <= SLACK_TOL) & (0 < r) & (r <= last)  # first passes, and first - 1 may,
+    low[low] = slack((low, a_star[low]), r[low] - 1) <= SLACK_TOL  # unless it fails at a_star
+    for at, step in ((up, 1), (low, -1)):  # the few keys left, over the box at first + step
+        if at.any():
+            s = slack(at, first[at][:, None] + step).max(axis=-1)
+            take = (s <= SLACK_TOL) | (step > 0)
+            at[at] = take
+            first[at] += step
+            slacks[at] = s[take]
+    hit = slacks <= SLACK_TOL
     with np.errstate(over="ignore"):
         c_min = np.exp(log_min).reshape(-1)
     keys = [k.reshape(-1) for k in np.meshgrid(lams, kappas, *([H_GRID] if triangle else []),
                                                 indexing="ij")]
     table = Columns({"lam": keys[0], "kappa": keys[1], "C": np.array(C_GRID)[first].reshape(-1),
                      "h": keys[2] if triangle else None,
-                     "max_slack": np.take_along_axis(slacks, pick, axis=-1).reshape(-1),
+                     "max_slack": slacks.reshape(-1),
                      "C_min": c_min})
     if triangle:  # each (lam, kappa, h) at its smallest passing C
         found_all = bool(hit.all())

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logcvx import matrices
 from logcvx import (ConditionEntry, ConditionWitness,
                     DimensionMismatch, GridValidationError, LevelNotFound,
                     NotNormalized, RelationEntry, RelationWitness,
@@ -410,6 +411,8 @@ def test_search_on_random_ladders_matches_the_per_candidate_scan(kind):
         out = search_relation(M, N, kind)
         assert write_report(out.table) == write_report(cut_to_keys(M, N, kind, table)), box
         assert write_report(out.witness) == write_report(witness), box
+        slacks = np.array([row["max_slack"] for row in table]).reshape(-1, len(C_GRID))
+        assert (slacks[:, 1:] <= slacks[:, :-1]).all(), box  # never increases along C_GRID
         t = out.table.columns
         with np.errstate(divide="ignore"):
             floor = np.log(t["C_min"]) - 1e-9
@@ -426,7 +429,7 @@ def test_search_on_random_ladders_matches_the_per_candidate_scan(kind):
     # roumieu at |a| = 2: log C* - 1e-9 <= log C_GRID[k] < log C* - 1e-9 / 2 fails
     ("roumieu", [1.0, 1.0, math.exp(2.0 * math.log(C_GRID[9]) + 1.5e-9)], [1.0] * 3, None, 1),
 ])
-def test_search_confirms_the_neighbours_of_the_exact_constant(kind, m, n, h, shift):
+def test_search_confirms_the_neighbours_of_the_exact_constant(kind, m, n, h, shift, monkeypatch):
     M, N = (WeightMatrix((1.0,), (SequenceGrid((len(v) - 1,), v, EXP),)) for v in (m, n))
     witness, table = reference_search(M, N, kind)
     out = search_relation(M, N, kind)
@@ -435,6 +438,32 @@ def test_search_confirms_the_neighbours_of_the_exact_constant(kind, m, n, h, shi
     low = reference_log_min(M, N, kind, 1.0, 1.0, h) - 1e-9
     k = next(i for i, c in enumerate(C_GRID) if math.log(c) >= low)
     assert out.table.columns["C"][H_GRID.index(h) if h else 0] == C_GRID[k + shift]
+    # the tied key alone is evaluated over the box at a neighbour of its first entry
+    off = WeightMatrix((1.0,), (SequenceGrid(M.box, m[:-1] + [m[-1] * math.exp(0.25)], EXP),))
+    assert slack_entries(monkeypatch, M, N, kind) > slack_entries(monkeypatch, off, N, kind)
+
+
+def slack_entries(monkeypatch, M, N, kind):
+    """The number of slack entries search_relation evaluates on M and N."""
+    sizes = []
+
+    def counted(lhs, rhs):
+        s = _slack(lhs, rhs)
+        sizes.append(s.size)
+        return s
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_slack", counted)
+        search_relation(M, N, kind)
+    return sum(sizes)
+
+
+def test_search_evaluates_each_key_over_the_box_at_one_constant(monkeypatch):
+    # log C* per key, then the box at one C_GRID entry per key and, where that
+    # entry passes, its lower neighbour at a_star alone: no key needs the box twice
+    base = convex_random_grid((12, 12), 5)
+    M, N = ladder(base, (0.1, 0.4, 0.8)), ladder(base, (0.2, 0.5, 0.9))
+    keys, points = 3 * 3 * len(H_GRID), 13 * 13
+    assert slack_entries(monkeypatch, M, N, "triangle") <= 2 * keys * points + keys
 
 
 @pytest.mark.parametrize("kind", ["roumieu", "beurling", "triangle"])
