@@ -16,14 +16,13 @@ from .assoc import (AssociatedFunction, LogConvexityReport, LogConvexMinorant,
 from .core import (EXP, LOG, Columns, GrowthDiagnostic, SequenceGrid, Violation,
                    as_log_grid, boundary_infinities, growth_check, to_exp,
                    to_log, validate_grid)
-from .envelope import (KGridSpec, MinorantResult, StabilityReport, audit_minorant,
-                       axis_slope_range, boundary_restriction, minorant_lp,
-                       stability_probe)
+from .envelope import (MinorantResult, StabilityReport, audit_minorant, axis_slope_range,
+                       boundary_restriction, minorant_lp, stability_probe)
 from .envelope1d import NewtonPolygon, PolygonSegment, evaluate, sweep
-from .errors import (DimensionMismatch, EmptyKGrid, EmptySGrid, EmptyShell,
-                     GridMismatch, GridValidationError, LevelNotFound, LogcvxError,
-                     NotNormalized, NumericBreakdown, OutOfRange, ScaleMismatch,
-                     SchemaError, WitnessError)
+from .errors import (DimensionMismatch, EmptySGrid, EmptyShell, GridMismatch,
+                     GridValidationError, LevelNotFound, LogcvxError, NotNormalized,
+                     NumericBreakdown, OutOfRange, ScaleMismatch, SchemaError,
+                     WitnessError)
 from .generators import (SplitMix64, convex_random_grid, factorial_grid,
                          log_convex_random_1d, notconvex_grid, random_grid)
 from .io import (fmt_float, read_condition_witness, read_grid, read_matrix,

@@ -14,20 +14,94 @@ The log-convex regularization M^lc = exp(a^c) comes from the LP minorant, and
 q3 = sup_{s>0} s^alpha / exp(omega(s)), which recovers M_alpha iff a is convex,
 is exact: at s = e^k, k the slope of alpha's certificate plane, log q3 =
 <alpha, k> - A(k) = a^c_alpha by duality.  Suprema stay in log scale.
+
+omega, A and q3 share one kernel, ``AssociatedFunction._scan``, run in lanes
+(``in_lanes``): one lane per core, each taking blocks of rows from a shared
+queue.  Every row's arithmetic is the same whatever the lane and the block, so
+the results are the same bits on any machine.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjugate
 from .core import (EXP, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, to_exp,
                    as_log_grid, index_array, multi_indices, outer_shell_mask, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
 from .envelope import MinorantResult, axis_slope_range, minorant_lp
-from .errors import DimensionMismatch, NotNormalized, OutOfRange
+from .errors import DimensionMismatch, EmptySGrid, NotNormalized, OutOfRange
+
+# Most samples one product grid may hold (m**d): the cap of ``check
+# --s-points`` and of the count of ``assoc --t-grid``.  The default grids of
+# ``SGridSpec`` (200**2 and 50**3, at most 45**4 beyond, and 600**2 in the
+# benchmark) fit.
+MAX_SAMPLES = 2**22
+
+# Scores per block summed over the lanes of ``in_lanes``: 512 KiB per float
+# array across the lanes, so the few arrays of each lane's block stay in a
+# 2 MiB L2 cache, and the memory in flight does not grow with the core count.
+_BLOCK_SAMPLES = 2**16
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def in_lanes(rows: int, per_row: int, lane) -> None:
+    """Run ``lane(blocks, step)`` once in each of min(cores, ceil(rows *
+    per_row / _BLOCK_SAMPLES), rows) lanes, at least one.  The lanes take
+    blocks of ``step`` rows (about _BLOCK_SAMPLES // lanes entries) in
+    ascending order from one shared queue, so a lane that starts late takes
+    fewer; ``blocks`` yields (lo, hi) for each block its lane takes.  The
+    caller runs the first lane; each other runs in a thread, in a copy of the
+    caller's context (so ``np.errstate`` holds there), joined before this
+    returns.  The first error in lane order is raised."""
+    lanes = max(1, min(_cores(), -(-rows * per_row // _BLOCK_SAMPLES), rows))
+    step = max(1, min(rows, _BLOCK_SAMPLES // lanes // per_row))
+    starts = iter(range(0, rows, step))
+    taking = threading.Lock()
+
+    def blocks():
+        while True:
+            with taking:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            yield lo, min(lo + step, rows)
+
+    errors: list[BaseException | None] = [None] * lanes
+
+    def run(i: int) -> None:
+        try:
+            lane(blocks(), step)
+        except BaseException as e:  # re-raised in the caller below
+            errors[i] = e
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, lanes)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+
+
+def check_samples(per_axis: float, dim: int) -> None:
+    if per_axis < 1:
+        raise EmptySGrid("need at least one sample per axis")
+    if per_axis > MAX_SAMPLES or per_axis ** dim > MAX_SAMPLES:
+        raise OutOfRange(f"{per_axis:g}**{dim} samples exceed MAX_SAMPLES = {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +131,8 @@ class AssociatedFunction:
 
     def _scan(self, W: np.ndarray, zero: np.ndarray | None = None):
         """The sup over the box of ((-a_alpha + alpha_1 w_1) + alpha_2 w_2) + ...
-        at each row w of W, summed in that order, the order of a forward pass
-        of ``conjugate``, in blocks of rows taken by lanes (``conjugate.in_lanes``).
+        at each row w of W, summed in that order, in blocks of rows taken by
+        lanes (``in_lanes``).
         A true zero[r, j] leaves out of row r every index with alpha_j > 0.
         Per row: the value, the row-major flat index of its first maximiser, and
         the boundary flag (see OmegaEval)."""
@@ -81,7 +155,7 @@ class AssociatedFunction:
                 inner = s.max(axis=1, where=inner_only, initial=-math.inf)
                 np.less(inner, v - TIE_REL_TOL * np.maximum(1.0, np.abs(v)), out=flag[lo:hi])
 
-        conjugate.in_lanes(len(W), a.size, lane)
+        in_lanes(len(W), a.size, lane)
         return value, argmax, flag
 
     def rows(self, T, name: str = "t") -> np.ndarray:
@@ -130,7 +204,7 @@ class SGridSpec:
     ``points`` samples per axis with log s in [lo, hi] on every axis.
 
     By default ``points`` is 200 for d <= 2 and 50 beyond, lowered to the
-    largest count whose product grid fits ``conjugate.MAX_SAMPLES`` (45 for
+    largest count whose product grid fits ``MAX_SAMPLES`` (45 for
     d = 4, 21 for d = 5)."""
 
     lo: float
@@ -142,7 +216,7 @@ class SGridSpec:
         lo, hi = axis_slope_range(as_log_grid(g))
         if points is None:
             points = 200 if g.dim <= 2 else 50
-            while points ** g.dim > conjugate.MAX_SAMPLES:
+            while points ** g.dim > MAX_SAMPLES:
                 points -= 1
         return cls(lo, hi, points)
 

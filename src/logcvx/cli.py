@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assoc as _assoc
-from . import conjugate, envelope, envelope1d, generators, io, lpsolve, matrices
+from . import envelope, envelope1d, generators, io, lpsolve, matrices
 from .core import EXP, LOG, Columns, SequenceGrid, as_log_grid, growth_check, index_array
 from .errors import (GridValidationError, LogcvxError, NumericBreakdown, OutOfRange,
                      SchemaError)
@@ -128,8 +128,6 @@ def _render(obj, indent: int, key: str | None = None) -> None:
 
 
 def cmd_minorant(args) -> int:
-    if args.k_step is not None and args.method != "dual-grid":
-        raise OutOfRange(f"minorant --method {args.method} does not read --k-step")
     g = io.read_grid(_read_file(args, args.input))
     work = as_log_grid(g)
     warnings = _growth_warnings(work)
@@ -155,20 +153,13 @@ def cmd_minorant(args) -> int:
             {"alpha": np.flatnonzero(has), "k": res.planes[has, :-1], "h": res.planes[has, -1],
              "touching": res.touching[has]}, idx)
         boundary = idx[res.boundary].tolist()
-    elif args.method == "oracle":
+    else:  # oracle
         if work.n_points > _ORACLE_POINT_CAP:
             raise OutOfRange(f"--method oracle enumerates subsets and is capped at "
                              f"{_ORACLE_POINT_CAP} grid points; this grid has {work.n_points}")
         idx = index_array(work.box)
         vals = lpsolve.brute_force_batch(idx, work.flat, idx)
         results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
-        boundary = []
-    else:  # dual-grid
-        step = envelope.K_STEP if args.k_step is None else args.k_step
-        spec = envelope.KGridSpec.from_grid(work, step)
-        vals = conjugate.biconjugate(spec.axis_samples(), work.values)
-        results["minorant"] = io.grid_to_obj(SequenceGrid(work.box, vals, LOG))
-        results["k_grid"] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
         boundary = []
     results["boundary_affected"] = boundary
     if boundary:
@@ -195,9 +186,9 @@ def cmd_assoc(args) -> int:
         if len(bounds) != 3:
             raise SchemaError("--t-grid", "LO,HI,N", repr(args.t_grid))
         lo, hi, n = bounds
-        if not (0 < lo < hi < math.inf and 2 <= n <= conjugate.MAX_SAMPLES and n == int(n)):
+        if not (0 < lo < hi < math.inf and 2 <= n <= _assoc.MAX_SAMPLES and n == int(n)):
             raise OutOfRange(f"--t-grid needs 0 < LO < HI and a whole N from 2 to "
-                             f"{conjugate.MAX_SAMPLES}")
+                             f"{_assoc.MAX_SAMPLES}")
         diagonal = np.repeat(np.geomspace(lo, hi, int(n))[:, None], g.dim, axis=1)
     if points or diagonal is not None:
         T = af.rows(points, "t") if points else np.empty((0, g.dim))
@@ -220,7 +211,7 @@ def cmd_assoc(args) -> int:
 def cmd_check(args) -> int:
     g = io.read_grid(_read_file(args, args.input))
     if args.s_points is not None:  # range-checked as when q3 was sampled; samples nothing
-        conjugate.check_samples(args.s_points, g.dim)
+        _assoc.check_samples(args.s_points, g.dim)
     report = _assoc.check_log_convexity(g)
     warnings = _growth_warnings(g)
     if report.boundary_caveat:
@@ -329,12 +320,9 @@ def _parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("minorant", help="largest convex sequence below the data")
     m.add_argument("input")
-    m.add_argument("--method", choices=("lp", "sweep", "dual-grid", "oracle"),
-                   default="lp")
+    m.add_argument("--method", choices=("lp", "sweep", "oracle"), default="lp")
     m.add_argument("--stability", metavar="LARGER_GRID", default=None,
                    help="recompute on an enclosing grid and compare")
-    m.add_argument("--k-step", type=float, default=None,
-                   help=f"slope step of --method dual-grid (default {envelope.K_STEP})")
     m.add_argument("--json", action="store_true")
 
     a = sub.add_parser("assoc", help="weight function omega and its trace")

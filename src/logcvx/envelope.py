@@ -6,9 +6,7 @@ For a LOG-scale grid a the minorant at alpha is
 
 i.e. the highest supporting hyperplane below the data, evaluated at alpha.
 ``minorant_lp`` solves the exact LP at every index, one batch (the reference
-route, certified); the 1-D sweep is in :mod:`logcvx.envelope1d`, and
-``KGridSpec`` samples the slopes of the dual route that ``minorant --method
-dual-grid`` runs through :func:`conjugate.biconjugate`.
+route, certified); the 1-D sweep is in :mod:`logcvx.envelope1d`.
 
 A +inf data entry imposes no constraint.  Values are exact for the truncated
 point set; they upper-bound the untruncated minorant, and indices where every
@@ -22,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjugate, lpsolve
-from .core import (FEAS_TOL, LOG, SLACK_TOL, TIE_REL_TOL, MultiIndex, SequenceGrid, index_array,
+from . import lpsolve
+from .core import (FEAS_TOL, LOG, SLACK_TOL, MultiIndex, SequenceGrid, index_array,
                    multi_indices, outer_shell_mask, require_valid,
                    validate_grid)  # unused: perfbench/tracer.py wraps it here
-from .errors import DimensionMismatch, EmptyKGrid, GridMismatch, OutOfRange, ScaleMismatch
-
-K_STEP = 0.25  # default slope step of the sampled dual grid
+from .errors import DimensionMismatch, GridMismatch, OutOfRange, ScaleMismatch
 
 
 def _require_log(g: SequenceGrid, who: str) -> None:
@@ -61,27 +57,6 @@ def axis_slope_range(g: SequenceGrid) -> tuple[float, float]:
     if not math.isfinite(lo):
         return (0.0, 0.0)
     return (lo, hi)
-
-
-@dataclass(frozen=True)
-class KGridSpec:
-    """Axis-aligned uniform slope grid: the same [lo, hi] range on every axis."""
-
-    lo: float
-    hi: float
-    step: float
-
-    @classmethod
-    def from_grid(cls, g: SequenceGrid, step: float = K_STEP) -> "KGridSpec":
-        lo, hi = axis_slope_range(g)
-        return cls(lo, hi, step)
-
-    def axis_samples(self) -> np.ndarray:
-        if not (0 < self.step < math.inf and -math.inf < self.lo <= self.hi < math.inf):
-            raise EmptyKGrid(f"bad k-grid [{self.lo}, {self.hi}] step {self.step}")
-        span = (self.hi - self.lo) / self.step + TIE_REL_TOL
-        conjugate.check_samples(span + 1, 1)
-        return self.lo + self.step * np.arange(int(math.floor(span)) + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,6 @@ class EmptyShell(LogcvxError):
     """The box has too few order shells for the growth heuristic."""
 
 
-class EmptyKGrid(LogcvxError):
-    pass
-
-
 class EmptySGrid(LogcvxError):
     pass
 

@@ -1,7 +1,12 @@
 """Associated weight function omega, its trace identity, q3 suprema at the
 certificate slopes, log-convex regularization and the three convexity
-verdicts."""
+verdicts; the omega kernel against a dense scan of every sample against every
+point and against the per-axis forward pass, on random, convex, +inf-holed,
+1-D, 3-D and zero-extent boxes; the sample cap; and the lanes the kernel runs
+in, which change no bit of any output whatever the core count."""
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -10,12 +15,14 @@ import pytest
 from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
                     EmptySGrid, GridValidationError, NotNormalized, OutOfRange,
                     SGridSpec, SequenceGrid, SplitMix64, as_log_grid, check_log_convexity,
-                    convex_random_grid, factorial_grid, log_convex_minorant,
+                    convex_random_grid, factorial_grid, log_convex_minorant, minorant_lp,
                     notconvex_grid, omega, q3_supremum, q3_supremum_log,
                     random_grid, read_report, to_exp, write_grid)
-from logcvx import assoc, conjugate
+from logcvx import assoc
+from logcvx.assoc import MAX_SAMPLES, check_samples
 from logcvx.cli import main
-from logcvx.core import FEAS_TOL, index_array
+from logcvx.core import (FEAS_TOL, SLACK_TOL, TIE_REL_TOL, index_array, multi_indices,
+                         order_array, outer_shell_mask)
 from logcvx.envelope import boundary_restriction
 
 FACT = factorial_grid(8)
@@ -93,7 +100,7 @@ def test_omega_grid_matches_pointwise_evaluation():
 
 def test_evaluate_many_is_evaluate_row_by_row(monkeypatch):
     # 2 rows of the 12 points per block, so zero masks cross block edges too
-    monkeypatch.setattr(assoc.conjugate, "_BLOCK_SAMPLES", 24)
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", 24)
     af = AssociatedFunction(to_exp(random_grid((3, 2), seed=6)))
     rng = SplitMix64(7)
     T = [[rng.uniform(-4.0, 9.0) if rng.random() < 0.7 else 0.0 for _ in range(2)]
@@ -142,9 +149,9 @@ def test_sgrid_samples_shape_and_guards():
     spec = SGridSpec.from_grid(FACT, points=5)
     assert (spec.lo, spec.hi, spec.points) == (0.0, pytest.approx(math.log(8.0)), 5)
     # the sample count check that check --s-points still meets
-    conjugate.check_samples(5, 1)
+    check_samples(5, 1)
     with pytest.raises(EmptySGrid):
-        conjugate.check_samples(0, 1)
+        check_samples(0, 1)
 
 
 def test_sgrid_default_density_depends_on_dimension():
@@ -330,3 +337,366 @@ def test_check_rejects_an_oversized_s_grid_before_the_lp(monkeypatch, tmp_path, 
                             ("0", "need at least one sample per axis")]:
         assert main(["check", str(path), "--s-points", points]) == 2
         assert message in capsys.readouterr().err
+
+
+# ------------------------------------------------- omega kernel, dense scan
+
+
+def s_samples(g, m):
+    """m log-uniform samples per axis over the grid's axis slope range."""
+    spec = SGridSpec.from_grid(g, points=m)
+    return np.linspace(spec.lo, spec.hi, spec.points)
+
+
+def product(x, d):
+    return np.stack([c.reshape(-1) for c in np.meshgrid(*[x] * d, indexing="ij")], axis=1)
+
+
+def dense_omega(a, box, x):
+    """omega and its boundary flags from one matrix of every sample against
+    every point."""
+    idx = index_array(box).astype(float)
+    with np.errstate(invalid="ignore"):
+        W = product(x, len(box)) @ idx.T - a[None, :]
+    om = W.max(axis=1)
+    interior = ~outer_shell_mask(box)
+    if interior.any():
+        flags = W[:, interior].max(axis=1) < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
+    else:
+        flags = np.ones(om.size, dtype=bool)
+    return om, flags
+
+
+def holed(box, seed):
+    a = random_grid(box, seed=seed).flat.copy()
+    rng = SplitMix64(seed)
+    for i in range(1, a.size):
+        if rng.uniform(0.0, 1.0) < 0.2:
+            a[i] = math.inf
+    return SequenceGrid(box, a)
+
+
+def corpus():
+    boxes = [(6,), (12,), (3, 3), (6, 4), (2, 2, 2), (3, 2, 3), (0,), (0, 3), (4, 0, 2)]
+    for seed, box in enumerate(boxes):
+        yield random_grid(box, seed=seed + 10), 40
+        yield convex_random_grid(box, seed=seed + 20), 30
+        yield holed(box, seed + 30), 25
+
+
+def close(got, want):
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def every_sample(m, d):
+    return np.stack(np.unravel_index(np.arange(m ** d), (m,) * d), axis=1)
+
+
+def test_kernel_matches_the_dense_scan():
+    for g, m in corpus():
+        af = AssociatedFunction(g)
+        x = s_samples(g, m)
+        om, flags = dense_omega(g.flat, g.box, x)
+        k_om, _, k_flags = af._scan(x[every_sample(m, g.dim)])
+        assert k_om.shape == k_flags.shape == (m ** g.dim,)
+        assert close(k_om, om), g.box
+        assert np.array_equal(k_flags, flags), g.box
+
+
+# omega on the m^d samples of the box as per-axis max-plus passes: one over
+# the box, and one over the sub-box off the outer shell for the flags.
+
+
+def ref_forward(x, f):
+    F = -np.asarray(f, dtype=float)
+    for _ in range(f.ndim):
+        out = np.full(F.shape[1:] + (x.size,), -np.inf)
+        tmp = np.empty_like(out)
+        for b in range(F.shape[0]):
+            np.add(F[b][..., None], b * x, out=tmp)
+            np.maximum(out, tmp, out=out)
+        F = out
+    return F
+
+
+def ref_omega_grid(af, x):
+    a = af._a.reshape(tuple(n + 1 for n in af.box))
+    om = ref_forward(x, a)
+    if 0 in af.box:
+        return om, np.ones(om.shape, dtype=bool)
+    oi = ref_forward(x, a[tuple(slice(0, n) for n in af.box)])
+    return om, oi < om - TIE_REL_TOL * np.maximum(1.0, np.abs(om))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def identity_corpus(wide=True):
+    yield from corpus()
+    yield holed((3, 3, 3), 2), 50
+    yield convex_random_grid((2, 4, 3), seed=3), 50
+    yield random_grid((3, 0, 2), seed=4), 50
+    if wide:  # the benchmark's sampling, too slow in blocks of one row
+        yield random_grid((5,), seed=1), 600
+        yield convex_random_grid((6, 6), seed=5), 600
+
+
+def scanned_corpus(wide=True):
+    """The grids of ``identity_corpus`` whose m^d samples omega can scan in a
+    test, with those samples."""
+    for g, m in identity_corpus(wide):
+        if m ** g.dim <= 40_000:
+            yield g, m, s_samples(g, m)
+
+
+def test_omega_kernel_is_the_forward_pass_at_every_sample():
+    for g, m, x in scanned_corpus():
+        af = AssociatedFunction(g)
+        om, _, flags = af._scan(x[every_sample(m, g.dim)])
+        want_om, want_flags = ref_omega_grid(af, x)
+        # equal values; a maximum over a tie of 0.0 and -0.0 may keep either
+        assert np.array_equal(om, want_om.reshape(-1)), g.box
+        assert np.array_equal(flags, want_flags.reshape(-1)), g.box
+
+
+@pytest.mark.parametrize("block", [300, 700])
+def test_small_blocks_give_the_same_bits(monkeypatch, block):
+    # a few rows to a few dozen per block, most with a ragged last block
+    grids = list(scanned_corpus(wide=False))
+    want = [AssociatedFunction(g)._scan(x[every_sample(m, g.dim)]) for g, m, x in grids]
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", block)
+    for (g, m, x), before in zip(grids, want):
+        got = AssociatedFunction(g)._scan(x[every_sample(m, g.dim)])
+        assert same_bits(got[0], before[0]), g.box
+        assert np.array_equal(got[1], before[1]) and np.array_equal(got[2], before[2]), g.box
+
+
+def guard_corpus():
+    yield from identity_corpus()
+    yield convex_random_grid((8, 8), seed=7), 200  # tie-heavy
+    for seed in range(10):
+        yield convex_random_grid((6, 6), seed=seed), 600
+    yield SequenceGrid((6, 6), 0.7 * order_array((6, 6)), LOG), 200  # every sample ties
+    yield notconvex_grid((4, 4), LOG), 200
+    yield random_grid((6, 6), seed=0), 200
+    yield random_grid((8,), seed=9), 200
+    yield convex_random_grid((4, 4), seed=6), 200
+    yield convex_random_grid((3, 3, 3), seed=2), 50
+
+
+def test_a_q3_flag_off_the_shell_implies_a_shell_certificate():
+    # q3 is taken at each certificate slope, where it equals a^c up to
+    # rounding, so its failures are exactly the interior gaps above SLACK_TOL,
+    # and the boundary caveat comes from the certificates alone
+    failing = 0
+    for g, _ in guard_corpus():
+        res = minorant_lp(g)
+        interior = np.isfinite(g.flat) & ~res.boundary
+        with np.errstate(invalid="ignore"):
+            gap = g.flat - res.minorant.flat
+        report = check_log_convexity(g)
+        assert report.q3_failures == multi_indices(g.box, interior & (gap > SLACK_TOL)), g.box
+        assert report.q3_holds == report.globally_convex, g.box
+        assert report.boundary_caveat == (res.boundary.any() or not interior.any()), g.box
+        failing += bool(report.q3_failures)
+    assert failing >= 4  # the first assertion is not vacuous
+
+
+def test_forward_with_infinite_data_imposes_nothing():
+    x = np.array([-1.0, 0.0, 2.0])
+    af = AssociatedFunction(SequenceGrid((2,), [0.0, math.inf, 1.0]))
+    assert np.array_equal(af._scan(x[:, None])[0], np.maximum(0.0, 2.0 * x - 1.0))
+
+
+def test_sample_cap_fits_the_defaults_and_rejects_counts_beyond_it():
+    for m, d in [(600, 2), (200, 2), (50, 3), (MAX_SAMPLES, 1)]:
+        check_samples(m, d)
+    for m, d in [(2049, 2), (1e300, 3), (10**12, 1)]:  # 2049**2 > 2**22
+        with pytest.raises(OutOfRange):
+            check_samples(m, d)
+    with pytest.raises(EmptySGrid):
+        check_samples(0, 2)
+
+
+# ------------------------------------------------------------------ lanes
+
+
+def set_cores(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def spy_lanes(monkeypatch):
+    """For each ``in_lanes`` call, a list with one list per lane of the
+    (lo, hi) blocks it took."""
+    calls = []
+    run = assoc.in_lanes
+
+    def in_lanes(rows, per_row, lane):
+        lanes = []
+        calls.append(lanes)
+
+        def recorded(blocks, step):
+            took = []
+            lanes.append(took)
+
+            def taken():
+                for block in blocks:
+                    took.append(block)
+                    yield block
+            lane(taken(), step)
+        run(rows, per_row, recorded)
+    monkeypatch.setattr(assoc, "in_lanes", in_lanes)
+    return calls
+
+
+def kernel_outputs():
+    out = []
+    af = AssociatedFunction(random_grid((3, 2), seed=6))  # 12 points per row
+    rng = SplitMix64(7)
+    for n in (25, 3):
+        T = [[rng.uniform(-4.0, 9.0) if rng.random() < 0.7 else 0.0 for _ in range(2)]
+             for _ in range(n)]
+        out.extend(af.evaluate_many(T))
+    out.append(np.array([af.trace([rng.uniform(-2.0, 2.0), -1.0]) for _ in range(5)]))
+    return out
+
+
+@pytest.mark.parametrize("block", [2, 100])
+def test_the_omega_kernel_gives_the_same_bits_on_any_lane_count(monkeypatch, block):
+    # 2 entries per block: every row is a block of its own, more blocks than
+    # lanes, and more lanes than rows where a batch has 3 rows or one
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", block)
+    calls = spy_lanes(monkeypatch)
+    want = None
+    for k in (1, 2, 3, 5):
+        set_cores(monkeypatch, k)
+        calls.clear()
+        got = kernel_outputs()
+        lanes = [len(call) for call in calls]
+        if block == 2:
+            assert lanes == [k, min(k, 3), 1, 1, 1, 1, 1]
+        else:  # 3 blocks' worth of 25 rows, then a block of 3 rows and 5 of one
+            assert lanes == [min(k, 3), 1, 1, 1, 1, 1, 1]
+        for call in calls:  # each block once, in ascending order, whichever lane took it
+            taken = sorted(b for took in call for b in took)
+            assert [lo for lo, _ in taken] == [0] + [hi for _, hi in taken[:-1]]
+        if want is None:
+            want = got
+            continue
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            bits = [np.ascontiguousarray(v).view(np.uint8) for v in (a, b)]
+            assert np.array_equal(*bits), k
+
+
+def test_check_and_assoc_json_are_the_same_on_any_lane_count(monkeypatch, tmp_path, capsys):
+    inputs = []
+    for i, g in enumerate([convex_random_grid((6, 6), 3), random_grid((6, 6), 7)]):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(write_grid(g))
+        inputs.append(str(path))
+    calls = spy_lanes(monkeypatch)
+    outs = {}
+    for k in (1, 2, 3, 5):
+        set_cores(monkeypatch, k)
+        calls.clear()
+        for path in inputs:
+            assert main(["check", path, "--s-points", "600", "--json"]) == 0
+            assert main(["assoc", path, "--t-grid", "0.1,30,4000", "--json"]) == 0
+        outs[k] = capsys.readouterr().out
+        # check scans omega at 49 slopes, one block; assoc at 4000 points, 3 blocks' worth
+        assert [len(call) for call in calls] == [1, min(k, 3)] * 2
+    assert outs[1] and all(out == outs[1] for out in outs.values())
+
+
+def record_threads(monkeypatch):
+    """The threads ``in_lanes`` starts, in the order it makes them."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+    monkeypatch.setattr(assoc.threading, "Thread", Recorded)
+    return made
+
+
+def test_lanes_take_every_row_once_and_leave_no_thread(monkeypatch):
+    set_cores(monkeypatch, 4)
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", 8)
+    made = record_threads(monkeypatch)
+    before = threading.active_count()
+    taken, lanes = [], []
+
+    def lane(blocks, step):
+        lanes.append((threading.current_thread(), step))
+        taken.extend(blocks)
+
+    assoc.in_lanes(41, 1, lane)  # 41 entries: 6 blocks' worth, so 4 lanes of 2-row blocks
+    assert sorted(taken) == [(lo, min(lo + 2, 41)) for lo in range(0, 41, 2)]
+    assert len(made) == 3 and len(lanes) == 4
+    assert {t for t, _ in lanes} == {threading.current_thread(), *made}
+    assert {step for _, step in lanes} == {2}
+    assert not any(t.is_alive() for t in made)
+    assert threading.active_count() == before
+
+
+def test_the_first_error_in_lane_order_reaches_the_caller(monkeypatch):
+    set_cores(monkeypatch, 4)
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", 8)
+    made = record_threads(monkeypatch)
+    before = threading.active_count()
+    ran = []
+
+    def helpers_fail(blocks, step):
+        ran.append(threading.current_thread())
+        if threading.current_thread() in made:
+            raise ValueError(f"lane {made.index(threading.current_thread()) + 1}")
+
+    with pytest.raises(ValueError, match="^lane 1$"):
+        assoc.in_lanes(40, 1, helpers_fail)
+    assert len(ran) == 4  # every lane ran, and was joined
+    assert threading.active_count() == before
+
+    def all_fail(blocks, step):
+        raise KeyError(threading.current_thread() in made)
+
+    with pytest.raises(KeyError, match="^False$"):  # the caller's own lane comes first
+        assoc.in_lanes(40, 1, all_fail)
+    assert threading.active_count() == before
+
+
+def test_a_callers_errstate_holds_in_helper_lanes(monkeypatch):
+    set_cores(monkeypatch, 2)
+    monkeypatch.setattr(assoc, "_BLOCK_SAMPLES", 2)
+    made = record_threads(monkeypatch)
+    samples = np.array([0.9e308, 1.7e308])
+
+    def helper_overflows(blocks, step):
+        if threading.current_thread() in made:
+            _ = samples[:1] * 2.0  # beyond the double range
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        assoc.in_lanes(2, 2, helper_overflows)
+    with np.errstate(over="ignore"):  # no RuntimeWarning, which the tests raise
+        assoc.in_lanes(2, 2, helper_overflows)
+    assert len(made) == 2
+    # through the omega kernel: 1e308 * 2 overflows, in whichever lane takes the row
+    af = AssociatedFunction(random_grid((2, 2), seed=1))
+    W = np.array([[1e308, 0.0]] * 4)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        af._scan(W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (af._scan(W)[0] == math.inf).all()
+
+
+def test_the_core_count_falls_back_to_cpu_count(monkeypatch):
+    set_cores(monkeypatch, 3)
+    assert assoc._cores() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert assoc._cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert assoc._cores() == 1

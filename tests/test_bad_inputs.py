@@ -39,7 +39,7 @@ def _grid(rng: SplitMix64) -> dict:
 
 def _commands(path: str, dim: int) -> list[list[str]]:
     twos = ",".join(["2"] * dim)
-    methods = ["lp", "oracle", "dual-grid"] + (["sweep"] if dim == 1 else [])
+    methods = ["lp", "oracle"] + (["sweep"] if dim == 1 else [])
     return ([["minorant", path, "--method", m] for m in methods]
             + [["check", path, "--s-points", "40"],
                ["assoc", path, "--t", twos, f"--t=0{',0.5' * (dim - 1)}"],

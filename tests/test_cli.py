@@ -288,50 +288,6 @@ def test_minorant_oracle_is_capped(tmp_path, capsys):
     assert "capped" in err
 
 
-def test_minorant_dual_grid_lower_bounds_lp(line_file, capsys):
-    _, out_lp, _ = run(capsys, "minorant", line_file, "--json")
-    _, out_dg, _ = run(capsys, "minorant", line_file,
-                       "--method", "dual-grid", "--k-step", "0.25", "--json")
-    lp_vals = read_report(out_lp)["results"]["minorant"]["values"]
-    dg = read_report(out_dg)["results"]
-    assert dg["k_grid"] == {"lo": -1.0, "hi": 5.0, "step": 0.25}
-    for d, e in zip(dg["minorant"]["values"], lp_vals):
-        assert d <= e + 1e-9
-
-
-def test_minorant_dual_grid_equals_per_index_dual_value(tmp_path, capsys):
-    # against the dense conjugate and its reduction over every slope sample
-    from test_conjugate import ref_backward, ref_forward
-    from logcvx import KGridSpec
-    for seed, box in enumerate([(5,), (3, 4), (2, 2, 2)]):
-        g = random_grid(box, seed=seed + 60)
-        path = tmp_path / f"g{seed}.json"
-        path.write_text(write_grid(g))
-        code, out, _ = run(capsys, "minorant", str(path), "--method", "dual-grid",
-                           "--k-step", "0.5", "--json")
-        assert code == 0
-        got = read_report(out)["results"]["minorant"]["values"]
-        x = KGridSpec.from_grid(g, step=0.5).axis_samples()
-        want = ref_backward(x, ref_forward(x, g.values), g.box)
-        assert got == pytest.approx(want.reshape(-1).tolist(), rel=1e-12, abs=1e-12)
-
-
-def test_minorant_dual_grid_bad_or_tiny_k_step_is_a_validation_error(line_file, capsys):
-    for step in ["nan", "inf", "-1", "1e-320", "1e-9"]:
-        code, _, err = run(capsys, "minorant", line_file, "--method", "dual-grid",
-                           "--k-step", step)
-        assert code == 2, step
-        assert "validation error" in err
-
-
-@pytest.mark.parametrize("method", ["lp", "sweep", "oracle"])
-def test_minorant_k_step_is_an_error_outside_dual_grid(line_file, capsys, method):
-    code, out, err = run(capsys, "minorant", line_file, "--method", method,
-                         "--k-step", "0.5", "--json")
-    assert (code, out) == (2, "")
-    assert err == f"validation error: minorant --method {method} does not read --k-step\n"
-
-
 def test_minorant_stability_payload(tmp_path, line_file, capsys):
     larger = tmp_path / "larger.json"
     larger.write_text(write_grid(read_grid(json.dumps(
@@ -812,7 +768,6 @@ def _output_corpus(tmp_path):
         ["minorant", str(nc), "--method", "lp"],
         ["minorant", str(line), "--method", "sweep"],
         ["minorant", str(hf), "--method", "oracle"],
-        ["minorant", str(hf), "--method", "dual-grid"],
         ["minorant", str(line), "--stability", str(larger)],
         ["assoc", fact, "--t", "2", "--t-grid", "0.5,8,5", "--trace-k", "0.7"],
         ["check", str(nc)],
@@ -1002,7 +957,8 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
 
 def test_a_usage_error_exits_2_on_every_call(tmp_path, capsys):
     fact = fact_file(tmp_path)
-    for argv in (["check"], ["minorant", fact, "--method", "simplex"], ["nonsense"]):
+    for argv in (["check"], ["minorant", fact, "--method", "simplex"], ["nonsense"],
+                 ["minorant", fact, "--method", "dual-grid"], ["minorant", fact, "--k-step", "0.5"]):
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -1111,8 +1067,6 @@ TOLERANCE_PIN_COMMANDS = {
     "stability": ["minorant", "small.json", "--stability", "large.json"],
     "sweep": ["minorant", "line.json", "--method", "sweep"],
     "oracle": ["minorant", "oracle.json", "--method", "oracle"],
-    "dual_grid": ["minorant", "oracle.json", "--method", "dual-grid"],
-    "dual_grid_line": ["minorant", "line.json", "--method", "dual-grid", "--k-step", "0.1"],
 }
 # sha256 of the --json stdout
 TOLERANCE_PIN_SHA256 = {
@@ -1121,8 +1075,6 @@ TOLERANCE_PIN_SHA256 = {
     "check_convex": "ee2f6d027ddefc6e862107722ae45c8ccac2d06deee592191a5e6a6541080df9",
     "check_linebreak": "4a38606522970548f14c7028c25601bb25dd53cea86da44ebea0e826d438a8e2",
     "check_notjoint": "355b63e45382ea1a45271dc0e075b7afe6247d5d3ba2257870a1e657bb18cc83",
-    "dual_grid": "aa6d9cbe01a7f2190f0e3ef63712350981089994ba328bba0d319732039abec1",
-    "dual_grid_line": "f80cb70c2b5a383b8e4db099916ab62adaeb3437aa85d6ff084f606d633e59b9",
     "oracle": "d7275eef6fe49b2248f81aac7ee7ca459afecf4cd12f3a6815f8f6d0df938fca",
     "stability": "3e8d5503d6b3de552117d9b08087cf5b66a79b7fa101b881b81798be37193f48",
     "sweep": "bfeea80dea329d565fb235c766bcb448deb0e3625f00d01fc95d3e133ac34fdf",

@@ -1,6 +1,6 @@
 """Supporting-hyperplane minorant in d dimensions: LP route, the intercepts
-h_k = -A(k) of the lowest planes of slope k, the sampled dual route, slope
-ranges, face restriction and the truncation stability probe."""
+h_k = -A(k) of the lowest planes of slope k, slope ranges, face restriction
+and the truncation stability probe."""
 import math
 from dataclasses import replace
 
@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from logcvx import (EXP, LOG, AssociatedFunction, DimensionMismatch,
-                    EmptyKGrid, GridMismatch, GridValidationError, KGridSpec,
+                    GridMismatch, GridValidationError,
                     OutOfRange, ScaleMismatch, SequenceGrid, as_log_grid,
                     audit_minorant, axis_slope_range, boundary_restriction,
                     convex_random_grid, envelope1d, factorial_grid, minorant_lp,
                     notconvex_grid, random_grid, stability_probe)
-from logcvx import conjugate, lpsolve
+from logcvx import lpsolve
 from logcvx.core import FEAS_TOL, index_array, outer_shell_mask
 from logcvx.envelope import _start_bases
 from test_cli import certificate_path_grids
-from test_conjugate import ref_forward
 
 REF = SequenceGrid((3,), [0.0, 2.0, 1.0, 6.0], LOG)
 
@@ -63,6 +62,8 @@ def test_h_of_k_input_guards():
 def test_axis_slope_range_reference():
     # pairwise quotients include (1-2)/1 = -1 and (6-1)/1 = 5
     assert axis_slope_range(REF) == pytest.approx((-1.0, 5.0))
+    with pytest.raises(ScaleMismatch):
+        axis_slope_range(SequenceGrid((1,), [1.0, 2.0], EXP))
 
 
 def test_axis_slope_range_covers_factorial_top_slope():
@@ -88,83 +89,6 @@ def test_axis_slope_range_contains_1d_segment_slopes():
         poly = envelope1d.sweep(g)
         for seg in poly.segments:
             assert lo - 1e-12 <= seg.slope <= hi + 1e-12
-
-
-def dual_grid(g, spec=None):
-    """The sampled dual route's values at every index, as ``minorant --method
-    dual-grid`` runs it."""
-    spec = KGridSpec.from_grid(g) if spec is None else spec
-    return conjugate.biconjugate(spec.axis_samples(), g.values)
-
-
-def test_dual_on_default_range_is_step_accurate_in_1d():
-    # optimal slopes live inside axis_slope_range, so a step-s grid loses at
-    # most s * N against the exact minorant
-    for seed in range(15):
-        g = random_grid((6,), seed=seed + 300)
-        res = minorant_lp(g)
-        vals = dual_grid(g, KGridSpec.from_grid(g, step=0.25))
-        assert np.all(vals >= res.minorant.values - 0.25 * g.box[0] - 1e-9)
-
-
-# ---------------------------------------------------------------- k grids
-
-
-def test_kgrid_axis_samples_and_product():
-    spec = KGridSpec(0.0, 1.0, 0.25)
-    assert np.allclose(spec.axis_samples(), [0.0, 0.25, 0.5, 0.75, 1.0])
-    # the product grid lives inside the kernel: A(k) = max(0, k_1, k_2, k_1 + k_2)
-    # over the unit square, at every k of the 5 x 5 product
-    A = ref_forward(spec.axis_samples(), np.zeros((2, 2)))
-    assert (A[0, 0], A[-1, 0], A[-1, -1]) == (0.0, 1.0, 2.0)
-
-
-def test_kgrid_rejects_bad_ranges():
-    with pytest.raises(EmptyKGrid):
-        KGridSpec(1.0, 0.0, 0.25).axis_samples()
-    with pytest.raises(EmptyKGrid):
-        KGridSpec(0.0, 1.0, 0.0).axis_samples()
-    for bad in [KGridSpec(0.0, 1.0, math.nan), KGridSpec(math.nan, 1.0, 0.25),
-                KGridSpec(0.0, math.inf, 0.25), KGridSpec(0.0, 1.0, math.inf)]:
-        with pytest.raises(EmptyKGrid):
-            bad.axis_samples()
-
-
-def test_kgrid_from_grid_uses_axis_slopes():
-    spec = KGridSpec.from_grid(REF)
-    assert (spec.lo, spec.hi) == pytest.approx((-1.0, 5.0))
-    assert spec.step == 0.25
-
-
-# ------------------------------------------------------------- dual route
-
-
-def test_dual_value_at_origin_recovers_origin_value():
-    for seed in range(10):
-        g = random_grid((4,), seed=seed)
-        vals = dual_grid(g)
-        assert vals[0] == pytest.approx(g.flat[0], abs=1e-12)
-
-
-def test_dual_value_notconvex_center():
-    g = as_log_grid(notconvex_grid((2, 2)))
-    spec = KGridSpec(0.0, 8.0, 0.5)
-    vals = dual_grid(g, spec)
-    assert vals[1, 1] == pytest.approx(8.0, abs=1e-12)
-
-
-def test_dual_value_never_exceeds_lp_minorant():
-    for seed in range(15):
-        g = random_grid((3, 3), seed=seed + 100)
-        vals = dual_grid(g)
-        assert np.all(vals <= minorant_lp(g).minorant.values + 1e-9)
-
-
-def test_dual_value_input_guards():
-    with pytest.raises(ScaleMismatch):
-        KGridSpec.from_grid(SequenceGrid((1,), [1.0, 2.0], EXP))
-    with pytest.raises(OutOfRange):  # 2049**2 slopes exceed MAX_SAMPLES
-        dual_grid(as_log_grid(notconvex_grid((2, 2))), KGridSpec(0.0, 2048.0, 1.0))
 
 
 # ---------------------------------------------------------------- LP route
